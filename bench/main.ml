@@ -100,12 +100,8 @@ let vm_for kind =
   (vm, th)
 
 (* The trace kernel alone: one full Trace_live closure over a shared
-   50k-object graph from 256 seed roots (deep enough that the default
-   engagement threshold admits the crew).  The jobs count is in the
-   name on purpose: on a single-core host, jobs4 measures domain
-   time-sharing plus the crew hand-off, not a speedup, so each entry
-   must gate only against its own baseline. *)
-let par_trace_test ~domains =
+   50k-object graph from 256 seed roots. *)
+let trace_closure_test =
   let module Os = Gcperf_heap.Obj_store in
   let module Ivec = Gcperf_util.Int_vec in
   let s = Os.create () in
@@ -123,8 +119,7 @@ let par_trace_test ~domains =
       done)
     ids;
   let marked = Ivec.create () and stack = Ivec.create () in
-  Test.make
-    ~name:(Printf.sprintf "par-trace-jobs%d" domains)
+  Test.make ~name:"trace-closure"
     (Staged.stage (fun () ->
          Ivec.clear marked;
          Ivec.clear stack;
@@ -135,13 +130,14 @@ let par_trace_test ~domains =
            Ivec.push marked id;
            Ivec.push stack id
          done;
-         Os.finish_trace s ~pred:Os.Trace_live ~marked ~stack ~domains))
+         Os.sequential_finish s ~pred:Os.Trace_live ~marked ~stack))
 
 (* The relocation kernel alone: plan all 50k objects to their current
    location (so the move is idempotent and every run sees the same
-   store) and apply the plan through [finish_relocate].  Same naming
-   caveat as par-trace: on a single-core host jobs4 measures the crew
-   hand-off plus time-sharing, not a speedup. *)
+   store) and apply the plan through [finish_relocate].  The jobs count
+   is in the name on purpose: on a single-core host jobs4 measures the
+   crew hand-off plus domain time-sharing, not a speedup, so each entry
+   gates only against its own baseline. *)
 let par_move_test ~domains =
   let module Os = Gcperf_heap.Obj_store in
   let s = Os.create () in
@@ -256,8 +252,7 @@ let micro_tests =
              (Gcperf_util.Prng.exponential prng 2.0, Gcperf_util.Prng.bool prng))
        in
        Staged.stage (fun () -> ignore (Gcperf_stats.Stats.latency_report pts)));
-    par_trace_test ~domains:1;
-    par_trace_test ~domains:4;
+    trace_closure_test;
     par_move_test ~domains:1;
     par_move_test ~domains:4;
   ]
@@ -458,7 +453,7 @@ let cluster_tests =
 (* --- concurrent collector family --------------------------------------- *)
 
 (* Journal fold over 100k pre-built entries against 50k rc cells.  Same
-   naming caveat as par-trace: the jobs count is in the name because on
+   naming caveat as par-move: the jobs count is in the name because on
    a single-core host jobs4 measures the crew hand-off plus domain
    time-sharing, not a speedup — each entry gates only against its own
    baseline. *)

@@ -6,8 +6,9 @@
    spans plus percentile summaries, `gcperf bench <name>` runs a single
    DaCapo-like benchmark under a chosen collector, `gcperf tune
    <collector>` searches for sizes that meet a pause goal and prints the
-   matching JVM flags, and `gcperf suite` prints the benchmark
-   descriptions. *)
+   matching JVM flags, `gcperf suite` prints the benchmark descriptions,
+   and `gcperf check-identity` diffs every golden artifact against its
+   committed copy. *)
 
 open Cmdliner
 module Telemetry = Gcperf_telemetry.Telemetry
@@ -54,16 +55,13 @@ let jobs_arg =
 
 let gc_jobs_arg =
   let doc =
-    "Worker domains for the intra-collection kernels: the mark/scan \
-     trace and the copy/promote/evacuate/compact relocation inside each \
-     simulated pause.  Independent of $(b,--jobs); results are \
-     byte-identical for every value.  Default 1 (sequential).  \
-     $(b,--trace-jobs) is an alias kept for older scripts."
+    "Worker domains for the intra-collection kernels: the \
+     copy/promote/evacuate/compact relocation, the edge-arena rebuild and \
+     the journal fold inside each simulated collection (tracing is always \
+     sequential).  Independent of $(b,--jobs); results are byte-identical \
+     for every value.  Default 1 (sequential)."
   in
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "gc-jobs"; "trace-jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some int) None & info [ "gc-jobs" ] ~docv:"N" ~doc)
 
 let apply_gc_jobs = function
   | None -> ()
@@ -131,9 +129,13 @@ let list_cmd =
     print_endline "Experiments (paper artifact -> gcperf run <id>):";
     List.iter
       (fun (e : Gcperf.Experiment.t) ->
-        Printf.printf "  %-10s  %s\n" e.Gcperf.Experiment.id
-          e.Gcperf.Experiment.title)
-      (Gcperf.Experiments.all ())
+        Printf.printf "  %-10s %s %s\n" e.id
+          (if e.golden then "*" else " ")
+          e.title)
+      (Gcperf.Experiments.all ());
+    print_endline
+      "* golden: ci-scope render committed under results/ci/, checked by \
+       `gcperf check-identity`"
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
@@ -577,10 +579,60 @@ let all_cmd =
   Cmd.v (Cmd.info "all" ~doc)
     Term.(const run $ quick_arg $ scope_arg $ jobs_arg $ gc_jobs_arg)
 
+(* --- check-identity ------------------------------------------------ *)
+
+let check_identity_cmd =
+  let doc =
+    "Render every golden experiment at ci scope and compare it byte for \
+     byte with results/ci/<id>.txt (run from the repository root).  Also \
+     fails on a file there that no golden experiment claims.  Exits \
+     non-zero on any failure."
+  in
+  let run jobs gc_jobs =
+    apply_gc_jobs gc_jobs;
+    let goldens = Gcperf.Experiments.goldens () in
+    let failures = ref 0 in
+    let fail name msg =
+      incr failures;
+      Printf.eprintf "FAIL %s: %s\n%!" name msg
+    in
+    List.iter
+      (fun (e : Gcperf.Experiment.t) ->
+        match Gcperf.Experiment.check_golden ?jobs e with
+        | Ok () -> Printf.printf "ok %s\n%!" e.id
+        | Error msg -> fail e.id msg)
+      goldens;
+    let dir = Gcperf.Experiment.golden_dir in
+    let files = try Sys.readdir dir with Sys_error _ -> [||] in
+    Array.sort compare files;
+    Array.iter
+      (fun f ->
+        let claimed (e : Gcperf.Experiment.t) = e.id ^ ".txt" = f in
+        if not (List.exists claimed goldens) then
+          fail (Filename.concat dir f) "no golden experiment has this id")
+      files;
+    if !failures > 0 then begin
+      Printf.eprintf "%d identity failure(s)\n" !failures;
+      exit 1
+    end
+  in
+  Cmd.v
+    (Cmd.info "check-identity" ~doc)
+    Term.(const run $ jobs_arg $ gc_jobs_arg)
+
 let main =
   let doc = "A multicore garbage-collector performance laboratory (PMAM'15)" in
   let info = Cmd.info "gcperf" ~version:"1.0.0" ~doc in
   Cmd.group info
-    [ list_cmd; run_cmd; trace_cmd; bench_cmd; tune_cmd; suite_cmd; all_cmd ]
+    [
+      list_cmd;
+      run_cmd;
+      trace_cmd;
+      bench_cmd;
+      tune_cmd;
+      suite_cmd;
+      all_cmd;
+      check_identity_cmd;
+    ]
 
 let () = exit (Cmd.eval main)

@@ -4,17 +4,20 @@ type t = {
   id : string;
   title : string;
   memo_key : string option;
+  golden : bool;
   runner : runner;
 }
 
 let registry : t list ref = ref []
 
-let register ~id ~title ?memo_key runner =
+let register ~id ~title ?memo_key ?(golden = false) runner =
   if List.exists (fun e -> e.id = id) !registry then
     invalid_arg (Printf.sprintf "Experiment.register: duplicate id %S" id);
-  registry := !registry @ [ { id; title; memo_key; runner } ]
+  registry := !registry @ [ { id; title; memo_key; golden; runner } ]
 
 let all () = !registry
+
+let goldens () = List.filter (fun e -> e.golden) !registry
 
 let ids () = List.map (fun e -> e.id) !registry
 
@@ -43,3 +46,36 @@ let artifact ~scope ?jobs id =
   | None -> None
   | Some e ->
       List.find_opt (fun (a : Artifact.t) -> a.name = id) (run e ~scope ?jobs ())
+
+(* --- golden identity ----------------------------------------------- *)
+
+let golden_dir = "results/ci"
+
+(* 1-based number and both sides of the first line where the texts
+   differ; a missing line reads as "<end of file>". *)
+let first_difference expected actual =
+  let eof = "<end of file>" in
+  let rec go n = function
+    | [], [] -> None
+    | g :: gs, r :: rs ->
+        if String.equal g r then go (n + 1) (gs, rs) else Some (n, g, r)
+    | g :: _, [] -> Some (n, g, eof)
+    | [], r :: _ -> Some (n, eof, r)
+  in
+  go 1 (String.split_on_char '\n' expected, String.split_on_char '\n' actual)
+
+let check_golden ?jobs e =
+  let path = Filename.concat golden_dir (e.id ^ ".txt") in
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error ("cannot read golden: " ^ msg)
+  | expected -> (
+      match artifact ~scope:Scope.ci ?jobs e.id with
+      | None -> Error (e.id ^ " yields no artifact of its own id")
+      | Some a -> (
+          match first_difference expected (Artifact.render a `Text) with
+          | None -> Ok ()
+          | Some (n, g, r) ->
+              Error
+                (Printf.sprintf
+                   "%s differs at line %d\n  golden:   %s\n  rendered: %s" path
+                   n g r)))

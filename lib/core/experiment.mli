@@ -27,16 +27,29 @@ type t = private {
   title : string;
   memo_key : string option;
       (** campaign key: entries sharing it share one memoised run *)
+  golden : bool;
+      (** its ci-scope text render is committed as
+          [results/ci/<id>.txt] and checked by {!check_golden} *)
   runner : runner;
 }
 
 val register :
-  id:string -> title:string -> ?memo_key:string -> runner -> unit
+  id:string ->
+  title:string ->
+  ?memo_key:string ->
+  ?golden:bool ->
+  runner ->
+  unit
 (** Add an experiment to the registry.  Order of registration is the
-    order [all]/[ids] report — [gcperf all] runs in it.  Raises
+    order [all]/[ids] report — [gcperf all] runs in it.  [golden]
+    (default [false]) puts the entry in the identity gate.  Raises
     [Invalid_argument] on a duplicate id. *)
 
 val all : unit -> t list
+
+val goldens : unit -> t list
+(** The entries registered with [~golden:true], in registration order:
+    the one list of golden artifacts. *)
 
 val ids : unit -> string list
 
@@ -48,3 +61,16 @@ val run : t -> scope:Scope.t -> ?jobs:int -> unit -> Artifact.t list
 val artifact : scope:Scope.t -> ?jobs:int -> string -> Artifact.t option
 (** [find] + [run] + select the artifact whose name is the id: the one
     call almost every consumer wants.  [None] for unknown ids. *)
+
+(** {1 Golden identity} *)
+
+val golden_dir : string
+(** ["results/ci"]: resolved against the working directory, which is
+    the repository root for the CLI. *)
+
+val check_golden : ?jobs:int -> t -> (unit, string) result
+(** Renders the entry's artifact at ci scope as text and compares it
+    byte for byte with [results/ci/<id>.txt].  [Error] names the first
+    differing line number and shows both lines, or says the golden file
+    cannot be read.  The intra-collection domain count is whatever
+    [Obj_store.set_default_gc_domains] last set. *)

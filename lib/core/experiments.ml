@@ -642,12 +642,13 @@ let distill_artifact ~scope ?jobs () =
 
 (* ------------------------------------------------------------------ *)
 (* Registration: the single place the experiment catalogue is written
-   down.  Runs at module-load time; every public entry point below
-   lives in this module precisely so that using the catalogue links
-   it. *)
+   down, golden flags included (a golden's ci-scope render is committed
+   under results/ci/ and checked by `gcperf check-identity`).  Runs at
+   module-load time; every public entry point below lives in this module
+   precisely so that using the catalogue links it. *)
 
-let single id title build =
-  Experiment.register ~id ~title (fun ~scope ?jobs () ->
+let single ?golden id title build =
+  Experiment.register ~id ~title ?golden (fun ~scope ?jobs () ->
       [ build ~scope ?jobs () ])
 
 let xalan_runner ~scope ?jobs () =
@@ -659,15 +660,16 @@ let client_runner ~scope ?jobs () =
   [ fig5_artifact ~scope r; table567_artifact ~scope r ]
 
 let () =
-  single "table2" "Table 2: benchmark stability" table2_artifact;
-  single "table3" "Table 3: pause statistics across heap/young sizes"
-    table3_artifact;
+  single ~golden:true "table2" "Table 2: benchmark stability" table2_artifact;
+  single ~golden:true "table3"
+    "Table 3: pause statistics across heap/young sizes" table3_artifact;
   single "table4" "Table 4: TLAB influence" table4_artifact;
   Experiment.register ~id:"fig1" ~title:"Figure 1: Xalan GC pauses"
     ~memo_key:"xalan" xalan_runner;
   Experiment.register ~id:"fig2" ~title:"Figure 2: Xalan iteration durations"
     ~memo_key:"xalan" xalan_runner;
-  single "fig3" "Figure 3: GC ranking by experiments won" fig3_artifact;
+  single ~golden:true "fig3" "Figure 3: GC ranking by experiments won"
+    fig3_artifact;
   single "fig4" "Figure 4: CMS and G1 server pauses" fig4_artifact;
   Experiment.register ~id:"fig5"
     ~title:"Figure 5: client latencies under server GC" ~memo_key:"client"
@@ -680,19 +682,21 @@ let () =
   single "ergonomics"
     "Ergonomics: fixed vs adaptive sizing with convergence trajectory"
     ergonomics_artifact;
-  single "faults"
+  single ~golden:true "faults"
     "Fault injection: resilience under GC pauses and network faults"
     faults_artifact;
-  single "cluster" "Cluster ring: tail at scale" cluster_artifact;
-  single "pauseless" "Pauseless family: concurrent regions and journaled RC"
-    pauseless_artifact;
-  single "distill" "Distilled collector cost (LBO) over an ideal-GC baseline"
+  single ~golden:true "cluster" "Cluster ring: tail at scale" cluster_artifact;
+  single ~golden:true "pauseless"
+    "Pauseless family: concurrent regions and journaled RC" pauseless_artifact;
+  single ~golden:true "distill"
+    "Distilled collector cost (LBO) over an ideal-GC baseline"
     distill_artifact
 
 (* ------------------------------------------------------------------ *)
 (* Facade over the registry.                                          *)
 
 let all () = Experiment.all ()
+let goldens () = Experiment.goldens ()
 let all_names = Experiment.ids ()
 let artifact = Experiment.artifact
 let run = Experiment.run

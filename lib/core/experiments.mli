@@ -17,6 +17,10 @@ val all : unit -> Experiment.t list
 (** Every registered experiment, in registration (= presentation)
     order. *)
 
+val goldens : unit -> Experiment.t list
+(** {!Experiment.goldens}: the experiments whose ci-scope renders are
+    committed under [results/ci/]. *)
+
 val all_names : string list
 (** Ids of {!all}: what {!artifact} accepts and [gcperf run] suggests
     from. *)

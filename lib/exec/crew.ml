@@ -25,7 +25,20 @@ type t = {
   mutable stop : bool;
   mutable handles : unit Domain.t list;
   mutable workers : int;
+  mutable failure : (int * exn * Printexc.raw_backtrace) option;
+      (* lowest failing slot of the current task, as in [Pool.map_cells] *)
 }
+
+(* Caller holds [t.m]. *)
+let note_failure t slot e bt =
+  match t.failure with
+  | Some (s, _, _) when s <= slot -> ()
+  | _ -> t.failure <- Some (slot, e, bt)
+
+let attempt f slot =
+  match f slot with
+  | () -> None
+  | exception e -> Some (e, Printexc.get_raw_backtrace ())
 
 let worker t slot gen0 =
   let my_gen = ref gen0 in
@@ -43,8 +56,9 @@ let worker t slot gen0 =
       my_gen := t.gen;
       let f = match t.task with Some f -> f | None -> fun _ -> () in
       Mutex.unlock t.m;
-      (try f slot with _ -> ());
+      let outcome = attempt f slot in
       Mutex.lock t.m;
+      Option.iter (fun (e, bt) -> note_failure t slot e bt) outcome;
       t.running <- t.running - 1;
       if t.running = 0 then Condition.signal t.done_c;
       Mutex.unlock t.m
@@ -89,6 +103,7 @@ let ensure_crew () =
           stop = false;
           handles = [];
           workers = 0;
+          failure = None;
         }
       in
       crew := Some t;
@@ -110,19 +125,18 @@ let run t f =
   Condition.broadcast t.go;
   Mutex.unlock t.m;
   (* The calling domain is slot 0 and works alongside the crew. *)
-  (try f 0 with e -> (
-     (* Wait the workers out even on failure so the crew stays coherent. *)
-     Mutex.lock t.m;
-     while t.running > 0 do Condition.wait t.done_c t.m done;
-     t.task <- None;
-     Mutex.unlock t.m;
-     raise e));
+  let own = attempt f 0 in
+  (* Wait the workers out even on failure so the crew stays coherent. *)
   Mutex.lock t.m;
+  Option.iter (fun (e, bt) -> note_failure t 0 e bt) own;
   while t.running > 0 do
     Condition.wait t.done_c t.m
   done;
   t.task <- None;
-  Mutex.unlock t.m
+  let failure = t.failure in
+  t.failure <- None;
+  Mutex.unlock t.m;
+  Option.iter (fun (_, e, bt) -> Printexc.raise_with_backtrace e bt) failure
 
 let try_with ~domains f =
   if domains <= 1 then false

@@ -27,7 +27,12 @@ val run : t -> (int -> unit) -> unit
     The crew may hold more workers than the [domains] just requested —
     [f] must treat its slot number as a worker identity, not a partition
     index, and tolerate slots beyond the requested count (typically by
-    returning immediately). *)
+    returning immediately).
+
+    If any slot raises, [run] still waits for every slot to finish, then
+    re-raises the exception of the lowest failing slot on the caller —
+    the schedule never decides which failure surfaces.  The crew stays
+    usable for later phases. *)
 
 val size : t -> int
 (** Workers available to {!run}, including the calling domain. *)

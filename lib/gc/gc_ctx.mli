@@ -20,13 +20,13 @@ type t = {
   mutable iter_roots : (int -> unit) -> unit;
       (** iterate over all root object ids (thread stacks + globals);
           installed by the runtime *)
-  mutable trace_domains : int;
-      (** worker domains for intra-collection tracing, passed by the
-          collectors to {!Gcperf_heap.Obj_store.finish_trace}; 1 (the
-          default) is fully sequential.  Snapshotted from
-          {!Gcperf_heap.Obj_store.default_trace_domains} at creation.
-          Parallel tracing is byte-identical to sequential at any value
-          (see the determinism contract in [Obj_store]). *)
+  mutable gc_domains : int;
+      (** worker domains for the intra-collection crew kernels (the
+          relocation move in {!Gcperf_heap.Obj_store.finish_relocate} and
+          the journal fold); 1 (the default) is fully sequential.
+          Snapshotted from {!Gcperf_heap.Obj_store.default_gc_domains} at
+          creation.  Results are byte-identical at any value (see the
+          determinism contract in [Obj_store]). *)
   mutable policy : Gcperf_policy.Policy.t option;
       (** ergonomics policy fed one observation per pause by
           {!record_pause}; [None] (the default) is the fixed-size

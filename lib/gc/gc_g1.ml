@@ -101,8 +101,7 @@ let create ctx (config : Gc_config.t) =
       end
     in
     ctx.Gc_ctx.iter_roots push;
-    Os.finish_trace store ~pred:Os.Trace_live ~marked ~stack
-      ~domains:ctx.Gc_ctx.trace_domains;
+    Os.sequential_finish store ~pred:Os.Trace_live ~marked ~stack;
     marked
   in
   (* Partial trace of the collection set: roots plus remembered sets.
@@ -157,9 +156,8 @@ let create ctx (config : Gc_config.t) =
           Vec.iter (fun s -> Hashtbl.remove r.Rh.remset s) stale
         end)
       rheap.Rh.regions;
-    Os.finish_trace store
-      ~pred:(Os.Trace_regions collected)
-      ~marked ~stack ~domains:ctx.Gc_ctx.trace_domains;
+    Os.sequential_finish store ~pred:(Os.Trace_regions collected) ~marked
+      ~stack;
     (marked, !remset_bytes)
   in
   let record ?sub ~kind ~reason ~phases ~duration ~young_before ~old_before
@@ -283,7 +281,7 @@ let create ctx (config : Gc_config.t) =
         in
         place ())
       movable;
-    let moved_objects = Os.finish_relocate store ~domains:ctx.Gc_ctx.trace_domains in
+    let moved_objects = Os.finish_relocate store ~domains:ctx.Gc_ctx.gc_domains in
     (* Rebuild remembered sets exactly: cross-region references only. *)
     Os.iter_live store (fun id ->
         let rp = Os.region_index store id in
@@ -547,7 +545,7 @@ let create ctx (config : Gc_config.t) =
       (* Phase B (move): apply the evacuation, slab-parallel when the
          collection set moved enough objects. *)
       let moved_objects =
-        Os.finish_relocate store ~domains:ctx.Gc_ctx.trace_domains
+        Os.finish_relocate store ~domains:ctx.Gc_ctx.gc_domains
       in
       (* Remembered-set maintenance, kept precise: (a) every external
          source that pointed at a moved object is re-recorded against the

@@ -43,8 +43,7 @@ let trace_young ctx (heap : Gh.t) =
   Gh.iter_dirty heap (fun p ->
       card_bytes := !card_bytes + Os.size store p;
       Os.iter_refs store p push);
-  Os.finish_trace store ~pred:Os.Trace_young ~marked ~stack
-    ~domains:ctx.Gc_ctx.trace_domains;
+  Os.sequential_finish store ~pred:Os.Trace_young ~marked ~stack;
   (marked, !card_bytes)
 
 let collect_young ctx (heap : Gh.t) ~params ~collector ~reason =
@@ -132,7 +131,7 @@ let collect_young ctx (heap : Gh.t) ~params ~collector ~reason =
     let id = Vec.unsafe_get keep i in
     Os.plan_push_survivor store id ~age:(Os.age store id + 1)
   done;
-  let moved = Os.finish_relocate store ~domains:ctx.Gc_ctx.trace_domains in
+  let moved = Os.finish_relocate store ~domains:ctx.Gc_ctx.gc_domains in
   let freed = Os.sweep_young_registry store heap.Gh.young_ids in
   heap.Gh.eden_used <- 0;
   heap.Gh.survivor_used <- !to_survivor;
@@ -232,8 +231,7 @@ let trace_all ctx (heap : Gh.t) =
     end
   in
   ctx.Gc_ctx.iter_roots push;
-  Os.finish_trace store ~pred:Os.Trace_live ~marked ~stack
-    ~domains:ctx.Gc_ctx.trace_domains;
+  Os.sequential_finish store ~pred:Os.Trace_live ~marked ~stack;
   marked
 
 let collect_full ctx (heap : Gh.t) ~workers ~collector ~reason =
@@ -284,7 +282,7 @@ let collect_full ctx (heap : Gh.t) ~workers ~collector ~reason =
       end
     end
   done;
-  let moved = Os.finish_relocate store ~domains:ctx.Gc_ctx.trace_domains in
+  let moved = Os.finish_relocate store ~domains:ctx.Gc_ctx.gc_domains in
   heap.Gh.eden_used <- !eden_left;
   heap.Gh.survivor_used <- 0;
   heap.Gh.old_used <- !old_used;

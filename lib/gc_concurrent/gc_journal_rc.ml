@@ -201,7 +201,7 @@ let create ctx (config : Gc_config.t) =
   in
   let fold_flip () =
     let used_before = st.used in
-    let n = Journal.fold st.snapshot ~rc:st.rc ~domains:ctx.Gc_ctx.trace_domains in
+    let n = Journal.fold st.snapshot ~rc:st.rc ~domains:ctx.Gc_ctx.gc_domains in
     Journal.iter st.snapshot (fun id _ -> if st.rc.(id) <= 0 then pool_add id);
     Journal.clear st.snapshot;
     st.folds <- st.folds + 1;
@@ -242,8 +242,7 @@ let create ctx (config : Gc_config.t) =
       end
     in
     ctx.Gc_ctx.iter_roots push;
-    Os.finish_trace store ~pred:Os.Trace_live ~marked ~stack
-      ~domains:ctx.Gc_ctx.trace_domains;
+    Os.sequential_finish store ~pred:Os.Trace_live ~marked ~stack;
     marked
   in
   (* The backup trace's flip: free everything unreached (cycles, stuck
@@ -305,8 +304,8 @@ let create ctx (config : Gc_config.t) =
   let sync_reclaim reason =
     let used_before = st.used in
     let n =
-      Journal.fold st.snapshot ~rc:st.rc ~domains:ctx.Gc_ctx.trace_domains
-      + Journal.fold st.active ~rc:st.rc ~domains:ctx.Gc_ctx.trace_domains
+      Journal.fold st.snapshot ~rc:st.rc ~domains:ctx.Gc_ctx.gc_domains
+      + Journal.fold st.active ~rc:st.rc ~domains:ctx.Gc_ctx.gc_domains
     in
     Journal.iter st.snapshot (fun id _ -> if st.rc.(id) <= 0 then pool_add id);
     Journal.iter st.active (fun id _ -> if st.rc.(id) <= 0 then pool_add id);

@@ -112,8 +112,7 @@ let create ctx (config : Gc_config.t) =
       end
     in
     ctx.Gc_ctx.iter_roots push;
-    Os.finish_trace store ~pred:Os.Trace_live ~marked ~stack
-      ~domains:ctx.Gc_ctx.trace_domains;
+    Os.sequential_finish store ~pred:Os.Trace_live ~marked ~stack;
     marked
   in
   let record ?sub ~kind ~reason ~phases ~duration ~young_before ~old_before
@@ -275,7 +274,7 @@ let create ctx (config : Gc_config.t) =
         in
         place ())
       movable;
-    ignore (Os.finish_relocate store ~domains:ctx.Gc_ctx.trace_domains);
+    ignore (Os.finish_relocate store ~domains:ctx.Gc_ctx.gc_domains);
     (* Release the sources (frees their unreached objects), newest pick
        last — matching the selection order keeps free-slot recycling
        deterministic. *)
@@ -396,7 +395,7 @@ let create ctx (config : Gc_config.t) =
         place ())
       movable;
     let moved_objects =
-      Os.finish_relocate store ~domains:ctx.Gc_ctx.trace_domains
+      Os.finish_relocate store ~domains:ctx.Gc_ctx.gc_domains
     in
     st.phase <- Idle;
     let workers = m.Machine.gc_threads in

@@ -3,7 +3,7 @@
     Mutators append (object id, RC delta) entries; the collector folds a
     whole journal into the reference-count column at a flip.
 
-    Determinism contract (mirrors [Obj_store.finish_trace]'s): {!fold}
+    Determinism contract (mirrors [Obj_store.finish_relocate]'s): {!fold}
     partitions entries by id residue class, so each [rc] cell is updated
     by exactly one worker, in journal order.  The folded column is
     byte-identical at any [domains] value — including 1, the crew-refused

@@ -34,21 +34,6 @@ let[@inline] loc_of_code c =
   else if c = code_nowhere then Nowhere
   else Region (c - region_base)
 
-(* Growable int buffer for the parallel-scan scratch; bare record rather
-   than [Int_vec] so the kernel can index the backing array directly. *)
-type buf = { mutable a : int array; mutable n : int }
-
-let buf_create () = { a = [||]; n = 0 }
-
-let[@inline] buf_push b x =
-  if b.n = Array.length b.a then begin
-    let nd = Array.make (if b.n = 0 then 256 else b.n * 2) 0 in
-    Array.blit b.a 0 nd 0 b.n;
-    b.a <- nd
-  end;
-  b.a.(b.n) <- x;
-  b.n <- b.n + 1
-
 type t = {
   mutable sizev : int array;
   mutable agev : int array;
@@ -66,13 +51,6 @@ type t = {
   free_slots : Ivec.t;
   live_list : Ivec.t;  (* live ids, unordered (swap-remove) *)
   mutable epoch : int;
-  (* Scratch for the speculative parallel scan (see [finish_trace]). *)
-  mutable scan_stamp : int array;
-  mutable scan_desc : int array;
-  mutable scan_bufs : buf array;  (* per-worker child-list arenas *)
-  mutable scan_outs : buf array;  (* per-worker next-frontier output *)
-  frontier_a : buf;
-  frontier_b : buf;
   (* Relocation plan (see [finish_relocate]): parallel triples of object
      id, destination location code and destination age, filled in
      placement order by the collector's plan pass. *)
@@ -119,12 +97,6 @@ let create () =
     free_slots = Ivec.create ();
     live_list = Ivec.create ();
     epoch = 0;
-    scan_stamp = [||];
-    scan_desc = [||];
-    scan_bufs = [||];
-    scan_outs = [||];
-    frontier_a = buf_create ();
-    frontier_b = buf_create ();
     plan_ids = [||];
     plan_code = [||];
     plan_age = [||];
@@ -292,22 +264,15 @@ let free t id =
 
 (* --- parallel-kernel knobs --------------------------------------------
 
-   One process-global worker-domain count serves both intra-collection
-   kernels (the mark/scan trace and the relocation move), seeded from the
-   CLI [--gc-jobs] (née [--trace-jobs]) and snapshotted by contexts at
-   creation.  The two engagement thresholds are separate: tracing
-   amortises crew hand-off over a frontier expansion, moving over a flat
-   slab copy, and tests lower each independently. *)
+   One process-global worker-domain count serves the intra-collection
+   crew kernels (the relocation move and the edge-arena rebuild), seeded
+   from the CLI [--gc-jobs] and snapshotted by contexts at creation.
+   Tests lower the engagement threshold to exercise the crew on small
+   plans. *)
 
 let default_domains = Atomic.make 1
-let set_default_trace_domains n = Atomic.set default_domains (max 1 n)
-let default_trace_domains () = Atomic.get default_domains
-let set_default_gc_domains = set_default_trace_domains
-let default_gc_domains = default_trace_domains
-
-let par_threshold = Atomic.make 64
-let set_par_trace_threshold n = Atomic.set par_threshold (max 0 n)
-let par_trace_threshold () = Atomic.get par_threshold
+let set_default_gc_domains n = Atomic.set default_domains (max 1 n)
+let default_gc_domains () = Atomic.get default_domains
 
 let move_threshold = Atomic.make 256
 let set_par_move_threshold n = Atomic.set move_threshold (max 0 n)
@@ -527,34 +492,16 @@ let[@inline] capacity t = t.slot_count
 
 (* --- trace kernel ------------------------------------------------------
 
-   [finish_trace] runs a trace to closure from an already-seeded stack:
-   pop a vertex, scan its references, and mark/push every unmarked child
-   the predicate admits.  Every artifact in the goldens depends on the
-   exact discovery order of this loop — survivor-budget overflow,
+   [sequential_finish] runs a trace to closure from an already-seeded
+   stack: pop a vertex, scan its references, and mark/push every unmarked
+   child the predicate admits.  Every artifact in the goldens depends on
+   the exact discovery order of this loop — survivor-budget overflow,
    evacuation bump-packing, free-slot recycling and remembered-set bucket
-   orders all descend from it — so the parallel path must reproduce it
-   bit for bit.
-
-   Determinism contract: worker domains never mark.  They compute the
-   *speculative closure* — a superset-free cache of each reachable
-   vertex's predicate-filtered child list, claimed via a separate stamp
-   column — and the marking automaton then replays sequentially over the
-   cached lists in exactly the order the sequential loop would have used.
-   Child lists preserve reference order; a vertex scanned twice (claim
-   races are benign: both writers record the same list contents) gets
-   whichever single-word descriptor lands last.  Marks, the marked
-   vector, and everything downstream are byte-identical at any worker
-   count, including zero. *)
+   orders all descend from it.  It is the only trace path: a parallel
+   pre-scan would still have to replay this order sequentially, so it
+   could only add work (DESIGN.md §12). *)
 
 type trace_pred = Trace_young | Trace_live | Trace_regions of bool array
-
-(* Packed scan descriptor: arena offset | filtered-child count | owner. *)
-let desc_owner_bits = 8
-let desc_len_bits = 20
-let desc_owner_mask = (1 lsl desc_owner_bits) - 1
-let desc_len_mask = (1 lsl desc_len_bits) - 1
-let desc_len_shift = desc_owner_bits
-let desc_off_shift = desc_owner_bits + desc_len_bits
 
 let sequential_finish t ~pred ~marked ~stack =
   let edges = t.edges
@@ -587,154 +534,11 @@ let sequential_finish t ~pred ~marked ~stack =
     done
   done
 
-let ensure_scan t slots =
-  if Array.length t.scan_stamp < Array.length t.sizev then begin
-    (* Fresh zero arrays suffice: epoch stamps are monotonically above 0,
-       and descriptors are garbage until stamped. *)
-    t.scan_stamp <- Array.make (Array.length t.sizev) 0;
-    t.scan_desc <- Array.make (Array.length t.sizev) 0
-  end;
-  if Array.length t.scan_bufs < slots then begin
-    let extend old =
-      Array.init slots (fun i ->
-          if i < Array.length old then old.(i) else buf_create ())
-    in
-    t.scan_bufs <- extend t.scan_bufs;
-    t.scan_outs <- extend t.scan_outs
-  end
-
-let scan_block = 64
-
-(* Phase 1: compute the speculative closure in parallel.  Returns false
-   when the crew is unavailable (another domain holds it) and the caller
-   must fall back to the sequential loop. *)
-let speculative_scan t ~pred ~stack ~domains =
-  Crew.try_with ~domains (fun crew ->
-      let slots = Crew.size crew in
-      ensure_scan t slots;
-      let ep = t.epoch in
-      let stamp = t.scan_stamp
-      and desc = t.scan_desc
-      and bufs = t.scan_bufs
-      and outs = t.scan_outs
-      and edges = t.edges
-      and ref_off = t.ref_off
-      and ref_len = t.ref_len
-      and locv = t.locv in
-      for i = 0 to slots - 1 do
-        bufs.(i).n <- 0
-      done;
-      let cur = ref t.frontier_a and nxt = ref t.frontier_b in
-      (!cur).n <- 0;
-      Ivec.iter
-        (fun v ->
-          stamp.(v) <- ep;
-          buf_push !cur v)
-        stack;
-      let cursor = Atomic.make 0 in
-      while (!cur).n > 0 do
-        let fdata = (!cur).a and flen = (!cur).n in
-        for i = 0 to slots - 1 do
-          outs.(i).n <- 0
-        done;
-        Atomic.set cursor 0;
-        Crew.run crew (fun slot ->
-            if slot < slots then begin
-              let arena = bufs.(slot) and out = outs.(slot) in
-              let more = ref true in
-              while !more do
-                let b = Atomic.fetch_and_add cursor scan_block in
-                if b >= flen then more := false
-                else begin
-                  let hi = min flen (b + scan_block) in
-                  for fi = b to hi - 1 do
-                    let v = fdata.(fi) in
-                    let off = ref_off.(v) in
-                    let off0 = arena.n in
-                    for e = off to off + ref_len.(v) - 1 do
-                      let c = edges.(e) in
-                      let admit =
-                        match pred with
-                        | Trace_young -> locv.(c) <= code_survivor
-                        | Trace_live -> locv.(c) <> code_nowhere
-                        | Trace_regions rs ->
-                            let l = locv.(c) in
-                            l >= region_base && rs.(l - region_base)
-                      in
-                      if admit then begin
-                        buf_push arena c;
-                        if stamp.(c) <> ep then begin
-                          stamp.(c) <- ep;
-                          buf_push out c
-                        end
-                      end
-                    done;
-                    let run = arena.n - off0 in
-                    assert (run <= desc_len_mask);
-                    desc.(v) <-
-                      (off0 lsl desc_off_shift)
-                      lor (run lsl desc_len_shift)
-                      lor slot
-                  done
-                end
-              done
-            end);
-        (* Barrier passed: merge the per-worker discoveries into the next
-           frontier.  Claim races mean a vertex can appear in two outputs
-           and be re-scanned next round; both scans record identical
-           child lists, so the descriptor race is benign. *)
-        (!nxt).n <- 0;
-        for i = 0 to slots - 1 do
-          let o = outs.(i) in
-          for j = 0 to o.n - 1 do
-            buf_push !nxt o.a.(j)
-          done
-        done;
-        let tmp = !cur in
-        cur := !nxt;
-        nxt := tmp
-      done)
-
-(* Phase 2: the sequential marking automaton, reading cached filtered
-   child lists instead of the CSR slices.  Identical pop/scan/mark order
-   to [sequential_finish] — the predicate was already applied per child
-   during the scan and locations cannot change mid-trace. *)
-let replay t ~marked ~stack =
-  let desc = t.scan_desc
-  and bufs = t.scan_bufs
-  and markv = t.markv
-  and ep = t.epoch in
-  while not (Ivec.is_empty stack) do
-    let v = Ivec.unsafe_pop stack in
-    let d = Array.unsafe_get desc v in
-    let owner = d land desc_owner_mask in
-    let len = (d lsr desc_len_shift) land desc_len_mask in
-    let off = d lsr desc_off_shift in
-    let a = (Array.unsafe_get bufs owner).a in
-    for i = off to off + len - 1 do
-      let c = Array.unsafe_get a i in
-      if Array.unsafe_get markv c <> ep then begin
-        Array.unsafe_set markv c ep;
-        Ivec.push marked c;
-        Ivec.push stack c
-      end
-    done
-  done
-
-let finish_trace t ~pred ~marked ~stack ~domains =
-  if
-    domains > 1
-    && Ivec.length stack >= Atomic.get par_threshold
-    && speculative_scan t ~pred ~stack ~domains
-  then replay t ~marked ~stack
-  else sequential_finish t ~pred ~marked ~stack
-
 (* --- relocation kernel -------------------------------------------------
 
-   [finish_relocate] is the move half of a two-phase relocation,
-   mirroring [finish_trace]'s split.  Phase A (plan) happens in the
-   collector: walking survivors in deterministic trace order it decides
-   destinations — bump-packing, budget checks, registry pushes and used
+   [finish_relocate] is the move half of a two-phase relocation.  Phase
+   A (plan) happens in the collector: walking survivors in deterministic
+   trace order it decides destinations — bump-packing, budget checks, registry pushes and used
    accounting are inherently ordered and stay sequential — and records
    each object's target location code and age with {!plan_push}.  Phase B
    (move) is this kernel: the recorded writes are applied to the [locv]

@@ -170,17 +170,10 @@ val capacity : t -> int
 
 (** {1 Trace kernel}
 
-    [finish_trace] runs a seeded trace to closure: pop a vertex, scan its
-    references, mark/push unmarked children admitted by the predicate.
-    With [domains > 1] and a stack at least {!par_trace_threshold} deep,
-    a crew of worker domains first computes the speculative closure (a
-    cache of each reachable vertex's predicate-filtered child list) and
-    the marking automaton then replays sequentially over the cache.
-
-    Determinism contract: workers never mark; the replay performs the
-    exact pop/scan/mark sequence of the sequential loop, so the marked
-    vector — and every artifact downstream of discovery order — is
-    byte-identical at any domain count, parallel or not. *)
+    [sequential_finish] runs a seeded trace to closure: pop a vertex,
+    scan its references, mark/push unmarked children admitted by the
+    predicate.  Every artifact downstream depends on this exact discovery
+    order, and it is the only trace path. *)
 
 type trace_pred =
   | Trace_young  (** admit young objects (eden or survivor) *)
@@ -188,42 +181,28 @@ type trace_pred =
   | Trace_regions of bool array
       (** admit objects in the flagged G1 regions *)
 
-val finish_trace :
+val sequential_finish :
   t ->
   pred:trace_pred ->
   marked:Gcperf_util.Int_vec.t ->
   stack:Gcperf_util.Int_vec.t ->
-  domains:int ->
   unit
 (** [stack] holds the seeds (already marked, already in [marked]); on
     return it is empty and [marked] holds the closure in discovery
     order. *)
 
-val set_default_trace_domains : int -> unit
-(** Process-global default for intra-collection GC parallelism (tracing
-    and relocation), consumed by collectors at context creation (CLI
-    [--gc-jobs], née [--trace-jobs]).  Clamped to at least 1
-    (sequential). *)
-
-val default_trace_domains : unit -> int
-
 val set_default_gc_domains : int -> unit
-(** Alias of {!set_default_trace_domains}: one worker-domain count drives
-    both the trace and relocation kernels. *)
+(** Process-global default for intra-collection GC parallelism (the
+    relocation move, the edge-arena rebuild and the journal fold),
+    consumed by collectors at context creation (CLI [--gc-jobs]).
+    Clamped to at least 1 (sequential). *)
 
 val default_gc_domains : unit -> int
 
-val set_par_trace_threshold : int -> unit
-(** Minimum seed-stack depth before [finish_trace] engages the crew;
-    below it the sequential loop is always faster.  Tests lower it to
-    exercise the parallel kernel on small graphs. *)
-
-val par_trace_threshold : unit -> int
-
 (** {1 Relocation kernel}
 
-    [finish_relocate] is the move half of a two-phase relocation,
-    mirroring [finish_trace]'s split.  Phase A (plan): the collector
+    [finish_relocate] is the move half of a two-phase relocation.
+    Phase A (plan): the collector
     walks survivors in deterministic trace order and records each
     object's destination location and age with the [plan_push] family —
     placement decisions (bump-packing, budgets, registry pushes, used

@@ -1,6 +1,7 @@
 (* The worker pool: ordering, edge cases, deterministic exception
    propagation, and the determinism contract end to end — parallel
-   artifacts byte-identical to sequential ones. *)
+   artifacts byte-identical to sequential ones, and the golden identity
+   gate. *)
 
 module Pool = Gcperf_exec.Pool
 module E = Gcperf.Experiments
@@ -51,96 +52,105 @@ let test_exception_lowest_index () =
 
 (* --- parallel-vs-sequential artifact identity ---------------------- *)
 
-let test_artifact_identity () =
-  let scope = Gcperf.Scope.ci in
-  let render name jobs =
-    match E.artifact ~scope ~jobs name with
-    | Some a -> Gcperf.Artifact.render a `Json
-    | None -> Alcotest.fail ("unknown artifact " ^ name)
-  in
-  List.iter
-    (fun name ->
-      let sequential = render name 1 in
-      List.iter
-        (fun jobs ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s byte-identical at jobs=%d" name jobs)
-            sequential (render name jobs))
-        [ 2; 4 ])
-    [ "table2"; "table3"; "fig3" ]
-
-(* Same contract one layer down: intra-collection parallel tracing
-   (--trace-jobs) must leave every artifact byte-identical, with the
-   threshold lowered so the speculative kernel actually engages on
-   ci-scope heaps. *)
-let test_artifact_identity_trace_jobs () =
-  let module Store = Gcperf_heap.Obj_store in
-  let scope = Gcperf.Scope.ci in
-  let render name =
-    match E.artifact ~scope ~jobs:1 name with
-    | Some a -> Gcperf.Artifact.render a `Json
-    | None -> Alcotest.fail ("unknown artifact " ^ name)
-  in
-  let saved_domains = Store.default_trace_domains () in
-  let saved_threshold = Store.par_trace_threshold () in
-  Fun.protect
-    ~finally:(fun () ->
-      Store.set_default_trace_domains saved_domains;
-      Store.set_par_trace_threshold saved_threshold)
-    (fun () ->
-      List.iter
-        (fun name ->
-          Store.set_default_trace_domains 1;
-          let sequential = render name in
-          Store.set_par_trace_threshold 16;
-          List.iter
-            (fun domains ->
-              Store.set_default_trace_domains domains;
-              Alcotest.(check string)
-                (Printf.sprintf "%s byte-identical at trace-jobs=%d" name
-                   domains)
-                sequential (render name))
-            [ 2; 4 ])
-        [ "table2"; "fig3" ])
-
-(* The full determinism matrix: cell fan-out (--jobs) crossed with the
-   intra-collection kernels (--gc-jobs, which parallelises both the
-   trace and the plan/move relocation).  Both engagement thresholds are
-   lowered so ci-scope heaps actually exercise the crews, and every
-   ci-scope artifact must come back byte-identical to the sequential
-   render at each of the nine combinations. *)
+(* The determinism contract end to end, over every golden experiment:
+   cell fan-out (--jobs) and the intra-collection crew (--gc-jobs) at
+   four workers each must render byte-identically to the sequential run.
+   The move and journal-fold thresholds are lowered so the crew really
+   engages on ci-scope heaps.  The single-axis legs run in the
+   @check-identity gate and the CI matrix. *)
 let test_artifact_identity_matrix () =
   let module Store = Gcperf_heap.Obj_store in
-  let scope = Gcperf.Scope.ci in
-  let render name jobs =
-    match E.artifact ~scope ~jobs name with
+  let module Journal = Gcperf_gc_concurrent.Journal in
+  let render ~jobs (e : Gcperf.Experiment.t) =
+    match E.artifact ~scope:Gcperf.Scope.ci ~jobs e.id with
     | Some a -> Gcperf.Artifact.render a `Json
-    | None -> Alcotest.fail ("unknown artifact " ^ name)
+    | None -> Alcotest.fail ("unknown artifact " ^ e.id)
   in
+  let goldens = E.goldens () in
   let saved_domains = Store.default_gc_domains () in
-  let saved_trace = Store.par_trace_threshold () in
   let saved_move = Store.par_move_threshold () in
+  let saved_fold = Journal.par_fold_threshold () in
   Fun.protect
     ~finally:(fun () ->
       Store.set_default_gc_domains saved_domains;
-      Store.set_par_trace_threshold saved_trace;
-      Store.set_par_move_threshold saved_move)
+      Store.set_par_move_threshold saved_move;
+      Journal.set_par_fold_threshold saved_fold)
     (fun () ->
-      List.iter
-        (fun name ->
-          Store.set_default_gc_domains 1;
-          let sequential = render name 1 in
-          Store.set_par_trace_threshold 16;
-          Store.set_par_move_threshold 16;
-          List.iter
-            (fun (jobs, gc_jobs) ->
-              Store.set_default_gc_domains gc_jobs;
-              Alcotest.(check string)
-                (Printf.sprintf "%s byte-identical at jobs=%d gc-jobs=%d"
-                   name jobs gc_jobs)
-                sequential (render name jobs))
-            [ (1, 2); (1, 4); (2, 1); (2, 2); (2, 4); (4, 1); (4, 2); (4, 4) ])
-        [ "table2"; "table3"; "fig3"; "faults"; "cluster" ])
+      (* The sequential references are independent experiments, each
+         rendered at jobs 1 / gc-jobs 1; the pool only overlaps them. *)
+      Store.set_default_gc_domains 1;
+      let sequential =
+        Pool.map_list ~jobs:(Pool.default_jobs ()) (render ~jobs:1) goldens
+      in
+      Store.set_par_move_threshold 16;
+      Journal.set_par_fold_threshold 16;
+      Store.set_default_gc_domains 4;
+      List.iter2
+        (fun (e : Gcperf.Experiment.t) reference ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s byte-identical at jobs=4 gc-jobs=4" e.id)
+            reference (render ~jobs:4 e))
+        goldens sequential)
+
+(* --- the identity gate itself --------------------------------------- *)
+
+(* The test stanza's dependency lays the committed goldens out under
+   the parent directory, which plays the repository root. *)
+let repo_root = Filename.parent_dir_name
+
+let in_dir dir f =
+  let cwd = Sys.getcwd () in
+  Sys.chdir dir;
+  Fun.protect ~finally:(fun () -> Sys.chdir cwd) f
+
+(* A golden with one flipped byte must fail and name the line; the
+   untouched golden must pass. *)
+let test_check_golden_detects_tampering () =
+  let table2 =
+    List.find (fun (e : Gcperf.Experiment.t) -> e.id = "table2")
+      (E.goldens ())
+  in
+  let file = Filename.concat Gcperf.Experiment.golden_dir "table2.txt" in
+  Alcotest.(check (result unit string)) "untouched golden passes" (Ok ())
+    (in_dir repo_root (fun () -> Gcperf.Experiment.check_golden table2));
+  let text =
+    In_channel.with_open_bin (Filename.concat repo_root file)
+      In_channel.input_all
+  in
+  (* First byte of line 4 (the column header). *)
+  let nl i = String.index_from text i '\n' + 1 in
+  let at = nl (nl (nl 0)) in
+  let tampered = Bytes.of_string text in
+  Bytes.set tampered at (if text.[at] = 'x' then 'y' else 'x');
+  let root = Filename.temp_dir "gcperf-golden" "" in
+  let dir = Filename.concat root Gcperf.Experiment.golden_dir in
+  Sys.mkdir (Filename.dirname dir) 0o755;
+  Sys.mkdir dir 0o755;
+  Out_channel.with_open_bin (Filename.concat root file) (fun oc ->
+      Out_channel.output_bytes oc tampered);
+  let result = in_dir root (fun () -> Gcperf.Experiment.check_golden table2) in
+  Sys.remove (Filename.concat root file);
+  Sys.rmdir dir;
+  Sys.rmdir (Filename.dirname dir);
+  Sys.rmdir root;
+  match result with
+  | Ok () -> Alcotest.fail "tampered golden passed"
+  | Error msg ->
+      Alcotest.(check bool) ("error names line 4: " ^ msg) true
+        (String.starts_with ~prefix:(file ^ " differs at line 4\n") msg)
+
+(* The golden list has one home: results/ci/ holds exactly one file per
+   golden experiment, and nothing else. *)
+let test_golden_files_match_registry () =
+  let files =
+    Array.to_list
+      (Sys.readdir (Filename.concat repo_root Gcperf.Experiment.golden_dir))
+  in
+  let ids =
+    List.map (fun (e : Gcperf.Experiment.t) -> e.id ^ ".txt") (E.goldens ())
+  in
+  Alcotest.(check (list string)) "results/ci = golden ids"
+    (List.sort compare ids) (List.sort compare files)
 
 (* --- crew ----------------------------------------------------------- *)
 
@@ -163,6 +173,33 @@ let test_crew_basics () =
   Alcotest.(check bool) "acquired" true ok;
   Alcotest.(check (option bool)) "reentry refused" (Some false) !nested;
   Alcotest.(check bool) "every slot ran, twice" true (Atomic.get hits >= 6)
+
+(* A raising worker must not be swallowed: with slots k.. all failing,
+   slot k's exception surfaces on the caller after the join, and the
+   crew still runs the next phase. *)
+let test_crew_failure () =
+  let module Crew = Gcperf_exec.Crew in
+  List.iter
+    (fun domains ->
+      for k = 0 to domains - 1 do
+        let raised = ref None and hits = Atomic.make 0 in
+        let ok =
+          Crew.try_with ~domains (fun crew ->
+              (try
+                 Crew.run crew (fun slot ->
+                     if slot >= k && slot < domains then
+                       failwith (string_of_int slot))
+               with Failure msg -> raised := Some msg);
+              Crew.run crew (fun slot ->
+                  if slot < domains then Atomic.incr hits))
+        in
+        Alcotest.(check bool) "crew acquired" true ok;
+        Alcotest.(check (option string))
+          (Printf.sprintf "slot %d surfaces (domains=%d)" k domains)
+          (Some (string_of_int k)) !raised;
+        Alcotest.(check int) "next run completes" domains (Atomic.get hits)
+      done)
+    [ 2; 3; 4 ]
 
 (* --- deterministic telemetry merge --------------------------------- *)
 
@@ -221,14 +258,18 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "artifact identity jobs=1/2/4" `Slow
-            test_artifact_identity;
-          Alcotest.test_case "artifact identity trace-jobs=1/2/4" `Slow
-            test_artifact_identity_trace_jobs;
           Alcotest.test_case "artifact identity jobs x gc-jobs matrix" `Slow
             test_artifact_identity_matrix;
           Alcotest.test_case "crew basics" `Quick test_crew_basics;
+          Alcotest.test_case "crew failure surfaces" `Quick test_crew_failure;
           Alcotest.test_case "telemetry merge" `Quick
             test_merge_matches_sequential;
+        ] );
+      ( "golden gate",
+        [
+          Alcotest.test_case "tampered golden fails" `Slow
+            test_check_golden_detects_tampering;
+          Alcotest.test_case "results/ci matches the registry" `Quick
+            test_golden_files_match_registry;
         ] );
     ]

@@ -177,13 +177,11 @@ let prop_store_model =
         sorted_live;
       true)
 
-(* --- parallel trace determinism -------------------------------------- *)
+(* --- parallel relocation determinism --------------------------------- *)
 
-(* The speculative-scan/replay kernel must reproduce the sequential DFS
-   marked vector *exactly* — same ids, same discovery order — at any
-   domain count.  Graphs come from a seeded LCG: cycles, duplicate edges,
+(* Random object graphs from a seeded LCG: cycles, duplicate edges,
    dangling references to freed objects, every location kind. *)
-let build_trace_graph seed0 =
+let build_graph seed0 =
   let s = Os.create () in
   let state = ref (seed0 land 0x3FFFFFFF) in
   let rand n =
@@ -216,46 +214,6 @@ let build_trace_graph seed0 =
     |> List.filter (fun id -> Os.is_live s id && rand 3 = 0)
   in
   (s, seeds)
-
-let run_trace s ~pred ~domains seeds =
-  let marked = Vec.create () and stack = Vec.create () in
-  Os.begin_trace s;
-  List.iter
-    (fun id ->
-      if not (Os.is_marked s id) then begin
-        Os.mark s id;
-        Vec.push marked id;
-        Vec.push stack id
-      end)
-    seeds;
-  Os.finish_trace s ~pred ~marked ~stack ~domains;
-  Alcotest.(check int) "stack drained" 0 (Vec.length stack);
-  Vec.to_list marked
-
-let prop_parallel_trace =
-  QCheck.Test.make ~count:60
-    ~name:"parallel trace replays the sequential order exactly"
-    QCheck.(pair (int_bound 1_000_000) (int_range 2 4))
-    (fun (seed0, domains) ->
-      let flags = Array.init 8 (fun i -> i mod 2 = seed0 mod 2) in
-      let preds =
-        [ Os.Trace_young; Os.Trace_live; Os.Trace_regions flags ]
-      in
-      let saved = Os.par_trace_threshold () in
-      Fun.protect
-        ~finally:(fun () -> Os.set_par_trace_threshold saved)
-        (fun () ->
-          List.for_all
-            (fun pred ->
-              let s, seeds = build_trace_graph seed0 in
-              Os.set_par_trace_threshold 1;
-              let par = run_trace s ~pred ~domains seeds in
-              Os.set_par_trace_threshold max_int;
-              let seq = run_trace s ~pred ~domains:1 seeds in
-              par = seq)
-            preds))
-
-(* --- parallel relocation determinism --------------------------------- *)
 
 (* The plan/move relocation kernel must land every object at exactly the
    placement the sequential apply produces — the plan already fixed the
@@ -293,8 +251,8 @@ let prop_parallel_relocate =
       Fun.protect
         ~finally:(fun () -> Os.set_par_move_threshold saved)
         (fun () ->
-          let s_par, _ = build_trace_graph seed0 in
-          let s_seq, _ = build_trace_graph seed0 in
+          let s_par, _ = build_graph seed0 in
+          let s_seq, _ = build_graph seed0 in
           plan_moves s_par;
           plan_moves s_seq;
           let planned = Os.plan_length s_par in
@@ -538,7 +496,6 @@ let () =
           Alcotest.test_case "refs" `Quick test_store_refs;
           Alcotest.test_case "live ids" `Quick test_store_live_ids;
           QCheck_alcotest.to_alcotest prop_store_model;
-          QCheck_alcotest.to_alcotest prop_parallel_trace;
           QCheck_alcotest.to_alcotest prop_parallel_relocate;
         ] );
       ( "gen_heap",
