@@ -486,6 +486,28 @@ let concurrent_tests =
              let id = Vm.alloc vm th ~size:4096 ~lifetime:`Permanent in
              Vm.drop_root vm th id
            done));
+    (* The same churn at the server geometry (64 GB heap, 12 GB young,
+       2048 regions of 32 MB) with the collector Idle throughout: what
+       remains is the allocation path itself, including the start-mark
+       occupancy check every allocation makes.  Each resource's release
+       runs outside the timing and collects the accumulated garbage once
+       it passes 1 GB, far below the 45% marking threshold. *)
+    (let vm =
+       Vm.create machine
+         (Gc_config.default Gc_config.Concurrent_regions
+            ~heap_bytes:(64 * 1024 * mb) ~young_bytes:(12 * 1024 * mb))
+         ~seed:7
+     in
+     let th = Vm.spawn_thread vm in
+     let heap_used = (Vm.collector vm).Gcperf_gc.Collector.heap_used in
+     Test.make_with_resource ~name:"regions-alloc-64g" Test.multiple
+       ~allocate:(fun () -> ())
+       ~free:(fun () -> if heap_used () > 1024 * mb then Vm.system_gc vm)
+       (Staged.stage (fun () ->
+            for _ = 1 to 1000 do
+              let id = Vm.alloc vm th ~size:4096 ~lifetime:`Permanent in
+              Vm.drop_root vm th id
+            done)));
     Test.make ~name:"load-barrier-read"
       (* The self-healing load barrier: 10k reads over a store where a
          tenth of the objects are forwarded — the first read of each

@@ -259,10 +259,10 @@ let create ctx (config : Gc_config.t) =
         let rec place () =
           match !target with
           | Some r when r.Rh.used + size <= rheap.Rh.region_size ->
-              src.Rh.used <- src.Rh.used - size;
+              Rh.add_used rheap src (-size);
               Os.plan_push_region store id ~region:r.Rh.idx
                 ~age:(Os.age store id);
-              r.Rh.used <- r.Rh.used + size;
+              Rh.add_used rheap r size;
               Vec.push r.Rh.objects id;
               Os.fwd_record store id
           | _ -> (
@@ -348,7 +348,7 @@ let create ctx (config : Gc_config.t) =
                 else begin
                   let size = Os.size store id in
                   freed := !freed + size;
-                  r.Rh.used <- r.Rh.used - size;
+                  Rh.add_used rheap r (-size);
                   Os.free store id
                 end)
               r.Rh.objects
@@ -380,7 +380,7 @@ let create ctx (config : Gc_config.t) =
           | Some r when r.Rh.used + size <= rheap.Rh.region_size ->
               Os.plan_push_region store id ~region:r.Rh.idx
                 ~age:(Os.age store id);
-              r.Rh.used <- r.Rh.used + size;
+              Rh.add_used rheap r size;
               Vec.push r.Rh.objects id
           | _ -> (
               match Rh.take_free_region rheap Rh.Old_region with

@@ -23,6 +23,12 @@ type t = {
   free_bits : Bitset.t;
       (* membership mirror of [kind = Free]: the allocator's find-first
          is a word scan instead of a region-table walk *)
+  mutable young_used : int;
+  mutable old_hum_used : int;
+  mutable total_used : int;
+      (* exact sums of [used]: eden+survivor, old+humongous, every
+         region; written only by [add_used], [set_kind] and the bump
+         path of [alloc_young] *)
   mutable young_target_bytes : int;
   mutable allocated_bytes : int;
   mutable promoted_bytes : int;
@@ -41,10 +47,18 @@ let[@inline] is_free_kind = function
   | Free -> true
   | Eden | Survivor | Old_region | Humongous -> false
 
-(* Every [kind] transition goes through here so [free_count] and the
-   free bitset stay exact (an O(1) [free_regions] and an O(words)
-   find-first — the allocation slow-path consults both on every request,
-   so a fold over the region table is a per-alloc tax). *)
+let[@inline] add_kind_bytes t kind bytes =
+  match kind with
+  | Eden | Survivor -> t.young_used <- t.young_used + bytes
+  | Old_region | Humongous -> t.old_hum_used <- t.old_hum_used + bytes
+  | Free -> ()
+
+(* Every [kind] transition goes through here so [free_count], the free
+   bitset and the occupancy totals stay exact (an O(1) [free_regions],
+   [heap_used] and start-mark check, and an O(words) find-first — the
+   allocation path consults them on every request, so a fold over the
+   region table is a per-alloc tax).  The region's bytes move with it
+   from the old kind's total to the new one's. *)
 let[@inline] set_kind t r kind =
   (match (r.kind, kind) with
   | Free, Free -> ()
@@ -55,7 +69,15 @@ let[@inline] set_kind t r kind =
       t.free_count <- t.free_count + 1;
       Bitset.set t.free_bits r.idx
   | _, _ -> ());
+  add_kind_bytes t r.kind (-r.used);
+  add_kind_bytes t kind r.used;
   r.kind <- kind
+
+(* The one writer of [used] outside the bump path of [alloc_young]. *)
+let add_used t r delta =
+  r.used <- r.used + delta;
+  t.total_used <- t.total_used + delta;
+  add_kind_bytes t r.kind delta
 
 let mb = 1024 * 1024
 
@@ -88,6 +110,9 @@ let create store ~heap_bytes ?(target_regions = 1024) () =
     current_alloc = -1;
     free_count = n;
     free_bits;
+    young_used = 0;
+    old_hum_used = 0;
+    total_used = 0;
     young_target_bytes = region_size;
     allocated_bytes = 0;
     promoted_bytes = 0;
@@ -120,34 +145,10 @@ let count_kind t k =
       (fun acc r -> if kind_eq r.kind k then acc + 1 else acc)
       0 t.regions
 
-let used_of_kind t k =
-  Array.fold_left
-    (fun acc r -> if kind_eq r.kind k then acc + r.used else acc)
-    0 t.regions
-
-(* The two occupancy sums the G1 collector reads around every pause —
-   eden+survivor and old+humongous — each fold the region table once
-   here instead of once per kind (integer sums, so the grouping is
-   exact either way). *)
-let used_young t =
-  Array.fold_left
-    (fun acc r ->
-      match r.kind with
-      | Eden | Survivor -> acc + r.used
-      | Free | Old_region | Humongous -> acc)
-    0 t.regions
-
-let used_old_hum t =
-  Array.fold_left
-    (fun acc r ->
-      match r.kind with
-      | Old_region | Humongous -> acc + r.used
-      | Free | Eden | Survivor -> acc)
-    0 t.regions
-
+let used_young t = t.young_used
+let used_old_hum t = t.old_hum_used
 let free_regions t = t.free_count
-
-let heap_used t = Array.fold_left (fun acc r -> acc + r.used) 0 t.regions
+let heap_used t = t.total_used
 
 let take_free_region t kind =
   if t.free_count = 0 then None
@@ -157,20 +158,24 @@ let take_free_region t kind =
     else begin
       let r = t.regions.(i) in
       set_kind t r kind;
-      r.used <- 0;
+      add_used t r (-r.used);
       r.live_bytes <- 0;
       Some r
     end
   end
 
+(* Places an object whose bytes the caller has already accounted. *)
+let[@inline] place t r ~size =
+  let id = Obj_store.alloc_region t.store ~size ~region:r.idx in
+  Vec.push r.objects id;
+  t.allocated_bytes <- t.allocated_bytes + size;
+  id
+
 let alloc_in_region t r ~size =
   if r.used + size > t.region_size then None
   else begin
-    let id = Obj_store.alloc_region t.store ~size ~region:r.idx in
-    r.used <- r.used + size;
-    Vec.push r.objects id;
-    t.allocated_bytes <- t.allocated_bytes + size;
-    Some id
+    add_used t r size;
+    Some (place t r ~size)
   end
 
 let rec alloc_young t ~size =
@@ -178,11 +183,20 @@ let rec alloc_young t ~size =
     invalid_arg "Region_heap.alloc_young: humongous object";
   if t.current_alloc >= 0 then begin
     let r = t.regions.(t.current_alloc) in
-    match alloc_in_region t r ~size with
-    | Some id -> Some id
-    | None ->
-        t.current_alloc <- -1;
-        alloc_young t ~size
+    if r.used + size <= t.region_size then begin
+      (* [current_alloc] is always an Eden region (only this function
+         sets it, [retire_region] clears it, and nothing else changes an
+         Eden region's kind), so the bytes go straight to the young total
+         with no match on the kind. *)
+      r.used <- r.used + size;
+      t.young_used <- t.young_used + size;
+      t.total_used <- t.total_used + size;
+      Some (place t r ~size)
+    end
+    else begin
+      t.current_alloc <- -1;
+      alloc_young t ~size
+    end
   end
   else begin
     match take_free_region t Eden with
@@ -223,7 +237,7 @@ let alloc_humongous t ~size =
         let r = t.regions.(i) in
         set_kind t r Humongous;
         let chunk = min !remaining t.region_size in
-        r.used <- chunk;
+        add_used t r (chunk - r.used);
         r.live_bytes <- chunk;
         remaining := !remaining - chunk
       done;
@@ -242,7 +256,7 @@ let release_humongous t id =
         Vec.clear r.objects;
         Hashtbl.reset r.remset;
         set_kind t r Free;
-        r.used <- 0;
+        add_used t r (-r.used);
         r.live_bytes <- 0;
         r.hum_len <- 0
       done;
@@ -268,7 +282,7 @@ let retire_region t r =
   Vec.clear r.objects;
   Hashtbl.reset r.remset;
   set_kind t r Free;
-  r.used <- 0;
+  add_used t r (-r.used);
   r.live_bytes <- 0;
   r.hum_len <- 0;
   if t.current_alloc = r.idx then t.current_alloc <- -1
@@ -283,11 +297,6 @@ let release_region t r =
 let eden_regions t =
   Array.to_list t.regions
   |> List.filter (fun r -> match r.kind with Eden -> true | _ -> false)
-
-let young_regions t =
-  Array.to_list t.regions
-  |> List.filter (fun r ->
-         match r.kind with Eden | Survivor -> true | _ -> false)
 
 let check_invariants t =
   (* Recompute per-region occupancy from the store; humongous groups put
@@ -334,6 +343,34 @@ let check_invariants t =
           Some
             (Printf.sprintf "free_count drift: tracked %d actual %d"
                t.free_count actual_free);
+      let young = ref 0 and old_hum = ref 0 and total = ref 0 in
+      Array.iter
+        (fun r ->
+          total := !total + r.used;
+          match r.kind with
+          | Eden | Survivor -> young := !young + r.used
+          | Old_region | Humongous -> old_hum := !old_hum + r.used
+          | Free -> ())
+        t.regions;
+      List.iter
+        (fun (what, tracked, actual) ->
+          if !bad = None && tracked <> actual then
+            bad :=
+              Some
+                (Printf.sprintf "%s drift: tracked %d actual %d" what tracked
+                   actual))
+        [
+          ("young occupancy", t.young_used, !young);
+          ("old+humongous occupancy", t.old_hum_used, !old_hum);
+          ("heap occupancy", t.total_used, !total);
+        ];
+      if
+        !bad = None && t.current_alloc >= 0
+        && not (kind_eq t.regions.(t.current_alloc).kind Eden)
+      then
+        bad :=
+          Some
+            (Printf.sprintf "allocation region %d is not eden" t.current_alloc);
       Array.iteri
         (fun i r ->
           if !bad = None then begin

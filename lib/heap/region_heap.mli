@@ -35,6 +35,13 @@ type t = {
   free_bits : Gcperf_util.Bitset.t;
       (** membership mirror of the [Free] regions; the allocator's
           lowest-index find-first is a word scan, not a table walk *)
+  mutable young_used : int;  (** eden plus survivor bytes *)
+  mutable old_hum_used : int;  (** old plus humongous bytes *)
+  mutable total_used : int;
+      (** bytes in every region.  The three totals are exact integer sums
+          of the regions' [used], kept by {!add_used} and the kind
+          transitions (a region's bytes move with its kind), so the
+          occupancy reads are O(1) on the allocation path *)
   mutable young_target_bytes : int;
       (** eden bytes that accumulate before a young collection — the knob
           the adaptive sizing policy turns; owned by the G1 collector *)
@@ -52,17 +59,22 @@ val region_of : t -> int -> region
 
 val count_kind : t -> region_kind -> int
 
-val used_of_kind : t -> region_kind -> int
-
 val used_young : t -> int
-(** Eden plus survivor occupancy, in one pass over the region table. *)
+(** Eden plus survivor occupancy; O(1). *)
 
 val used_old_hum : t -> int
-(** Old plus humongous occupancy, in one pass over the region table. *)
+(** Old plus humongous occupancy; O(1). *)
 
 val free_regions : t -> int
 
 val heap_used : t -> int
+(** Occupancy of the whole region table; O(1). *)
+
+val add_used : t -> region -> int -> unit
+(** [add_used t r delta] adds [delta] bytes to [r.used] and to the
+    occupancy totals.  Every change to a region's [used] goes through
+    here or through the allocation and release functions below; never
+    assign [used] directly. *)
 
 val set_young_target : t -> bytes:int -> int
 (** Adjusts {!t.young_target_bytes}, clamped to [one region size, heap
@@ -115,9 +127,9 @@ val compact_region_objects : t -> region -> unit
 
 val eden_regions : t -> region list
 
-val young_regions : t -> region list
-(** Eden plus survivor regions. *)
-
 val check_invariants : t -> (unit, string) result
 (** Region accounting matches object locations; regions' used bytes do not
-    exceed the region size; free regions are empty. *)
+    exceed the region size; free regions are empty; the free count and
+    the occupancy totals match the region table ([Error] names the one
+    that drifted, tracked against actual); the allocation region is
+    eden. *)

@@ -421,17 +421,20 @@ let test_region_humongous () =
 
 let test_region_humongous_contiguous () =
   let _, r = make_region () in
-  (* Claim regions 0 and 2, leaving a 1-region hole at 1: a 2-region
-     humongous group must skip the hole. *)
-  r.Rh.regions.(0).Rh.kind <- Rh.Old_region;
-  r.Rh.regions.(2).Rh.kind <- Rh.Old_region;
+  (* Claim regions 0-2 and hand region 1 back, leaving a 1-region hole
+     at 1: a 2-region humongous group must skip the hole. *)
+  let claimed =
+    List.init 3 (fun _ -> Option.get (Rh.take_free_region r Rh.Old_region))
+  in
+  Alcotest.(check (list int)) "lowest regions claimed" [ 0; 1; 2 ]
+    (List.map (fun reg -> reg.Rh.idx) claimed);
+  Rh.retire_region r r.Rh.regions.(1);
   let id = Option.get (Rh.alloc_humongous r ~size:(2 * mb)) in
   (match Os.loc r.Rh.store id with
   | Os.Region idx ->
       Alcotest.(check bool) "starts after the hole" true (idx >= 3)
   | _ -> Alcotest.fail "not region-allocated");
-  r.Rh.regions.(0).Rh.kind <- Rh.Free;
-  r.Rh.regions.(2).Rh.kind <- Rh.Free
+  Alcotest.(check bool) "invariants" true (Result.is_ok (Rh.check_invariants r))
 
 let test_region_remset () =
   let s, r = make_region () in
@@ -484,6 +487,111 @@ let prop_region_invariants =
         sizes;
       Result.is_ok (Rh.check_invariants r))
 
+(* The occupancy totals are kept incrementally; after every step of a
+   random operation sequence they must equal a fold over the region
+   table, and [check_invariants] must agree.  The heap is small (16
+   regions of 1 MB) so sequences exhaust it, hit the humongous and
+   full-region paths, and recycle regions many times. *)
+let prop_region_occupancy =
+  let kinds = [| Rh.Eden; Rh.Survivor; Rh.Old_region; Rh.Humongous |] in
+  QCheck.Test.make ~name:"region occupancy totals equal the fold" ~count:40
+    QCheck.(
+      list_of_size (Gen.int_range 500 800)
+        (pair (int_bound 8) (int_bound (1 lsl 30))))
+    (fun ops ->
+      let s = Os.create () in
+      let r = Rh.create s ~heap_bytes:(16 * mb) ~target_regions:16 () in
+      let fold keep =
+        Array.fold_left
+          (fun acc reg -> if keep reg.Rh.kind then acc + reg.Rh.used else acc)
+          0 r.Rh.regions
+      in
+      (* Humongous objects, newest first, and humongous regions claimed
+         bare through [take_free_region] (no group, no objects). *)
+      let humongous = ref [] and bare = ref [] in
+      let small () =
+        List.filter
+          (fun reg ->
+            match reg.Rh.kind with
+            | Rh.Eden | Rh.Survivor | Rh.Old_region -> true
+            | Rh.Free | Rh.Humongous -> false)
+          (Array.to_list r.Rh.regions)
+      in
+      let resident reg id = Os.is_live s id && Os.in_region s id reg.Rh.idx in
+      let pick l n = List.nth l (n mod List.length l) in
+      let with_pick l n f = if l <> [] then f (pick l n) in
+      let release f reg =
+        bare := List.filter (fun b -> b != reg) !bare;
+        f r reg
+      in
+      let step (op, n) =
+        match op with
+        | 0 -> ignore (Rh.alloc_young r ~size:(1 + (n mod (mb / 2))))
+        | 1 -> (
+            let size = (mb / 2) + 1 + (n mod (3 * mb)) in
+            match Rh.alloc_humongous r ~size with
+            | Some id -> humongous := id :: !humongous
+            | None -> ())
+        | 2 -> (
+            let kind = kinds.(n mod Array.length kinds) in
+            match Rh.take_free_region r kind with
+            | Some reg when kind = Rh.Humongous -> bare := reg :: !bare
+            | Some _ | None -> ())
+        | 3 ->
+            with_pick (small ()) n (fun reg ->
+                ignore (Rh.alloc_in_region r reg ~size:(1 + (n mod 65536))))
+        | 4 ->
+            (* Evacuate one object between two regions, as the collectors
+               do: [add_used] moves its bytes, the relocation kernel its
+               location. *)
+            let l = small () in
+            with_pick l n (fun src ->
+                let dst = pick l (n / 7) in
+                let fits id = dst.Rh.used + Os.size s id <= r.Rh.region_size in
+                match
+                  List.find_opt
+                    (fun id -> resident src id && fits id)
+                    (Vec.to_list src.Rh.objects)
+                with
+                | Some id when dst != src ->
+                    let size = Os.size s id in
+                    Rh.add_used r src (-size);
+                    Rh.add_used r dst size;
+                    Vec.push dst.Rh.objects id;
+                    Os.plan_clear s;
+                    Os.plan_push_region s id ~region:dst.Rh.idx
+                      ~age:(Os.age s id);
+                    ignore (Os.finish_relocate s ~domains:1)
+                | Some _ | None -> ())
+        | 5 -> with_pick (small () @ !bare) n (release Rh.release_region)
+        | 6 ->
+            (* Retiring keeps the objects, so only a region every object
+               has been evacuated out of may be retired. *)
+            let empty reg = not (Vec.exists (resident reg) reg.Rh.objects) in
+            with_pick
+              (List.filter empty (small ()) @ !bare)
+              n (release Rh.retire_region)
+        | _ -> (
+            match !humongous with
+            | [] -> ()
+            | id :: rest ->
+                humongous := rest;
+                Rh.release_humongous r id)
+      in
+      List.for_all
+        (fun (op, n) ->
+          step (op, n);
+          Rh.used_young r
+          = fold (function Rh.Eden | Rh.Survivor -> true | _ -> false)
+          && Rh.used_old_hum r
+             = fold (function Rh.Old_region | Rh.Humongous -> true | _ -> false)
+          && Rh.heap_used r = fold (fun _ -> true)
+          &&
+          match Rh.check_invariants r with
+          | Ok () -> true
+          | Error e -> QCheck.Test.fail_reportf "step (%d, %d): %s" op n e)
+        ops)
+
 let () =
   Alcotest.run "heap"
     [
@@ -518,5 +626,6 @@ let () =
           Alcotest.test_case "remset" `Quick test_region_remset;
           Alcotest.test_case "release" `Quick test_region_release;
           QCheck_alcotest.to_alcotest prop_region_invariants;
+          QCheck_alcotest.to_alcotest prop_region_occupancy;
         ] );
     ]
