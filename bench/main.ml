@@ -134,21 +134,17 @@ let trace_closure_test =
 
 (* The relocation kernel alone: plan all 50k objects to their current
    location (so the move is idempotent and every run sees the same
-   store) and apply the plan through [finish_relocate].  The jobs count
-   is in the name on purpose: on a single-core host jobs4 measures the
-   crew hand-off plus domain time-sharing, not a speedup, so each entry
-   gates only against its own baseline. *)
-let par_move_test ~domains =
+   store) and apply the plan through [finish_relocate]. *)
+let relocate_move_test =
   let module Os = Gcperf_heap.Obj_store in
   let s = Os.create () in
   let n = 50_000 in
   let ids = Array.init n (fun _ -> Os.alloc s ~size:64 ~loc:Os.Old) in
-  Test.make
-    ~name:(Printf.sprintf "par-move-jobs%d" domains)
+  Test.make ~name:"relocate-move"
     (Staged.stage (fun () ->
          Os.plan_clear s;
          Array.iter (fun id -> Os.plan_push_old s id ~age:3) ids;
-         ignore (Os.finish_relocate s ~domains)))
+         ignore (Os.finish_relocate s)))
 
 let micro_tests =
   [
@@ -253,8 +249,7 @@ let micro_tests =
        in
        Staged.stage (fun () -> ignore (Gcperf_stats.Stats.latency_report pts)));
     trace_closure_test;
-    par_move_test ~domains:1;
-    par_move_test ~domains:4;
+    relocate_move_test;
   ]
 
 (* --- policy: adaptive sizing overhead --------------------------------- *)
@@ -452,12 +447,8 @@ let cluster_tests =
 
 (* --- concurrent collector family --------------------------------------- *)
 
-(* Journal fold over 100k pre-built entries against 50k rc cells.  Same
-   naming caveat as par-move: the jobs count is in the name because on
-   a single-core host jobs4 measures the crew hand-off plus domain
-   time-sharing, not a speedup — each entry gates only against its own
-   baseline. *)
-let journal_fold_test ~domains =
+(* Journal fold over 100k pre-built entries against 50k rc cells. *)
+let journal_fold_test =
   let module Journal = Gcperf_gc_concurrent.Journal in
   let j = Journal.create () in
   let cells = 50_000 in
@@ -470,9 +461,8 @@ let journal_fold_test ~domains =
     Journal.append j (rand cells) (if rand 2 = 0 then 1 else -1)
   done;
   let rc = Array.make cells 0 in
-  Test.make
-    ~name:(Printf.sprintf "journal-fold-jobs%d" domains)
-    (Staged.stage (fun () -> ignore (Journal.fold j ~rc ~domains)))
+  Test.make ~name:"journal-fold"
+    (Staged.stage (fun () -> ignore (Journal.fold j ~rc)))
 
 let concurrent_tests =
   [
@@ -523,8 +513,7 @@ let concurrent_tests =
              (fun i id -> if i mod 10 = 0 then Os.fwd_record s id)
              ids;
            Array.iter (fun id -> ignore (Os.fwd_read s id)) ids));
-    journal_fold_test ~domains:1;
-    journal_fold_test ~domains:4;
+    journal_fold_test;
   ]
 
 (* --- calibrate: pinned host-speed probe -------------------------------- *)

@@ -53,20 +53,6 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let gc_jobs_arg =
-  let doc =
-    "Worker domains for the intra-collection kernels: the \
-     copy/promote/evacuate/compact relocation, the edge-arena rebuild and \
-     the journal fold inside each simulated collection (tracing is always \
-     sequential).  Independent of $(b,--jobs); results are byte-identical \
-     for every value.  Default 1 (sequential)."
-  in
-  Arg.(value & opt (some int) None & info [ "gc-jobs" ] ~docv:"N" ~doc)
-
-let apply_gc_jobs = function
-  | None -> ()
-  | Some n -> Gcperf_heap.Obj_store.set_default_gc_domains n
-
 let emit out text =
   match out with
   | None -> print_string text
@@ -162,10 +148,9 @@ let run_cmd =
       & info [] ~docv:"EXPERIMENT"
           ~doc:"Experiment id (see $(b,gcperf list)).")
   in
-  let run id quick scope format jobs gc_jobs out =
+  let run id quick scope format jobs out =
     let scope = resolve_scope quick scope in
     let format = parse_format format in
-    apply_gc_jobs gc_jobs;
     match Gcperf.Experiments.artifact ~scope ?jobs id with
     | None ->
         Printf.eprintf "unknown experiment %S%s; try `gcperf list`\n" id
@@ -176,7 +161,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ id_arg $ quick_arg $ scope_arg $ format_arg $ jobs_arg
-      $ gc_jobs_arg $ out_arg)
+      $ out_arg)
 
 (* --- trace --------------------------------------------------------- *)
 
@@ -328,8 +313,7 @@ let bench_cmd =
     let doc =
       "Simulated journal-fold workers for the journal-rc collector \
        (mo-gc's fold is single-threaded; higher values relieve its \
-       backpressure).  Scales the simulated fold rate only — results \
-       stay byte-identical across $(b,--gc-jobs)."
+       backpressure).  Scales the simulated fold rate only."
     in
     Arg.(value & opt int 1 & info [ "journal-fold-jobs" ] ~docv:"N" ~doc)
   in
@@ -562,9 +546,8 @@ let suite_cmd =
 
 let all_cmd =
   let doc = "Run every experiment and print all artifacts in order." in
-  let run quick scope jobs gc_jobs =
+  let run quick scope jobs =
     let scope = resolve_scope quick scope in
-    apply_gc_jobs gc_jobs;
     (* Campaign siblings (fig1/fig2, fig5/table567) share one run via
        the registry memo, so the full sweep costs no duplicate work. *)
     List.iter
@@ -577,7 +560,7 @@ let all_cmd =
       (Gcperf.Experiments.all ())
   in
   Cmd.v (Cmd.info "all" ~doc)
-    Term.(const run $ quick_arg $ scope_arg $ jobs_arg $ gc_jobs_arg)
+    Term.(const run $ quick_arg $ scope_arg $ jobs_arg)
 
 (* --- check-identity ------------------------------------------------ *)
 
@@ -588,8 +571,7 @@ let check_identity_cmd =
      fails on a file there that no golden experiment claims.  Exits \
      non-zero on any failure."
   in
-  let run jobs gc_jobs =
-    apply_gc_jobs gc_jobs;
+  let run jobs =
     let goldens = Gcperf.Experiments.goldens () in
     let failures = ref 0 in
     let fail name msg =
@@ -618,7 +600,7 @@ let check_identity_cmd =
   in
   Cmd.v
     (Cmd.info "check-identity" ~doc)
-    Term.(const run $ jobs_arg $ gc_jobs_arg)
+    Term.(const run $ jobs_arg)
 
 let main =
   let doc = "A multicore garbage-collector performance laboratory (PMAM'15)" in

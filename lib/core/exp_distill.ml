@@ -44,7 +44,7 @@ let ladder () =
 let one ~machine ~bench ~iterations ((heap, young), kind) =
   (* Per-cell registry: observation only, so enabling it cannot perturb
      the run (Telemetry's non-perturbation invariant) — the sweep stays
-     byte-identical at any --jobs/--gc-jobs. *)
+     byte-identical at any --jobs. *)
   let telemetry = Telemetry.create ~enabled:true () in
   let gc = Exp_common.config kind ~heap ~young () in
   let r =

@@ -72,5 +72,4 @@ val check_golden : ?jobs:int -> t -> (unit, string) result
 (** Renders the entry's artifact at ci scope as text and compares it
     byte for byte with [results/ci/<id>.txt].  [Error] names the first
     differing line number and shows both lines, or says the golden file
-    cannot be read.  The intra-collection domain count is whatever
-    [Obj_store.set_default_gc_domains] last set. *)
+    cannot be read. *)

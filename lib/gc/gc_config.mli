@@ -83,7 +83,7 @@ type t = {
           single-threaded map-insertion bottleneck; higher values relieve
           it via the machine's parallel speedup curve.  This knob scales
           simulated fold {e time} only — the fold {e result} is
-          byte-identical at any value (and at any host [--gc-jobs]). *)
+          byte-identical at any value. *)
 }
 
 val default : kind -> heap_bytes:int -> young_bytes:int -> t

@@ -11,10 +11,6 @@ type t = {
   telemetry : Telemetry.t;
   mutable mutator_threads : int;
   mutable iter_roots : (int -> unit) -> unit;
-  mutable gc_domains : int;
-      (* worker domains for the intra-collection crew kernels; 1 =
-         sequential.  Snapshotted from the process-global default at
-         creation. *)
   mutable policy : Policy.t option;
   mutable survivor_overflow : bool;
   mutable last_pause_end_us : float;
@@ -35,7 +31,6 @@ let create ?telemetry machine clock events =
     telemetry;
     mutator_threads = 1;
     iter_roots = (fun _ -> ());
-    gc_domains = Gcperf_heap.Obj_store.default_gc_domains ();
     policy = None;
     survivor_overflow = false;
     last_pause_end_us = 0.0;

@@ -20,13 +20,6 @@ type t = {
   mutable iter_roots : (int -> unit) -> unit;
       (** iterate over all root object ids (thread stacks + globals);
           installed by the runtime *)
-  mutable gc_domains : int;
-      (** worker domains for the intra-collection crew kernels (the
-          relocation move in {!Gcperf_heap.Obj_store.finish_relocate} and
-          the journal fold); 1 (the default) is fully sequential.
-          Snapshotted from {!Gcperf_heap.Obj_store.default_gc_domains} at
-          creation.  Results are byte-identical at any value (see the
-          determinism contract in [Obj_store]). *)
   mutable policy : Gcperf_policy.Policy.t option;
       (** ergonomics policy fed one observation per pause by
           {!record_pause}; [None] (the default) is the fixed-size

@@ -281,7 +281,7 @@ let create ctx (config : Gc_config.t) =
         in
         place ())
       movable;
-    let moved_objects = Os.finish_relocate store ~domains:ctx.Gc_ctx.gc_domains in
+    let moved_objects = Os.finish_relocate store in
     (* Rebuild remembered sets exactly: cross-region references only. *)
     Os.iter_live store (fun id ->
         let rp = Os.region_index store id in
@@ -545,7 +545,7 @@ let create ctx (config : Gc_config.t) =
       (* Phase B (move): apply the evacuation, slab-parallel when the
          collection set moved enough objects. *)
       let moved_objects =
-        Os.finish_relocate store ~domains:ctx.Gc_ctx.gc_domains
+        Os.finish_relocate store
       in
       (* Remembered-set maintenance, kept precise: (a) every external
          source that pointed at a moved object is re-recorded against the

@@ -131,7 +131,7 @@ let collect_young ctx (heap : Gh.t) ~params ~collector ~reason =
     let id = Vec.unsafe_get keep i in
     Os.plan_push_survivor store id ~age:(Os.age store id + 1)
   done;
-  let moved = Os.finish_relocate store ~domains:ctx.Gc_ctx.gc_domains in
+  let moved = Os.finish_relocate store in
   let freed = Os.sweep_young_registry store heap.Gh.young_ids in
   heap.Gh.eden_used <- 0;
   heap.Gh.survivor_used <- !to_survivor;
@@ -282,7 +282,7 @@ let collect_full ctx (heap : Gh.t) ~workers ~collector ~reason =
       end
     end
   done;
-  let moved = Os.finish_relocate store ~domains:ctx.Gc_ctx.gc_domains in
+  let moved = Os.finish_relocate store in
   heap.Gh.eden_used <- !eden_left;
   heap.Gh.survivor_used <- 0;
   heap.Gh.old_used <- !old_used;

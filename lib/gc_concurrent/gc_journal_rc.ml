@@ -201,7 +201,7 @@ let create ctx (config : Gc_config.t) =
   in
   let fold_flip () =
     let used_before = st.used in
-    let n = Journal.fold st.snapshot ~rc:st.rc ~domains:ctx.Gc_ctx.gc_domains in
+    let n = Journal.fold st.snapshot ~rc:st.rc in
     Journal.iter st.snapshot (fun id _ -> if st.rc.(id) <= 0 then pool_add id);
     Journal.clear st.snapshot;
     st.folds <- st.folds + 1;
@@ -304,8 +304,8 @@ let create ctx (config : Gc_config.t) =
   let sync_reclaim reason =
     let used_before = st.used in
     let n =
-      Journal.fold st.snapshot ~rc:st.rc ~domains:ctx.Gc_ctx.gc_domains
-      + Journal.fold st.active ~rc:st.rc ~domains:ctx.Gc_ctx.gc_domains
+      Journal.fold st.snapshot ~rc:st.rc
+      + Journal.fold st.active ~rc:st.rc
     in
     Journal.iter st.snapshot (fun id _ -> if st.rc.(id) <= 0 then pool_add id);
     Journal.iter st.active (fun id _ -> if st.rc.(id) <= 0 then pool_add id);

@@ -274,7 +274,7 @@ let create ctx (config : Gc_config.t) =
         in
         place ())
       movable;
-    ignore (Os.finish_relocate store ~domains:ctx.Gc_ctx.gc_domains);
+    ignore (Os.finish_relocate store);
     (* Release the sources (frees their unreached objects), newest pick
        last — matching the selection order keeps free-slot recycling
        deterministic. *)
@@ -395,7 +395,7 @@ let create ctx (config : Gc_config.t) =
         place ())
       movable;
     let moved_objects =
-      Os.finish_relocate store ~domains:ctx.Gc_ctx.gc_domains
+      Os.finish_relocate store
     in
     st.phase <- Idle;
     let workers = m.Machine.gc_threads in

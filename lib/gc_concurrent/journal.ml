@@ -1,5 +1,4 @@
 module Ivec = Gcperf_util.Int_vec
-module Crew = Gcperf_exec.Crew
 
 (* Packed (id, delta) pairs in append order.  Mutators append from the
    simulated write barrier / allocation path; the collector folds a
@@ -22,36 +21,11 @@ let iter t f =
     f (Ivec.unsafe_get t.entries (2 * i)) (Ivec.unsafe_get t.entries ((2 * i) + 1))
   done
 
-(* Crew engagement threshold, in entries.  Tests lower it to exercise
-   the parallel fold on small journals. *)
-let default_par_threshold = 16384
-let par_threshold_v = Atomic.make default_par_threshold
-let set_par_fold_threshold n = Atomic.set par_threshold_v (max 1 n)
-let par_fold_threshold () = Atomic.get par_threshold_v
-
-(* Worker [w] of [slots] applies exactly the entries whose id is in its
-   residue class, in journal order.  Classes are disjoint, so no two
-   workers touch the same [rc] cell, and integer addition over a fixed
-   per-id subsequence is exact — the folded column is byte-identical at
-   any worker count, including the sequential fallback (slots = 1). *)
-let[@inline] apply_residue entries n rc ~slots ~slot =
-  for i = 0 to n - 1 do
-    let id = Ivec.unsafe_get entries (2 * i) in
-    if id mod slots = slot then
-      let d = Ivec.unsafe_get entries ((2 * i) + 1) in
-      Array.unsafe_set rc id (Array.unsafe_get rc id + d)
-  done
-
-let fold t ~rc ~domains =
+let fold t ~rc =
   let n = Ivec.length t.entries / 2 in
-  let engaged =
-    domains > 1
-    && n >= par_fold_threshold ()
-    && Crew.try_with ~domains (fun crew ->
-           let slots = Crew.size crew in
-           Crew.run crew (fun slot ->
-               if slot < slots then
-                 apply_residue t.entries n rc ~slots ~slot))
-  in
-  if not engaged then apply_residue t.entries n rc ~slots:1 ~slot:0;
+  for i = 0 to n - 1 do
+    let id = Ivec.unsafe_get t.entries (2 * i) in
+    let d = Ivec.unsafe_get t.entries ((2 * i) + 1) in
+    Array.unsafe_set rc id (Array.unsafe_get rc id + d)
+  done;
   n

@@ -1,5 +1,4 @@
 module Ivec = Gcperf_util.Int_vec
-module Crew = Gcperf_exec.Crew
 
 type location = Eden | Survivor | Old | Region of int | Nowhere
 
@@ -62,10 +61,6 @@ type t = {
      source arena becomes the next rebuild's preallocated destination, so
      steady-state rebuilds allocate nothing in the host runtime. *)
   mutable edges_spare : int array;
-  (* Per-worker slab cursors for the parallel edge rebuild (slab start
-     offset into the destination arena, computed by the sequential
-     prefix-sum over slab sizes). *)
-  mutable slab_base : int array;
   (* Forwarding table for pauseless concurrent relocation: epoch-stamped
      per-slot entries, so opening a new relocation phase is O(1) and no
      clearing pass ever runs.  [fwd_stampv.(id) = fwd_epoch] means the
@@ -102,7 +97,6 @@ let create () =
     plan_age = [||];
     plan_n = 0;
     edges_spare = [||];
-    slab_base = [||];
     fwd_stampv = [||];
     fwd_healv = [||];
     fwd_ids = Ivec.create ();
@@ -262,21 +256,9 @@ let free t id =
   if t.locv.(id) = code_nowhere then invalid_arg "Obj_store.free: double free";
   free_unchecked t id
 
-(* --- parallel-kernel knobs --------------------------------------------
-
-   One process-global worker-domain count serves the intra-collection
-   crew kernels (the relocation move and the edge-arena rebuild), seeded
-   from the CLI [--gc-jobs] and snapshotted by contexts at creation.
-   Tests lower the engagement threshold to exercise the crew on small
-   plans. *)
-
-let default_domains = Atomic.make 1
-let set_default_gc_domains n = Atomic.set default_domains (max 1 n)
-let default_gc_domains () = Atomic.get default_domains
-
-let move_threshold = Atomic.make 256
-let set_par_move_threshold n = Atomic.set move_threshold (max 0 n)
-let par_move_threshold () = Atomic.get move_threshold
+(* Retained for callers that still pass a host domain count: every heap
+   kernel is sequential, so the value is ignored. *)
+let set_default_gc_domains (_ : int) = ()
 
 (* --- CSR edge arena --------------------------------------------------- *)
 
@@ -291,23 +273,7 @@ let par_move_threshold () = Atomic.get move_threshold
    The destination arena is double-buffered: the retired source array is
    kept as [edges_spare] and becomes the next rebuild's preallocated
    destination when large enough, so steady-state rebuilds allocate
-   nothing.  Above [move_threshold] slots the packing runs slab-parallel:
-   slabs are contiguous id ranges, a sequential prefix-sum over per-slab
-   slice totals assigns each slab its destination base, and workers then
-   pack disjoint ranges — the layout is byte-identical to the sequential
-   walk at any worker count. *)
-
-let[@inline] pack_edges_range t ~src ~dst ~lo ~hi ~pos0 =
-  let ref_off = t.ref_off and ref_len = t.ref_len and ref_cap = t.ref_cap in
-  let pos = ref pos0 in
-  for id = lo to hi - 1 do
-    let len = ref_len.(id) in
-    if len > 0 then Array.blit src ref_off.(id) dst !pos len;
-    ref_off.(id) <- !pos;
-    ref_cap.(id) <- len;
-    pos := !pos + len
-  done;
-  !pos
+   nothing. *)
 
 let[@inline never] rebuild_edges t need =
   let live = t.edges_len - t.edges_garbage in
@@ -321,40 +287,16 @@ let[@inline never] rebuild_edges t need =
     if Array.length t.edges_spare >= !ncap then t.edges_spare
     else Array.make !ncap 0
   in
-  let slot_n = t.slot_count in
-  let domains = Atomic.get default_domains in
-  let par =
-    domains > 1
-    && slot_n >= Atomic.get move_threshold
-    && Crew.try_with ~domains (fun crew ->
-           let slots = Crew.size crew in
-           if Array.length t.slab_base < slots + 1 then
-             t.slab_base <- Array.make (slots + 1) 0;
-           let base = t.slab_base in
-           let chunk = (slot_n + slots - 1) / slots in
-           let ref_len = t.ref_len in
-           (* Phase A (plan): per-slab slice totals, then the sequential
-              prefix-sum assigning each slab its destination base. *)
-           let pos = ref 0 in
-           for s = 0 to slots - 1 do
-             base.(s) <- !pos;
-             let lo = s * chunk and hi = min slot_n ((s + 1) * chunk) in
-             for id = lo to hi - 1 do
-               pos := !pos + ref_len.(id)
-             done
-           done;
-           base.(slots) <- !pos;
-           (* Phase B (move): each worker packs its own slab. *)
-           Crew.run crew (fun slot ->
-               if slot < slots then begin
-                 let lo = slot * chunk and hi = min slot_n ((slot + 1) * chunk) in
-                 if lo < hi then
-                   ignore (pack_edges_range t ~src ~dst ~lo ~hi ~pos0:base.(slot))
-               end);
-           t.edges_len <- base.(slots))
-  in
-  if not par then
-    t.edges_len <- pack_edges_range t ~src ~dst ~lo:0 ~hi:slot_n ~pos0:0;
+  let ref_off = t.ref_off and ref_len = t.ref_len and ref_cap = t.ref_cap in
+  let pos = ref 0 in
+  for id = 0 to t.slot_count - 1 do
+    let len = ref_len.(id) in
+    if len > 0 then Array.blit src ref_off.(id) dst !pos len;
+    ref_off.(id) <- !pos;
+    ref_cap.(id) <- len;
+    pos := !pos + len
+  done;
+  t.edges_len <- !pos;
   t.edges <- dst;
   t.edges_spare <- (if src == dst then [||] else src);
   t.edges_garbage <- 0
@@ -541,12 +483,8 @@ let sequential_finish t ~pred ~marked ~stack =
    trace order it decides destinations — bump-packing, budget checks, registry pushes and used
    accounting are inherently ordered and stay sequential — and records
    each object's target location code and age with {!plan_push}.  Phase B
-   (move) is this kernel: the recorded writes are applied to the [locv]
-   and [agev] columns, slab-parallel above [par_move_threshold] when the
-   crew is free.  Slabs are contiguous plan ranges and each object id
-   appears at most once in a plan, so workers write disjoint column cells
-   and the heap state after the move is byte-identical to the sequential
-   loop at any worker count. *)
+   (move) is this kernel: one pass applies the recorded writes to the
+   [locv] and [agev] columns in plan order. *)
 
 let[@inline never] grow_plan t =
   let cap = Array.length t.plan_ids in
@@ -579,29 +517,15 @@ let[@inline] plan_push_eden t id ~age = plan_push_code t id code_eden age
 let[@inline] plan_push_region t id ~region ~age =
   plan_push_code t id (region_base + region) age
 
-let[@inline] apply_plan_range t lo hi =
+let finish_relocate t =
+  let n = t.plan_n in
   let ids = t.plan_ids and code = t.plan_code and age = t.plan_age in
   let locv = t.locv and agev = t.agev in
-  for i = lo to hi - 1 do
+  for i = 0 to n - 1 do
     let id = Array.unsafe_get ids i in
     Array.unsafe_set locv id (Array.unsafe_get code i);
     Array.unsafe_set agev id (Array.unsafe_get age i)
-  done
-
-let finish_relocate t ~domains =
-  let n = t.plan_n in
-  let par =
-    domains > 1
-    && n >= Atomic.get move_threshold
-    && Crew.try_with ~domains (fun crew ->
-           let slots = Crew.size crew in
-           let chunk = (n + slots - 1) / slots in
-           Crew.run crew (fun slot ->
-               let lo = slot * chunk in
-               let hi = min n (lo + chunk) in
-               if lo < hi then apply_plan_range t lo hi))
-  in
-  if not par then apply_plan_range t 0 n;
+  done;
   t.plan_n <- 0;
   n
 

@@ -192,12 +192,10 @@ val sequential_finish :
     order. *)
 
 val set_default_gc_domains : int -> unit
-(** Process-global default for intra-collection GC parallelism (the
-    relocation move, the edge-arena rebuild and the journal fold),
-    consumed by collectors at context creation (CLI [--gc-jobs]).
-    Clamped to at least 1 (sequential). *)
-
-val default_gc_domains : unit -> int
+(** No-op.  Every heap kernel (the relocation move, the edge-arena
+    rebuild) runs sequentially on the calling domain; this entry point
+    remains only so that existing callers that pass a host domain count
+    keep compiling. *)
 
 (** {1 Relocation kernel}
 
@@ -208,15 +206,7 @@ val default_gc_domains : unit -> int
     placement decisions (bump-packing, budgets, registry pushes, used
     accounting) are inherently ordered and stay in the collector.
     Phase B (move): the kernel applies the recorded writes to the
-    location and age columns, slab-parallel above {!par_move_threshold}
-    when [domains > 1] and the crew is free, sequentially otherwise.
-
-    Determinism contract: slabs are contiguous plan ranges and an object
-    id appears at most once per plan, so workers write disjoint column
-    cells — the heap state after the move is byte-identical at any
-    domain count.  The same slab/prefix-sum scheme packs the CSR edge
-    arena during rebuilds, into a preallocated double-buffered
-    destination. *)
+    location and age columns in one pass, in plan order. *)
 
 val plan_clear : t -> unit
 (** Drops any pending plan entries (a plan survives only until the next
@@ -238,16 +228,9 @@ val plan_push_eden : t -> int -> age:int -> unit
 val plan_push_region : t -> int -> region:int -> age:int -> unit
 (** Allocation-free variants of {!plan_push} for the hot plan loops. *)
 
-val finish_relocate : t -> domains:int -> int
+val finish_relocate : t -> int
 (** Applies and clears the pending plan; returns the number of objects
     relocated. *)
-
-val set_par_move_threshold : int -> unit
-(** Minimum plan length (and minimum slot count for edge-arena rebuilds)
-    before {!finish_relocate} engages the crew.  Tests lower it to
-    exercise the parallel move on small plans. *)
-
-val par_move_threshold : unit -> int
 
 (** {1 Batch sweep kernels}
 

@@ -5,13 +5,13 @@
    non-negative, additive decomposition, zero for a zero-cost
    collector), the experiment must attribute cost to the right
    component per collector family, and — the repo-wide contract — the
-   distill artifact must be byte-identical across every --jobs and
-   --gc-jobs combination. *)
+   distill artifact must be byte-identical at every --jobs, whatever
+   host GC domain count is passed to the retained no-op
+   Obj_store.set_default_gc_domains. *)
 
 module Distill = Gcperf_distill.Distill
 module Telemetry = Gcperf_telemetry.Telemetry
 module Store = Gcperf_heap.Obj_store
-module Journal = Gcperf_gc_concurrent.Journal
 module E = Gcperf.Experiments
 
 let components ?(raw = 0.0) ?(alloc = 0.0) ?(stw = 0.0) ?(steal = 0.0)
@@ -146,19 +146,11 @@ let test_artifact_identity_matrix () =
     | Some a -> Gcperf.Artifact.render a `Json
     | None -> Alcotest.fail "distill artifact missing"
   in
-  let saved_domains = Store.default_gc_domains () in
-  let saved_move = Store.par_move_threshold () in
-  let saved_fold = Journal.par_fold_threshold () in
   Fun.protect
-    ~finally:(fun () ->
-      Store.set_default_gc_domains saved_domains;
-      Store.set_par_move_threshold saved_move;
-      Journal.set_par_fold_threshold saved_fold)
+    ~finally:(fun () -> Store.set_default_gc_domains 1)
     (fun () ->
       Store.set_default_gc_domains 1;
       let sequential = render 1 in
-      Store.set_par_move_threshold 16;
-      Journal.set_par_fold_threshold 16;
       List.iter
         (fun (jobs, gc_jobs) ->
           Store.set_default_gc_domains gc_jobs;

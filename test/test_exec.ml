@@ -53,37 +53,29 @@ let test_exception_lowest_index () =
 (* --- parallel-vs-sequential artifact identity ---------------------- *)
 
 (* The determinism contract end to end, over every golden experiment:
-   cell fan-out (--jobs) and the intra-collection crew (--gc-jobs) at
-   four workers each must render byte-identically to the sequential run.
-   The move and journal-fold thresholds are lowered so the crew really
-   engages on ci-scope heaps.  The single-axis legs run in the
+   cell fan-out at four workers must render byte-identically to the
+   sequential run.  The host GC domain count the e2e harness still
+   passes (Obj_store.set_default_gc_domains, a no-op since every heap
+   kernel is sequential) is set to 4 alongside, so the matrix also pins
+   that it changes no artifact.  The other legs run in the
    @check-identity gate and the CI matrix. *)
 let test_artifact_identity_matrix () =
   let module Store = Gcperf_heap.Obj_store in
-  let module Journal = Gcperf_gc_concurrent.Journal in
   let render ~jobs (e : Gcperf.Experiment.t) =
     match E.artifact ~scope:Gcperf.Scope.ci ~jobs e.id with
     | Some a -> Gcperf.Artifact.render a `Json
     | None -> Alcotest.fail ("unknown artifact " ^ e.id)
   in
   let goldens = E.goldens () in
-  let saved_domains = Store.default_gc_domains () in
-  let saved_move = Store.par_move_threshold () in
-  let saved_fold = Journal.par_fold_threshold () in
+  (* The sequential references are independent experiments, each
+     rendered at jobs 1; the pool only overlaps them. *)
+  Store.set_default_gc_domains 1;
+  let sequential =
+    Pool.map_list ~jobs:(Pool.default_jobs ()) (render ~jobs:1) goldens
+  in
   Fun.protect
-    ~finally:(fun () ->
-      Store.set_default_gc_domains saved_domains;
-      Store.set_par_move_threshold saved_move;
-      Journal.set_par_fold_threshold saved_fold)
+    ~finally:(fun () -> Store.set_default_gc_domains 1)
     (fun () ->
-      (* The sequential references are independent experiments, each
-         rendered at jobs 1 / gc-jobs 1; the pool only overlaps them. *)
-      Store.set_default_gc_domains 1;
-      let sequential =
-        Pool.map_list ~jobs:(Pool.default_jobs ()) (render ~jobs:1) goldens
-      in
-      Store.set_par_move_threshold 16;
-      Journal.set_par_fold_threshold 16;
       Store.set_default_gc_domains 4;
       List.iter2
         (fun (e : Gcperf.Experiment.t) reference ->
@@ -152,55 +144,6 @@ let test_golden_files_match_registry () =
   Alcotest.(check (list string)) "results/ci = golden ids"
     (List.sort compare ids) (List.sort compare files)
 
-(* --- crew ----------------------------------------------------------- *)
-
-let test_crew_basics () =
-  let module Crew = Gcperf_exec.Crew in
-  Alcotest.(check bool) "domains=1 is refused" false
-    (Crew.try_with ~domains:1 (fun _ -> Alcotest.fail "must not run"));
-  let hits = Atomic.make 0 in
-  let nested = ref None in
-  let ok =
-    Crew.try_with ~domains:3 (fun crew ->
-        Alcotest.(check bool) "size covers the request" true
-          (Crew.size crew >= 3);
-        (* The crew is exclusive: a holder asking again must be refused
-           (the kernel's cue to run its sequential path). *)
-        nested := Some (Crew.try_with ~domains:2 (fun _ -> ()));
-        Crew.run crew (fun _slot -> Atomic.incr hits);
-        Crew.run crew (fun _slot -> Atomic.incr hits))
-  in
-  Alcotest.(check bool) "acquired" true ok;
-  Alcotest.(check (option bool)) "reentry refused" (Some false) !nested;
-  Alcotest.(check bool) "every slot ran, twice" true (Atomic.get hits >= 6)
-
-(* A raising worker must not be swallowed: with slots k.. all failing,
-   slot k's exception surfaces on the caller after the join, and the
-   crew still runs the next phase. *)
-let test_crew_failure () =
-  let module Crew = Gcperf_exec.Crew in
-  List.iter
-    (fun domains ->
-      for k = 0 to domains - 1 do
-        let raised = ref None and hits = Atomic.make 0 in
-        let ok =
-          Crew.try_with ~domains (fun crew ->
-              (try
-                 Crew.run crew (fun slot ->
-                     if slot >= k && slot < domains then
-                       failwith (string_of_int slot))
-               with Failure msg -> raised := Some msg);
-              Crew.run crew (fun slot ->
-                  if slot < domains then Atomic.incr hits))
-        in
-        Alcotest.(check bool) "crew acquired" true ok;
-        Alcotest.(check (option string))
-          (Printf.sprintf "slot %d surfaces (domains=%d)" k domains)
-          (Some (string_of_int k)) !raised;
-        Alcotest.(check int) "next run completes" domains (Atomic.get hits)
-      done)
-    [ 2; 3; 4 ]
-
 (* --- deterministic telemetry merge --------------------------------- *)
 
 let span ~kind ~duration_us =
@@ -260,8 +203,6 @@ let () =
         [
           Alcotest.test_case "artifact identity jobs x gc-jobs matrix" `Slow
             test_artifact_identity_matrix;
-          Alcotest.test_case "crew basics" `Quick test_crew_basics;
-          Alcotest.test_case "crew failure surfaces" `Quick test_crew_failure;
           Alcotest.test_case "telemetry merge" `Quick
             test_merge_matches_sequential;
         ] );

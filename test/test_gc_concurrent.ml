@@ -3,8 +3,8 @@
 
    Covers the config/registry round-trip (including the colloquial
    aliases), the forwarding-table/load-barrier invariants as a qcheck
-   property, the journal fold determinism contract at several host
-   worker counts, and collector correctness through the VM: rooted data
+   property, the journal fold against a per-entry reference, and
+   collector correctness through the VM: rooted data
    survives, garbage is reclaimed, every pause is a flip-class pause,
    and the space accounting invariants hold. *)
 
@@ -168,43 +168,26 @@ let forwarding_qcheck =
     (QCheck.list_of_size (QCheck.Gen.int_range 0 120) op)
     forwarding_prop
 
-(* --- journal fold determinism ----------------------------------------- *)
+(* --- journal fold ------------------------------------------------------ *)
 
-let test_fold_determinism () =
+let test_fold_sum () =
   let cells = 257 in
   let entries = 5_000 in
-  let build () =
-    let j = Journal.create () in
-    let state = ref 42 in
-    let rand m =
-      state := ((!state * 48271) + 11) land 0x3FFFFFFF;
-      !state mod m
-    in
-    for _ = 1 to entries do
-      Journal.append j (rand cells)
-        (match rand 3 with 0 -> 1 | 1 -> -1 | _ -> 0)
-    done;
-    j
+  let j = Journal.create () in
+  let state = ref 42 in
+  let rand m =
+    state := ((!state * 48271) + 11) land 0x3FFFFFFF;
+    !state mod m
   in
-  (* Force the crew to engage even on this small journal. *)
-  let saved = Journal.par_fold_threshold () in
-  Journal.set_par_fold_threshold 1;
-  Fun.protect
-    ~finally:(fun () -> Journal.set_par_fold_threshold saved)
-    (fun () ->
-      let fold domains =
-        let rc = Array.make cells 0 in
-        let n = Journal.fold (build ()) ~rc ~domains in
-        Alcotest.(check int) "all entries applied" entries n;
-        rc
-      in
-      let seq = fold 1 in
-      List.iter
-        (fun domains ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "fold at %d domains byte-identical" domains)
-            seq (fold domains))
-        [ 2; 4 ])
+  for _ = 1 to entries do
+    Journal.append j (rand cells) (match rand 3 with 0 -> 1 | 1 -> -1 | _ -> 0)
+  done;
+  let expected = Array.init cells (fun i -> i) in
+  Journal.iter j (fun id d -> expected.(id) <- expected.(id) + d);
+  let rc = Array.init cells (fun i -> i) in
+  Alcotest.(check int) "all entries applied" entries (Journal.fold j ~rc);
+  Alcotest.(check (array int)) "fold = per-entry sum" expected rc;
+  Alcotest.(check int) "fold leaves the journal" entries (Journal.length j)
 
 (* --- collector correctness through the VM ----------------------------- *)
 
@@ -316,8 +299,8 @@ let () =
       ("forwarding", [ QCheck_alcotest.to_alcotest forwarding_qcheck ]);
       ( "journal",
         [
-          Alcotest.test_case "fold determinism at 1/2/4 domains" `Quick
-            test_fold_determinism;
+          Alcotest.test_case "fold equals the per-entry sum" `Quick
+            test_fold_sum;
         ] );
       ("rooted-survive", concurrent_kind_cases test_rooted_survive);
       ("garbage-reclaimed", concurrent_kind_cases test_garbage_reclaimed);

@@ -215,53 +215,42 @@ let build_graph seed0 =
   in
   (s, seeds)
 
-(* The plan/move relocation kernel must land every object at exactly the
-   placement the sequential apply produces — the plan already fixed the
-   destinations, so the crew only changes who writes the columns.  Two
-   stores built from one seed are identical; plan the same seeded
-   relocation on both and diff every live object's location and age. *)
-let prop_parallel_relocate =
-  QCheck.Test.make ~count:60
-    ~name:"parallel relocation matches the sequential placement exactly"
-    QCheck.(pair (int_bound 1_000_000) (int_range 2 4))
-    (fun (seed0, domains) ->
-      let plan_moves s =
-        let state = ref ((seed0 * 31) land 0x3FFFFFFF) in
-        let rand n =
-          state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-          !state mod n
-        in
-        Os.plan_clear s;
-        Os.iter_live s (fun id ->
-            match rand 6 with
-            | 0 -> Os.plan_push_old s id ~age:(Os.age s id)
-            | 1 -> Os.plan_push_survivor s id ~age:(Os.age s id + 1)
-            | 2 -> Os.plan_push_eden s id ~age:0
-            | 3 -> Os.plan_push_region s id ~region:(rand 8) ~age:(rand 16)
-            | _ -> ())
+(* The move half of a relocation must land every planned object at
+   exactly its planned location and age, and leave every unplanned
+   object as it was. *)
+let prop_finish_relocate =
+  QCheck.Test.make ~count:60 ~name:"finish_relocate applies the plan"
+    QCheck.(int_bound 1_000_000)
+    (fun seed0 ->
+      let s, _ = build_graph seed0 in
+      let state = ref ((seed0 * 31) land 0x3FFFFFFF) in
+      let rand n =
+        state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+        !state mod n
       in
-      let snapshot s =
-        let acc = ref [] in
-        Os.iter_live s (fun id ->
-            acc := (id, Os.loc_code s id, Os.region_index s id, Os.age s id)
-                   :: !acc);
-        !acc
-      in
-      let saved = Os.par_move_threshold () in
-      Fun.protect
-        ~finally:(fun () -> Os.set_par_move_threshold saved)
-        (fun () ->
-          let s_par, _ = build_graph seed0 in
-          let s_seq, _ = build_graph seed0 in
-          plan_moves s_par;
-          plan_moves s_seq;
-          let planned = Os.plan_length s_par in
-          Os.set_par_move_threshold 1;
-          let moved_par = Os.finish_relocate s_par ~domains in
-          Os.set_par_move_threshold max_int;
-          let moved_seq = Os.finish_relocate s_seq ~domains:1 in
-          moved_par = planned && moved_seq = planned
-          && snapshot s_par = snapshot s_seq))
+      let planned = Hashtbl.create 64 and unplanned = ref [] in
+      Os.plan_clear s;
+      Os.iter_live s (fun id ->
+          let plan loc age =
+            Os.plan_push s id ~loc ~age;
+            Hashtbl.replace planned id (loc, age)
+          in
+          match rand 6 with
+          | 0 -> plan Os.Old (Os.age s id)
+          | 1 -> plan Os.Survivor (Os.age s id + 1)
+          | 2 -> plan Os.Eden 0
+          | 3 -> plan (Os.Region (rand 8)) (rand 16)
+          | _ -> unplanned := (id, Os.loc s id, Os.age s id) :: !unplanned);
+      let moved = Os.finish_relocate s in
+      moved = Hashtbl.length planned
+      && Os.plan_length s = 0
+      && Hashtbl.fold
+           (fun id (loc, age) ok ->
+             ok && Os.loc s id = loc && Os.age s id = age)
+           planned true
+      && List.for_all
+           (fun (id, loc, age) -> Os.loc s id = loc && Os.age s id = age)
+           !unplanned)
 
 (* --- Gen_heap ------------------------------------------------------- *)
 
@@ -561,7 +550,7 @@ let prop_region_occupancy =
                     Os.plan_clear s;
                     Os.plan_push_region s id ~region:dst.Rh.idx
                       ~age:(Os.age s id);
-                    ignore (Os.finish_relocate s ~domains:1)
+                    ignore (Os.finish_relocate s)
                 | Some _ | None -> ())
         | 5 -> with_pick (small () @ !bare) n (release Rh.release_region)
         | 6 ->
@@ -604,7 +593,7 @@ let () =
           Alcotest.test_case "refs" `Quick test_store_refs;
           Alcotest.test_case "live ids" `Quick test_store_live_ids;
           QCheck_alcotest.to_alcotest prop_store_model;
-          QCheck_alcotest.to_alcotest prop_parallel_relocate;
+          QCheck_alcotest.to_alcotest prop_finish_relocate;
         ] );
       ( "gen_heap",
         [
