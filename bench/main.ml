@@ -146,6 +146,67 @@ let relocate_move_test =
          Array.iter (fun id -> Os.plan_push_old s id ~age:3) ids;
          ignore (Os.finish_relocate s)))
 
+(* The death queue as a dacapo run drives it, under h2's profile (the
+   stable subset's largest pending set).  Keys follow [Vm.alloc] and
+   [Mutator.sample_lifetime]: every allocation advances the allocated-
+   bytes clock by a log-normal size (clamped as [Mutator.sample_size]
+   does), and a dying object's key is that clock plus an exponential
+   lifetime, so keys rarely tie.  After each allocation the due keys are
+   drained as [Vm.process_deaths] does, which holds the queue at its
+   natural depth (about 390 pending).  The draws are made once, outside
+   the timing; one run replays 512 allocations of the cycled trace. *)
+let death_queue_test =
+  let module Heapq = Gcperf_util.Heapq in
+  let module Prng = Gcperf_util.Prng in
+  let module P = Gcperf_workload.Profile in
+  let profile = (Option.get (Gcperf_dacapo.Suite.find "h2")).profile in
+  let l = profile.P.lifetime and { P.mean_bytes; sigma } = profile.P.size in
+  let trace_len = 8192 in
+  let prng = Prng.create 16 in
+  let mean = float_of_int mean_bytes in
+  let mu = log mean -. (sigma *. sigma /. 2.0) in
+  let sizes =
+    Array.init trace_len (fun _ ->
+        let s = Prng.lognormal prng ~mu ~sigma in
+        int_of_float (Float.max (mean /. 8.0) (Float.min (mean *. 8.0) s)))
+  in
+  (* -1: the object never dies (iteration-scoped or permanent). *)
+  let lifetimes =
+    Array.init trace_len (fun _ ->
+        let u = Prng.float prng 1.0 in
+        let dies m = max 1 (int_of_float (Prng.exponential prng m)) in
+        if u < l.P.short_frac then dies l.P.short_mean_bytes
+        else if u < l.P.short_frac +. l.P.medium_frac then
+          dies l.P.medium_mean_bytes
+        else if
+          u
+          < l.P.short_frac +. l.P.medium_frac +. l.P.iteration_frac
+            +. l.P.permanent_frac
+        then -1
+        else dies l.P.short_mean_bytes)
+  in
+  let q = Heapq.create () and allocated = ref 0 and pos = ref 0 in
+  let rec drain () =
+    match Heapq.min_key q with
+    | Some key when key <= !allocated ->
+        ignore (Heapq.pop q);
+        drain ()
+    | Some _ | None -> ()
+  in
+  let allocate n =
+    for _ = 1 to n do
+      let j = !pos in
+      allocated := !allocated + sizes.(j);
+      if lifetimes.(j) >= 0 then
+        Heapq.push q (!allocated + lifetimes.(j)) ((j lsl 16) lor 1);
+      drain ();
+      pos := (j + 1) land (trace_len - 1)
+    done
+  in
+  (* Warm up to the steady state: several medium lifetimes' worth. *)
+  allocate (4 * trace_len);
+  Test.make ~name:"death-queue" (Staged.stage (fun () -> allocate 512))
+
 let micro_tests =
   [
     Test.make ~name:"alloc-tlab"
@@ -250,6 +311,7 @@ let micro_tests =
        Staged.stage (fun () -> ignore (Gcperf_stats.Stats.latency_report pts)));
     trace_closure_test;
     relocate_move_test;
+    death_queue_test;
   ]
 
 (* --- policy: adaptive sizing overhead --------------------------------- *)

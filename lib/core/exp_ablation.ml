@@ -69,11 +69,11 @@ let ablate_numa ~scope ~jobs =
   let hours = Float.max 0.1 (Scope.hours scope 0.6) in
   let one numa_factor =
     let base = Machine.paper_server () in
+    (* Through [create], so the cached speedups see the new factor. *)
     let machine =
-      {
-        base with
-        Machine.cost = { base.Machine.cost with Machine.numa_remote_factor = numa_factor };
-      }
+      Machine.create ~gc_threads:base.Machine.gc_threads
+        ~conc_gc_threads:base.Machine.conc_gc_threads base.Machine.topology
+        { base.Machine.cost with Machine.numa_remote_factor = numa_factor }
     in
     let gc =
       Gc_config.default Gc_config.ParallelOld ~heap_bytes:(Exp_common.gb 64)

@@ -46,34 +46,8 @@ type state = {
   mutable pending_stamp : int array;
   mutable stamp_epoch : int;
   mutable used : int;
-  mutable folds : int;
-  mutable entries_folded : int;
-  mutable traces : int;
   mutable freed_bytes : int;
-  mutable max_backlog : int;
 }
-
-let registry : (string, state) Hashtbl.t = Hashtbl.create 4
-
-type debug = {
-  folds : int;
-  entries_folded : int;
-  traces : int;
-  backlog : int;
-  pool : int;
-  used : int;
-}
-
-let debug_stats (c : Collector.t) =
-  let st = Hashtbl.find registry c.Collector.name in
-  {
-    folds = st.folds;
-    entries_folded = st.entries_folded;
-    traces = st.traces;
-    backlog = Journal.length st.active;
-    pool = Vec.length st.pool;
-    used = st.used;
-  }
 
 let name = "JournalRCGC"
 
@@ -111,14 +85,9 @@ let create ctx (config : Gc_config.t) =
       pending_stamp = [||];
       stamp_epoch = 0;
       used = 0;
-      folds = 0;
-      entries_folded = 0;
-      traces = 0;
       freed_bytes = 0;
-      max_backlog = 0;
     }
   in
-  Hashtbl.replace registry name st;
   let ensure id =
     if id >= Array.length st.rc then begin
       let cap = max 1024 (max (id + 1) (2 * Array.length st.rc)) in
@@ -204,8 +173,6 @@ let create ctx (config : Gc_config.t) =
     let n = Journal.fold st.snapshot ~rc:st.rc in
     Journal.iter st.snapshot (fun id _ -> if st.rc.(id) <= 0 then pool_add id);
     Journal.clear st.snapshot;
-    st.folds <- st.folds + 1;
-    st.entries_folded <- st.entries_folded + n;
     sweep_pool ();
     st.phase <- Idle;
     let apply_us =
@@ -270,7 +237,6 @@ let create ctx (config : Gc_config.t) =
     Bytes.fill st.in_pool 0 (Bytes.length st.in_pool) '\000';
     Vec.clear st.pool;
     Os.iter_live store (fun id -> if st.rc.(id) <= 0 then pool_add id);
-    st.traces <- st.traces + 1;
     st.phase <- Idle;
     Vec.length dead_scratch
   in
@@ -311,8 +277,6 @@ let create ctx (config : Gc_config.t) =
     Journal.iter st.active (fun id _ -> if st.rc.(id) <= 0 then pool_add id);
     Journal.clear st.snapshot;
     Journal.clear st.active;
-    st.folds <- st.folds + 1;
-    st.entries_folded <- st.entries_folded + n;
     let freed_before = st.freed_bytes in
     sweep_pool ();
     st.phase <- Idle;
@@ -402,7 +366,6 @@ let create ctx (config : Gc_config.t) =
   in
   let mutator_factor () =
     let backlog = Journal.length st.active in
-    if backlog > st.max_backlog then st.max_backlog <- backlog;
     let base = 1.0 +. config.Gc_config.journal_alloc_overhead in
     let cores = float_of_int (Machine.cores m) in
     let steal =
@@ -422,9 +385,9 @@ let create ctx (config : Gc_config.t) =
     let pressure = 1.0 +. Float.min 3.0 (Float.max 0.0 lag) in
     base *. steal *. pressure
   in
-  (* Tax split for distillation, side-effect free (no max_backlog
-     update): journal appends and backpressure throttling are mutator
-     tax, the fold/trace workers are stolen cores. *)
+  (* Tax split for distillation, side-effect free: journal appends and
+     backpressure throttling are mutator tax, the fold/trace workers are
+     stolen cores. *)
   let mutator_tax () =
     let backlog = Journal.length st.active in
     let base = 1.0 +. config.Gc_config.journal_alloc_overhead in

@@ -30,34 +30,7 @@ type phase =
   | Marking of { mutable remaining_bytes : float }
   | Relocating of { mutable remaining_bytes : float }
 
-type state = {
-  mutable phase : phase;
-  mutable cycles : int;
-  mutable relocated_bytes : int;
-  mutable degenerated : int;
-  mutable barrier_hits : int;  (* load-barrier slow paths, all phases *)
-  mutable flip_healed : int;  (* entries healed by remap flips *)
-}
-
-let registry : (string, state * Rh.t) Hashtbl.t = Hashtbl.create 4
-
-type debug = {
-  cycles : int;
-  degenerated : int;
-  barrier_hits : int;
-  flip_healed : int;
-  relocated_bytes : int;
-}
-
-let debug_stats (c : Collector.t) =
-  let st, _ = Hashtbl.find registry c.Collector.name in
-  {
-    cycles = st.cycles;
-    degenerated = st.degenerated;
-    barrier_hits = st.barrier_hits;
-    flip_healed = st.flip_healed;
-    relocated_bytes = st.relocated_bytes;
-  }
+type state = { mutable phase : phase }
 
 let name = "ConcurrentRegionsGC"
 
@@ -80,17 +53,7 @@ let create ctx (config : Gc_config.t) =
   rheap.Rh.young_target_bytes <-
     max rheap.Rh.region_size config.Gc_config.young_bytes;
   let tenuring = ref config.Gc_config.tenuring_threshold in
-  let st =
-    {
-      phase = Idle;
-      cycles = 0;
-      relocated_bytes = 0;
-      degenerated = 0;
-      barrier_hits = 0;
-      flip_healed = 0;
-    }
-  in
-  Hashtbl.replace registry name (st, rheap);
+  let st = { phase = Idle } in
   let young_used () = Rh.used_young rheap in
   let old_hum_used () = Rh.used_old_hum rheap in
   let tel = ctx.Gc_ctx.telemetry in
@@ -131,7 +94,6 @@ let create ctx (config : Gc_config.t) =
   in
   let sum phases = List.fold_left (fun acc (_, us) -> acc +. us) 0.0 phases in
   let start_mark reason =
-    st.cycles <- st.cycles + 1;
     let phases = flip_phases () in
     let y = young_used () and o = old_hum_used () in
     record ~kind:Gc_event.Initial_mark ~reason
@@ -281,7 +243,6 @@ let create ctx (config : Gc_config.t) =
     for i = Vec.length cset - 1 downto 0 do
       Rh.release_region rheap rheap.Rh.regions.(Vec.get cset i)
     done;
-    st.relocated_bytes <- st.relocated_bytes + !moved_bytes;
     let y = young_used () and o = old_hum_used () in
     let phases = flip_phases () in
     record ~kind:Gc_event.Remark ~reason:"concurrent mark flip"
@@ -294,8 +255,7 @@ let create ctx (config : Gc_config.t) =
      sweep on the GC threads, kept well inside the sub-ms pause class. *)
   let remap_flip () =
     let pending = Os.fwd_pending store in
-    let healed = Os.fwd_heal_all store in
-    st.flip_healed <- st.flip_healed + healed;
+    ignore (Os.fwd_heal_all store);
     let remap_us =
       float_of_int pending *. flip_heal_us
       /. Machine.parallel_speedup m m.Machine.gc_threads
@@ -318,7 +278,6 @@ let create ctx (config : Gc_config.t) =
      all GC threads — the pauseless family never has a single-threaded
      full collection, it has a rare parallel one. *)
   let full_gc reason =
-    st.degenerated <- st.degenerated + 1;
     let young_before = young_used () and old_before = old_hum_used () in
     let marked = trace_all () in
     let live = Vec.fold (fun a id -> a + Os.size store id) 0 marked in
@@ -510,11 +469,8 @@ let create ctx (config : Gc_config.t) =
      once.  Everything the mutators never touch heals at the remap
      flip. *)
   let barrier id =
-    if Os.fwd_read store id then begin
-      st.barrier_hits <- st.barrier_hits + 1;
-      if Telemetry.enabled tel then
-        Telemetry.incr tel "gc.load_barrier_hits" 1.0
-    end
+    if Os.fwd_read store id && Telemetry.enabled tel then
+      Telemetry.incr tel "gc.load_barrier_hits" 1.0
   in
   Policy_hooks.install_region_capacity ctx rheap;
   {

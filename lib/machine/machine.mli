@@ -84,7 +84,10 @@ type cost_model = {
 
 (** {1 Machine} *)
 
-type t = {
+(** Fields are readable but the type is [private]: a machine is built
+    only by {!create}, so a record update cannot carry cached speedups
+    computed for another topology or cost model. *)
+type t = private {
   topology : topology;
   cost : cost_model;
   gc_threads : int;  (** parallel GC worker count (JVM default: ~ cores) *)

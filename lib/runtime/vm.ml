@@ -27,7 +27,22 @@ type thread = {
   mutable quantum_bytes : int;
 }
 
-type owner = Thread_root of int | Global_root
+(* A death-queue payload packs the dying root's owner and its object id
+   into one immediate: [id lsl owner_bits lor owner], where [owner] is 0
+   for a global root and [tid + 1] for a thread root.  An [int Heapq.t]
+   then stores it unboxed, so registering a death allocates nothing.  Ids
+   are object-store slots, far below the 2^46 that fit above the owner
+   bits; [check_tid], which [spawn_thread] applies, rejects a tid that
+   does not fit below them. *)
+let owner_bits = 16
+let owner_mask = (1 lsl owner_bits) - 1
+
+let check_tid tid =
+  if tid < 0 || tid + 1 > owner_mask then
+    invalid_arg
+      (Printf.sprintf
+         "Vm.spawn_thread: tid %d does not fit (at most %d threads per VM)" tid
+         owner_mask)
 
 type t = {
   machine : Machine.t;
@@ -41,7 +56,8 @@ type t = {
   alloc_fn : size:int -> int;
   threads : thread Vec.t;
   globals : Int_table.t;
-  deaths : (owner * int) Heapq.t;  (* keyed by cumulative allocated bytes *)
+  (* packed owner and id, keyed by cumulative allocated bytes *)
+  deaths : int Heapq.t;
   prng : Prng.t;
   mutable allocated : int;
 }
@@ -89,9 +105,11 @@ let now_s t = Clock.now_s t.clock
 let allocated_bytes t = t.allocated
 
 let spawn_thread t =
+  let tid = Vec.length t.threads in
+  check_tid tid;
   let th =
     {
-      tid = Vec.length t.threads;
+      tid;
       roots = Int_table.create 64;
       prng = Prng.split t.prng;
       live = true;
@@ -114,19 +132,17 @@ let threads t =
   Vec.fold (fun acc th -> if th.live then th :: acc else acc) [] t.threads
   |> List.rev
 
-(* The [owner] value is built inside the [`Bytes] arm: constructing a
-   [Thread_root] block for a [`Permanent] allocation (the hot case)
-   would cost a heap allocation that the match immediately discards. *)
 let[@inline] register_thread_death t tid id lifetime =
   match lifetime with
   | `Permanent -> ()
   | `Bytes b ->
-      Heapq.push t.deaths (t.allocated + max 1 b) (Thread_root tid, id)
+      Heapq.push t.deaths (t.allocated + max 1 b)
+        ((id lsl owner_bits) lor (tid + 1))
 
 let[@inline] register_global_death t id lifetime =
   match lifetime with
   | `Permanent -> ()
-  | `Bytes b -> Heapq.push t.deaths (t.allocated + max 1 b) (Global_root, id)
+  | `Bytes b -> Heapq.push t.deaths (t.allocated + max 1 b) (id lsl owner_bits)
 
 let[@inline] alloc t th ~size ~lifetime =
   let id = t.alloc_fn ~size in
@@ -166,18 +182,19 @@ let drop_global_root t id = Int_table.remove t.globals id
 
 let global_root t id = Int_table.replace t.globals id
 
+(* Drains every due entry before anything else runs.  Roots are never
+   registered twice, so each table's final state does not depend on the
+   order in which equal-keyed deaths come off the queue. *)
 let rec process_deaths t =
-  (* Drain due entries straight off the queue (same key order as the old
-     pop_until, without materialising an intermediate list). *)
   match Heapq.min_key t.deaths with
   | Some key when key <= t.allocated ->
       (match Heapq.pop t.deaths with
-      | Some (_key, (owner, id)) -> (
-          match owner with
-          | Global_root -> Int_table.remove t.globals id
-          | Thread_root tid ->
-              let th = Vec.get t.threads tid in
-              if th.live then Int_table.remove th.roots id)
+      | Some (_key, packed) ->
+          let id = packed lsr owner_bits and owner = packed land owner_mask in
+          if owner = 0 then Int_table.remove t.globals id
+          else
+            let th = Vec.get t.threads (owner - 1) in
+            if th.live then Int_table.remove th.roots id
       | None -> ());
       process_deaths t
   | Some _ | None -> ()

@@ -59,6 +59,15 @@ val now_s : t -> float
 val allocated_bytes : t -> int
 
 val spawn_thread : t -> thread
+(** Adds a live thread with the next tid.  A VM holds at most 65535
+    threads over its lifetime, killed ones included; past that it raises
+    [Invalid_argument] (see {!check_tid}). *)
+
+val check_tid : int -> unit
+(** The check [spawn_thread] applies to the tid it is about to assign:
+    raises [Invalid_argument] unless [0 <= tid <= 65534], the tids whose
+    [tid + 1] fits the 16 owner bits of a packed death-queue payload. *)
+
 val kill_thread : t -> thread -> unit
 (** Drops the thread's roots and removes it from safepoint accounting. *)
 

@@ -1,57 +1,97 @@
-type 'a entry = { key : int; payload : 'a }
+(* Struct-of-arrays binary min-heap.  Keys live in an unboxed [int
+   array] and payloads in a parallel array, so a push allocates nothing
+   beyond amortised growth and a key comparison is one word load.  Sifts
+   move a hole rather than swapping: the element being placed is held
+   aside, each step copies one key and one payload into the hole, and the
+   element is written once where the hole stops.
 
-type 'a t = { heap : 'a entry Vec.t }
+   The comparisons are the ones a swap heap makes (strict [<], the left
+   child wins ties, a pop moves the last leaf to the root), so every
+   element ends in the slot a swap heap would give it; see the tie-order
+   contract in heapq.mli. *)
 
-let create () = { heap = Vec.create () }
+type 'a t = {
+  mutable keys : int array;
+  mutable vals : 'a array;  (* [vals.(i)] belongs to [keys.(i)] *)
+  mutable len : int;
+}
 
-let length q = Vec.length q.heap
+let create () = { keys = [||]; vals = [||]; len = 0 }
 
-let is_empty q = Vec.is_empty q.heap
+let length q = q.len
 
-let swap q i j =
-  let a = Vec.get q.heap i and b = Vec.get q.heap j in
-  Vec.set q.heap i b;
-  Vec.set q.heap j a
+let is_empty q = q.len = 0
 
-let rec sift_up q i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if (Vec.get q.heap i).key < (Vec.get q.heap parent).key then begin
-      swap q i parent;
-      sift_up q parent
-    end
-  end
+(* The payload being pushed fills the new slots, so the payload array
+   needs no dummy value of type ['a]. *)
+let[@inline never] grow q payload =
+  let cap = Array.length q.keys in
+  let ncap = if cap = 0 then 8 else cap * 2 in
+  let keys = Array.make ncap 0 and vals = Array.make ncap payload in
+  Array.blit q.keys 0 keys 0 q.len;
+  Array.blit q.vals 0 vals 0 q.len;
+  q.keys <- keys;
+  q.vals <- vals
 
-let rec sift_down q i =
-  let n = Vec.length q.heap in
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < n && (Vec.get q.heap l).key < (Vec.get q.heap !smallest).key then
-    smallest := l;
-  if r < n && (Vec.get q.heap r).key < (Vec.get q.heap !smallest).key then
-    smallest := r;
-  if !smallest <> i then begin
-    swap q i !smallest;
-    sift_down q !smallest
-  end
+(* In both sifts every index read or written is below [q.len], which is
+   at most the arrays' length, so the accesses are unchecked. *)
 
 let push q key payload =
-  Vec.push q.heap { key; payload };
-  sift_up q (Vec.length q.heap - 1)
+  if q.len = Array.length q.keys then grow q payload;
+  let keys = q.keys and vals = q.vals in
+  let hole = ref q.len in
+  q.len <- q.len + 1;
+  let continue = ref true in
+  while !continue && !hole > 0 do
+    let parent = (!hole - 1) / 2 in
+    let pk = Array.unsafe_get keys parent in
+    if key < pk then begin
+      Array.unsafe_set keys !hole pk;
+      Array.unsafe_set vals !hole (Array.unsafe_get vals parent);
+      hole := parent
+    end
+    else continue := false
+  done;
+  Array.unsafe_set keys !hole key;
+  Array.unsafe_set vals !hole payload
 
-let min_key q =
-  if is_empty q then None else Some (Vec.get q.heap 0).key
+(* Places [key, payload] by moving a hole down from the root of a heap of
+   [n] elements. *)
+let sift_down keys vals n key payload =
+  let hole = ref 0 in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !hole) + 1 in
+    if l >= n then continue := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < n && Array.unsafe_get keys r < Array.unsafe_get keys l then r
+        else l
+      in
+      let ck = Array.unsafe_get keys c in
+      if ck < key then begin
+        Array.unsafe_set keys !hole ck;
+        Array.unsafe_set vals !hole (Array.unsafe_get vals c);
+        hole := c
+      end
+      else continue := false
+    end
+  done;
+  Array.unsafe_set keys !hole key;
+  Array.unsafe_set vals !hole payload
+
+let min_key q = if q.len = 0 then None else Some q.keys.(0)
 
 let pop q =
-  if is_empty q then None
+  if q.len = 0 then None
   else begin
-    let e = Vec.get q.heap 0 in
-    let last = Vec.pop q.heap in
-    if not (is_empty q) then begin
-      Vec.set q.heap 0 last;
-      sift_down q 0
-    end;
-    Some (e.key, e.payload)
+    let keys = q.keys and vals = q.vals in
+    let top = Some (keys.(0), vals.(0)) in
+    let n = q.len - 1 in
+    q.len <- n;
+    if n > 0 then sift_down keys vals n keys.(n) vals.(n);
+    top
   end
 
 let pop_until q limit =
@@ -65,6 +105,9 @@ let pop_until q limit =
   in
   List.rev (loop [])
 
-let clear q = Vec.clear q.heap
+let clear q = q.len <- 0
 
-let iter f q = Vec.iter (fun e -> f e.key e.payload) q.heap
+let iter f q =
+  for i = 0 to q.len - 1 do
+    f q.keys.(i) q.vals.(i)
+  done

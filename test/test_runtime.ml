@@ -150,6 +150,53 @@ let test_allocated_bytes_counter () =
   ignore (Vm.alloc_global vm ~size:1000 ~lifetime:`Permanent);
   Alcotest.(check int) "cumulative" 1123 (Vm.allocated_bytes vm)
 
+(* A thread-root and a global-root death with the same key (cumulative
+   allocated bytes) come due in one quantum: both roots are dropped and
+   collected, while a permanent root and a not-yet-due one survive.  The
+   thread is the VM's second, so its packed owner is not the first tid. *)
+let test_same_quantum_deaths () =
+  let vm = fresh () in
+  let _first = Vm.spawn_thread vm in
+  let th = Vm.spawn_thread vm in
+  let a0 = Vm.allocated_bytes vm in
+  (* key = a0 + mb + 2 mb *)
+  let t_id = Vm.alloc vm th ~size:mb ~lifetime:(`Bytes (2 * mb)) in
+  (* key = a0 + 2 mb + mb *)
+  let g_id = Vm.alloc_global vm ~size:mb ~lifetime:(`Bytes mb) in
+  let keep = Vm.alloc vm th ~size:mb ~lifetime:`Permanent in
+  let later = Vm.alloc_global vm ~size:mb ~lifetime:(`Bytes (32 * mb)) in
+  Vm.system_gc vm;
+  Alcotest.(check bool) "due deaths wait for the quantum" true
+    (Vm.is_live vm t_id && Vm.is_live vm g_id);
+  Vm.step vm ~dt_us:100.0 (fun th ->
+      ignore (Vm.alloc vm th ~size:mb ~lifetime:`Permanent));
+  Alcotest.(check bool) "both deaths due" true
+    (Vm.allocated_bytes vm >= a0 + (3 * mb));
+  Vm.system_gc vm;
+  Alcotest.(check bool) "thread-root death dropped" false (Vm.is_live vm t_id);
+  Alcotest.(check bool) "global-root death dropped" false (Vm.is_live vm g_id);
+  Alcotest.(check bool) "permanent root kept" true (Vm.is_live vm keep);
+  Alcotest.(check bool) "not-yet-due root kept" true (Vm.is_live vm later)
+
+(* The death queue packs the owning tid into the low bits of its payload,
+   so a VM refuses a thread whose tid would not fit. *)
+(* The limit is checked through [Vm.check_tid], the function
+   [spawn_thread] applies to each new tid: reaching it by spawning 65535
+   threads would keep as many root tables alive (about 400 MB). *)
+let test_spawn_thread_limit () =
+  let raises tid =
+    match Vm.check_tid tid with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "tid 0 fits" false (raises 0);
+  Alcotest.(check bool) "tid 65534 fits" false (raises 65534);
+  Alcotest.(check bool) "tid 65535 refused" true (raises 65535);
+  Alcotest.(check bool) "negative tid refused" true (raises (-1));
+  let vm = fresh () in
+  let th = Vm.spawn_thread vm in
+  Alcotest.(check int) "spawned tids start at 0" 0 th.Vm.tid
+
 let () =
   Alcotest.run "runtime"
     [
@@ -168,5 +215,8 @@ let () =
           Alcotest.test_case "tlab overhead" `Quick test_tlab_config_changes_overhead;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "allocation counter" `Quick test_allocated_bytes_counter;
+          Alcotest.test_case "same-quantum deaths" `Quick test_same_quantum_deaths;
+          Alcotest.test_case "spawn_thread packing limit" `Quick
+            test_spawn_thread_limit;
         ] );
     ]

@@ -349,6 +349,94 @@ let prop_heapq_sorted =
       in
       drain [] = List.sort compare keys)
 
+(* The swap heap [Heapq] used before its struct-of-arrays rewrite, kept
+   as the reference model: boxed entries in a [Vec], sifts that swap.  The
+   event loops' tie order is this heap's array layout, so the rewrite
+   must reproduce the layout, not just the key order. *)
+module Swap_heap = struct
+  type 'a entry = { key : int; payload : 'a }
+
+  let swap q i j =
+    let a = Vec.get q i and b = Vec.get q j in
+    Vec.set q i b;
+    Vec.set q j a
+
+  let rec sift_up q i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if (Vec.get q i).key < (Vec.get q parent).key then begin
+        swap q i parent;
+        sift_up q parent
+      end
+    end
+
+  let rec sift_down q i =
+    let n = Vec.length q in
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < n && (Vec.get q l).key < (Vec.get q !smallest).key then smallest := l;
+    if r < n && (Vec.get q r).key < (Vec.get q !smallest).key then smallest := r;
+    if !smallest <> i then begin
+      swap q i !smallest;
+      sift_down q !smallest
+    end
+
+  let push q key payload =
+    Vec.push q { key; payload };
+    sift_up q (Vec.length q - 1)
+
+  let pop q =
+    if Vec.is_empty q then None
+    else begin
+      let e = Vec.get q 0 in
+      let last = Vec.pop q in
+      if not (Vec.is_empty q) then begin
+        Vec.set q 0 last;
+        sift_down q 0
+      end;
+      Some (e.key, e.payload)
+    end
+end
+
+(* Random interleavings of push ([Some key]) and pop ([None]) with keys
+   from a four-value range, so most keys tie; payloads are the push
+   index, so every entry is distinguishable.  After each operation the
+   popped entry and the layout seen by [iter] must match the model. *)
+let prop_heapq_swap_layout =
+  QCheck.Test.make ~name:"heapq layout equals the swap heap" ~count:500
+    QCheck.(list_of_size Gen.(0 -- 400) (option (int_range 0 3)))
+    (fun ops ->
+      let q = Heapq.create () and model = Vec.create () in
+      let layout () =
+        let acc = ref [] in
+        Heapq.iter (fun k p -> acc := (k, p) :: !acc) q;
+        List.rev !acc
+      in
+      let model_layout () =
+        Vec.fold (fun acc e -> (e.Swap_heap.key, e.Swap_heap.payload) :: acc)
+          [] model
+        |> List.rev
+      in
+      let same = ref true in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Some key ->
+              Heapq.push q key i;
+              Swap_heap.push model key i
+          | None -> if Heapq.pop q <> Swap_heap.pop model then same := false);
+          if layout () <> model_layout () then same := false)
+        ops;
+      let rec drain () =
+        match (Heapq.pop q, Swap_heap.pop model) with
+        | None, None -> ()
+        | a, b ->
+            if a <> b then same := false;
+            drain ()
+      in
+      drain ();
+      !same && Heapq.is_empty q)
+
 (* --- Bitset --------------------------------------------------------- *)
 
 let test_bitset_basic () =
@@ -458,6 +546,7 @@ let () =
           Alcotest.test_case "pop_until" `Quick test_heapq_pop_until;
           Alcotest.test_case "min_key" `Quick test_heapq_min_key;
           QCheck_alcotest.to_alcotest prop_heapq_sorted;
+          QCheck_alcotest.to_alcotest prop_heapq_swap_layout;
         ] );
       ( "bitset",
         [
