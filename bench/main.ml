@@ -3,7 +3,7 @@
    Two groups:
 
    - "paper": one benchmark per table/figure of the study — each run
-     regenerates the artifact (in quick mode, so the full suite stays in
+     regenerates the artifact (at ci scope, so the full suite stays in
      the minutes range).  `gcperf run <id>` produces the full-scale
      artifact.
    - "micro": collector primitives (allocation, young collection, full
@@ -58,17 +58,17 @@ let server_tests =
     Test.make ~name:"fig4-cms-server"
       (Staged.stage (fun () ->
            ignore
-             (Gcperf.Exp_server.run_server ~quick:true ~kind:Gc_config.Cms
-                ~stress:true ~hours:0.5 ())));
+             (Gcperf.Exp_server.run_server_scope ~scope:Gcperf.Scope.ci
+                ~kind:Gc_config.Cms ~stress:true ~hours:0.5 ())));
     Test.make ~name:"fig4-g1-server"
       (Staged.stage (fun () ->
            ignore
-             (Gcperf.Exp_server.run_server ~quick:true ~kind:Gc_config.G1
-                ~stress:true ~hours:0.5 ())));
+             (Gcperf.Exp_server.run_server_scope ~scope:Gcperf.Scope.ci
+                ~kind:Gc_config.G1 ~stress:true ~hours:0.5 ())));
     Test.make ~name:"server-po-default"
       (Staged.stage (fun () ->
            ignore
-             (Gcperf.Exp_server.run_server ~quick:true
+             (Gcperf.Exp_server.run_server_scope ~scope:Gcperf.Scope.ci
                 ~kind:Gc_config.ParallelOld ~stress:false ~hours:0.5 ())));
     Test.make ~name:"fig5-table567-client"
       (Staged.stage (fun () ->
@@ -800,7 +800,7 @@ let () =
     ~quota_s:0.5 ~lim:200;
   run_group "calibrate" "calibrate (host-speed probe)" calibrate_tests
     ~quota_s:0.5 ~lim:500;
-  run_group "paper" "paper artifacts (quick mode)" experiment_tests ~quota_s:1.0
+  run_group "paper" "paper artifacts (ci scope)" experiment_tests ~quota_s:1.0
     ~lim:2;
   run_group "server" "client-server campaigns (scaled)" server_tests
     ~quota_s:1.0 ~lim:2;

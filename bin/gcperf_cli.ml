@@ -7,23 +7,16 @@
    DaCapo-like benchmark under a chosen collector, `gcperf tune
    <collector>` searches for sizes that meet a pause goal and prints the
    matching JVM flags, `gcperf suite` prints the benchmark descriptions,
-   and `gcperf check-identity` diffs every golden artifact against its
-   committed copy. *)
+   and `gcperf check-identity` diffs every experiment's ci-scope artifact
+   against its committed golden. *)
 
 open Cmdliner
 module Telemetry = Gcperf_telemetry.Telemetry
 module Sink = Gcperf_telemetry.Sink
 
-let quick_arg =
-  let doc =
-    "Quick mode: shorthand for $(b,--scope ci) (useful for smoke tests; \
-     the full configuration matches the paper)."
-  in
-  Arg.(value & flag & info [ "quick"; "q" ] ~doc)
-
 let scope_arg =
   let doc =
-    "Run budget: $(b,ci) (smoke-test scale, the old quick mode), \
+    "Run budget: $(b,ci) (smoke-test scale, the goldens' scope), \
      $(b,bench) (intermediate) or $(b,full) (the paper's configuration)."
   in
   Arg.(
@@ -31,9 +24,9 @@ let scope_arg =
     & opt (some string) None
     & info [ "scope"; "s" ] ~docv:"SCOPE" ~doc)
 
-let resolve_scope quick scope =
+let resolve_scope scope =
   match scope with
-  | None -> if quick then Gcperf.Scope.ci else Gcperf.Scope.full
+  | None -> Gcperf.Scope.full
   | Some s -> (
       match Gcperf.Scope.of_string s with
       | Some scope -> scope
@@ -115,13 +108,8 @@ let list_cmd =
     print_endline "Experiments (paper artifact -> gcperf run <id>):";
     List.iter
       (fun (e : Gcperf.Experiment.t) ->
-        Printf.printf "  %-10s %s %s\n" e.id
-          (if e.golden then "*" else " ")
-          e.title)
-      (Gcperf.Experiments.all ());
-    print_endline
-      "* golden: ci-scope render committed under results/ci/, checked by \
-       `gcperf check-identity`"
+        Printf.printf "  %-10s %s\n" e.id e.title)
+      (Gcperf.Experiments.all ())
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
@@ -148,8 +136,8 @@ let run_cmd =
       & info [] ~docv:"EXPERIMENT"
           ~doc:"Experiment id (see $(b,gcperf list)).")
   in
-  let run id quick scope format jobs out =
-    let scope = resolve_scope quick scope in
+  let run id scope format jobs out =
+    let scope = resolve_scope scope in
     let format = parse_format format in
     match Gcperf.Experiments.artifact ~scope ?jobs id with
     | None ->
@@ -160,8 +148,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ id_arg $ quick_arg $ scope_arg $ format_arg $ jobs_arg
-      $ out_arg)
+      const run $ id_arg $ scope_arg $ format_arg $ jobs_arg $ out_arg)
 
 (* --- trace --------------------------------------------------------- *)
 
@@ -506,8 +493,8 @@ let tune_cmd =
     let doc = "Pause goal in milliseconds ($(b,-XX:MaxGCPauseMillis))." in
     Arg.(value & opt float 200.0 & info [ "pause-goal" ] ~docv:"MS" ~doc)
   in
-  let run collector bench pause_goal quick scope jobs out =
-    let scope = resolve_scope quick scope in
+  let run collector bench pause_goal scope jobs out =
+    let scope = resolve_scope scope in
     let kind = resolve_collector collector in
     let b = resolve_bench bench in
     if pause_goal <= 0.0 then begin
@@ -522,8 +509,8 @@ let tune_cmd =
   in
   Cmd.v (Cmd.info "tune" ~doc)
     Term.(
-      const run $ collector_arg $ bench_arg $ pause_goal_arg $ quick_arg
-      $ scope_arg $ jobs_arg $ out_arg)
+      const run $ collector_arg $ bench_arg $ pause_goal_arg $ scope_arg
+      $ jobs_arg $ out_arg)
 
 (* --- suite --------------------------------------------------------- *)
 
@@ -546,8 +533,8 @@ let suite_cmd =
 
 let all_cmd =
   let doc = "Run every experiment and print all artifacts in order." in
-  let run quick scope jobs =
-    let scope = resolve_scope quick scope in
+  let run scope jobs =
+    let scope = resolve_scope scope in
     (* Campaign siblings (fig1/fig2, fig5/table567) share one run via
        the registry memo, so the full sweep costs no duplicate work. *)
     List.iter
@@ -560,19 +547,19 @@ let all_cmd =
       (Gcperf.Experiments.all ())
   in
   Cmd.v (Cmd.info "all" ~doc)
-    Term.(const run $ quick_arg $ scope_arg $ jobs_arg)
+    Term.(const run $ scope_arg $ jobs_arg)
 
 (* --- check-identity ------------------------------------------------ *)
 
 let check_identity_cmd =
   let doc =
-    "Render every golden experiment at ci scope and compare it byte for \
-     byte with results/ci/<id>.txt (run from the repository root).  Also \
-     fails on a file there that no golden experiment claims.  Exits \
-     non-zero on any failure."
+    "Render every experiment at ci scope and compare it byte for byte \
+     with results/ci/<id>.txt (run from the repository root).  Also \
+     fails on a file there that no experiment claims.  Exits non-zero \
+     on any failure."
   in
   let run jobs =
-    let goldens = Gcperf.Experiments.goldens () in
+    let experiments = Gcperf.Experiments.all () in
     let failures = ref 0 in
     let fail name msg =
       incr failures;
@@ -583,15 +570,15 @@ let check_identity_cmd =
         match Gcperf.Experiment.check_golden ?jobs e with
         | Ok () -> Printf.printf "ok %s\n%!" e.id
         | Error msg -> fail e.id msg)
-      goldens;
+      experiments;
     let dir = Gcperf.Experiment.golden_dir in
     let files = try Sys.readdir dir with Sys_error _ -> [||] in
     Array.sort compare files;
     Array.iter
       (fun f ->
         let claimed (e : Gcperf.Experiment.t) = e.id ^ ".txt" = f in
-        if not (List.exists claimed goldens) then
-          fail (Filename.concat dir f) "no golden experiment has this id")
+        if not (List.exists claimed experiments) then
+          fail (Filename.concat dir f) "no experiment has this id")
       files;
     if !failures > 0 then begin
       Printf.eprintf "%d identity failure(s)\n" !failures;

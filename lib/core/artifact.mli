@@ -3,9 +3,7 @@
     Every experiment produces one of these: an identified, parameterised
     set of structured rows plus the legacy plain-text renderer.  The
     three render targets share the same rows, so CSV and JSON exports
-    can never drift from the pretty tables.  The historical
-    [?quick -> string] entry points in {!Experiments} are thin wrappers
-    over [to_text]. *)
+    can never drift from the pretty tables. *)
 
 type cell = Text of string | Int of int | Float of float | Bool of bool
 

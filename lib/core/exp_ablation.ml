@@ -65,7 +65,7 @@ let ablate_g1_full ~scope ~jobs =
 (* Ablation 2: the NUMA remote-access penalty, on the stressed server's
    ParallelOld full collection. *)
 let ablate_numa ~scope ~jobs =
-  (* Short campaign anyway; never below the 0.1 h the quick mode used. *)
+  (* Short campaign anyway; never below 0.1 h, the ci-scope budget. *)
   let hours = Float.max 0.1 (Scope.hours scope 0.6) in
   let one numa_factor =
     let base = Machine.paper_server () in
@@ -142,8 +142,6 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
     numa = ablate_numa ~scope ~jobs;
     tenuring = ablate_tenuring ~scope ~jobs;
   }
-
-let run ?(quick = false) () = run_scope ~scope:(Scope.of_quick quick) ()
 
 let render r =
   let buf = Buffer.create 1024 in

@@ -58,8 +58,6 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
   | [ parallel_old; cms; g1 ] -> { parallel_old; cms; g1 }
   | _ -> assert false
 
-let run ?(quick = false) () = run_scope ~scope:(Scope.of_quick quick) ()
-
 (* The paper plots only the highest 10000 points of each chart. *)
 let top_points e =
   let top =

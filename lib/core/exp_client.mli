@@ -23,9 +23,6 @@ type result = {
 
 val run_scope : scope:Scope.t -> ?jobs:int -> unit -> result
 
-val run : ?quick:bool -> unit -> result
-(** [run_scope] with {!Scope.of_quick}. *)
-
 val render_figure5 : result -> string
 
 val render_table : gc_experiment -> string

@@ -2,19 +2,11 @@ module Machine = Gcperf_machine.Machine
 module Gc_config = Gcperf_gc.Gc_config
 module Pool = Gcperf_exec.Pool
 
-(* Built on the orchestrating domain, before any fan-out: every runner
-   hoists [machine ()] out of its cell array, and [Machine.t] is a
-   deeply immutable record, so sharing it read-only across worker
-   domains is race-free. *)
-let machine_memo = ref None
+(* Built once at module initialisation; [Machine.t] is a deeply
+   immutable record, so worker domains share it read-only. *)
+let paper_machine = Machine.paper_server ()
 
-let machine () =
-  match !machine_memo with
-  | Some m -> m
-  | None ->
-      let m = Machine.paper_server () in
-      machine_memo := Some m;
-      m
+let machine () = paper_machine
 
 let default_jobs () = Pool.default_jobs ()
 
@@ -59,5 +51,3 @@ let all_kinds = Gc_config.all_kinds
 let kind_name = Gc_config.kind_to_string
 
 let seed = 42
-
-let scaled ~quick n = Scope.scaled (Scope.of_quick quick) n

@@ -7,9 +7,9 @@ module Pool = Gcperf_exec.Pool
 (** Re-exported so runners fan cells out without naming the library. *)
 
 val machine : unit -> Gcperf_machine.Machine.t
-(** The paper's 48-core server.  Memoised on the orchestrating domain:
-    runners call this before fanning cells out over the
-    {!Gcperf_exec.Pool} and share the immutable result read-only. *)
+(** The paper's 48-core server, built once when the module is
+    initialised.  The value is immutable, so cells on any
+    {!Gcperf_exec.Pool} worker share it read-only. *)
 
 val default_jobs : unit -> int
 (** {!Gcperf_exec.Pool.default_jobs}: the default for every runner's
@@ -44,8 +44,3 @@ val kind_name : Gcperf_gc.Gc_config.kind -> string
 
 val seed : int
 (** Base seed; replicated runs derive their own deterministically. *)
-
-val scaled : quick:bool -> int -> int
-(** [scaled ~quick n] is [Scope.scaled (Scope.of_quick quick) n] — kept
-    for callers still on the boolean API; new code should take a
-    {!Scope.t} and use {!Scope.scaled} directly. *)

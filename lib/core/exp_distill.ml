@@ -77,8 +77,6 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
   in
   { scope; bench = bench_name; cells }
 
-let run ?(quick = false) () = run_scope ~scope:(Scope.of_quick quick) ()
-
 let size_label bytes =
   let mb = bytes / (1024 * 1024) in
   if mb >= 1024 && mb mod 1024 = 0 then Printf.sprintf "%dGB" (mb / 1024)

@@ -23,9 +23,6 @@ type result = { scope : Scope.t; bench : string; cells : cell list }
 
 val run_scope : scope:Scope.t -> ?jobs:int -> unit -> result
 
-val run : ?quick:bool -> unit -> result
-(** [run_scope] with {!Scope.of_quick}. *)
-
 val ranking : cell list -> (string * float) list
 (** Mean distilled cost per collector over the non-OOM cells, sorted
     ascending (best first); collectors with only OOM cells rank last

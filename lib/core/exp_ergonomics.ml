@@ -158,8 +158,6 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ())
   in
   { bench = bench_name; pause_goal_ms; iterations; cells = Array.to_list runs }
 
-let run ?(quick = false) () = run_scope ~scope:(Scope.of_quick quick) ()
-
 let mbs bytes = float_of_int bytes /. (1024.0 *. 1024.0)
 
 let render r =

@@ -58,6 +58,4 @@ val run_scope :
     sweep does; [jobs] fans the (sizes x collector x mode) cells out
     with the deterministic pool. *)
 
-val run : ?quick:bool -> unit -> result
-
 val render : result -> string

@@ -79,8 +79,6 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
   in
   { scope; cells }
 
-let run ?(quick = false) () = run_scope ~scope:(Scope.of_quick quick) ()
-
 let sessions r = List.concat_map (fun c -> c.sessions) r.cells
 
 let render r =

@@ -37,8 +37,6 @@ val collectors : Gcperf_gc.Gc_config.kind list
 
 val run_scope : scope:Scope.t -> ?jobs:int -> unit -> result
 
-val run : ?quick:bool -> unit -> result
-
 val sessions : result -> session list
 (** Every session of every cell, in cell order. *)
 

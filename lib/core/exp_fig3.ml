@@ -83,8 +83,6 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
   let without_sys, _ = mode false in
   { with_system_gc = with_sys; without_system_gc = without_sys; experiments = n }
 
-let run ?(quick = false) () = run_scope ~scope:(Scope.of_quick quick) ()
-
 let render result =
   let part title ranking =
     Chart.bars ~title (List.filter (fun (_, v) -> v >= 0.0) ranking)

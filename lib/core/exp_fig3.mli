@@ -17,7 +17,4 @@ type result = {
 
 val run_scope : scope:Scope.t -> ?jobs:int -> unit -> result
 
-val run : ?quick:bool -> unit -> result
-(** [run_scope] with {!Scope.of_quick}. *)
-
 val render : result -> string

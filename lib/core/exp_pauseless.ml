@@ -91,8 +91,6 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
   in
   { scope; cells }
 
-let run ?(quick = false) () = run_scope ~scope:(Scope.of_quick quick) ()
-
 let render r =
   let t =
     Table.create

@@ -24,5 +24,4 @@ type cell = {
 type result = { scope : Scope.t; cells : cell list }
 
 val run_scope : scope:Scope.t -> ?jobs:int -> unit -> result
-val run : ?quick:bool -> unit -> result
 val render : result -> string

@@ -102,9 +102,6 @@ let run_server_scope ~scope ~kind ~stress ~hours () =
     ~label:(Gc_config.kind_to_string kind)
     ~config:(server_gc kind) ~stress ~hours ()
 
-let run_server ?(quick = false) ~kind ~stress ~hours () =
-  run_server_scope ~scope:(Scope.of_quick quick) ~kind ~stress ~hours ()
-
 type figure4 = { cms : server_run; g1 : server_run }
 
 let figure4_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
@@ -117,8 +114,6 @@ let figure4_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
   with
   | [ cms; g1 ] -> { cms; g1 }
   | _ -> assert false
-
-let figure4 ?(quick = false) () = figure4_scope ~scope:(Scope.of_quick quick) ()
 
 let render_figure4 f =
   let series =
@@ -158,9 +153,6 @@ let parallel_old_analysis_scope ~scope ?(jobs = Exp_common.default_jobs ())
   with
   | [ one_hour; two_hours; stress ] -> { one_hour; two_hours; stress }
   | _ -> assert false
-
-let parallel_old_analysis ?(quick = false) () =
-  parallel_old_analysis_scope ~scope:(Scope.of_quick quick) ()
 
 let render_parallel_old a =
   let t =

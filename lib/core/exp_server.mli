@@ -47,20 +47,9 @@ val run_server_scope :
   unit ->
   server_run
 
-val run_server :
-  ?quick:bool ->
-  kind:Gcperf_gc.Gc_config.kind ->
-  stress:bool ->
-  hours:float ->
-  unit ->
-  server_run
-(** [run_server_scope] with {!Scope.of_quick}. *)
-
 type figure4 = { cms : server_run; g1 : server_run }
 
 val figure4_scope : scope:Scope.t -> ?jobs:int -> unit -> figure4
-
-val figure4 : ?quick:bool -> unit -> figure4
 
 val render_figure4 : figure4 -> string
 
@@ -72,7 +61,5 @@ type parallel_old_analysis = {
 
 val parallel_old_analysis_scope :
   scope:Scope.t -> ?jobs:int -> unit -> parallel_old_analysis
-
-val parallel_old_analysis : ?quick:bool -> unit -> parallel_old_analysis
 
 val render_parallel_old : parallel_old_analysis -> string

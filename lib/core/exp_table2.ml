@@ -58,9 +58,6 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ())
   in
   { rows }
 
-let run ?(quick = false) ?all_benchmarks () =
-  run_scope ~scope:(Scope.of_quick quick) ?all_benchmarks ()
-
 let render result =
   let t =
     Table.create

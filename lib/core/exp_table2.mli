@@ -22,7 +22,4 @@ val run_scope :
     [jobs] caps the worker-domain count for the cell fan-out (default
     {!Exp_common.default_jobs}); the result is identical for any value. *)
 
-val run : ?quick:bool -> ?all_benchmarks:bool -> unit -> result
-(** [run_scope] with {!Scope.of_quick}. *)
-
 val render : result -> string

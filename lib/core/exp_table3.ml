@@ -71,9 +71,6 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ())
   in
   { rows; collector = Gc_config.kind_to_string kind; bench }
 
-let run ?(quick = false) ?kind ?bench () =
-  run_scope ~scope:(Scope.of_quick quick) ?kind ?bench ()
-
 let size_label bytes =
   let mb = bytes / (1024 * 1024) in
   if mb >= 1024 && mb mod 1024 = 0 then Printf.sprintf "%dGB" (mb / 1024)

@@ -38,12 +38,4 @@ val run_scope :
     are exposed because the paper cross-checks that ParallelOld "behaved
     as expected in both situations". *)
 
-val run :
-  ?quick:bool ->
-  ?kind:Gcperf_gc.Gc_config.kind ->
-  ?bench:string ->
-  unit ->
-  result
-(** [run_scope] with {!Scope.of_quick}. *)
-
 val render : result -> string

@@ -77,8 +77,6 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
   in
   { cells }
 
-let run ?(quick = false) () = run_scope ~scope:(Scope.of_quick quick) ()
-
 let render result =
   let gcs = List.map Exp_common.kind_name Exp_common.all_kinds in
   let t =

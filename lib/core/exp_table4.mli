@@ -27,7 +27,4 @@ val classify : deviation:float -> with_tlab:float -> without_tlab:float -> influ
 
 val run_scope : scope:Scope.t -> ?jobs:int -> unit -> result
 
-val run : ?quick:bool -> unit -> result
-(** [run_scope] with {!Scope.of_quick}. *)
-
 val render : result -> string

@@ -145,8 +145,6 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
   in
   { entries = dacapo_entries @ server_entries }
 
-let run ?(quick = false) () = run_scope ~scope:(Scope.of_quick quick) ()
-
 let render result =
   let t =
     Table.create

@@ -32,7 +32,4 @@ val classify_pause : max_pause_s:float -> server:bool -> pause_verdict
 
 val run_scope : scope:Scope.t -> ?jobs:int -> unit -> result
 
-val run : ?quick:bool -> unit -> result
-(** [run_scope] with {!Scope.of_quick}. *)
-
 val render : result -> string

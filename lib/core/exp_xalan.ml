@@ -65,9 +65,6 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) ?(bench = "xalan")
   let slice off = Array.to_list (Array.sub series off nkinds) in
   { with_system_gc = slice 0; without_system_gc = slice nkinds }
 
-let run ?(quick = false) ?bench () =
-  run_scope ~scope:(Scope.of_quick quick) ?bench ()
-
 let chart_series l =
   List.mapi
     (fun i s ->

@@ -17,9 +17,6 @@ type result = { with_system_gc : gc_series list; without_system_gc : gc_series l
 
 val run_scope : scope:Scope.t -> ?jobs:int -> ?bench:string -> unit -> result
 
-val run : ?quick:bool -> ?bench:string -> unit -> result
-(** [run_scope] with {!Scope.of_quick}. *)
-
 val render_figure1 : result -> string
 
 val render_figure2 : result -> string

@@ -4,20 +4,17 @@ type t = {
   id : string;
   title : string;
   memo_key : string option;
-  golden : bool;
   runner : runner;
 }
 
 let registry : t list ref = ref []
 
-let register ~id ~title ?memo_key ?(golden = false) runner =
+let register ~id ~title ?memo_key runner =
   if List.exists (fun e -> e.id = id) !registry then
     invalid_arg (Printf.sprintf "Experiment.register: duplicate id %S" id);
-  registry := !registry @ [ { id; title; memo_key; golden; runner } ]
+  registry := !registry @ [ { id; title; memo_key; runner } ]
 
 let all () = !registry
-
-let goldens () = List.filter (fun e -> e.golden) !registry
 
 let ids () = List.map (fun e -> e.id) !registry
 

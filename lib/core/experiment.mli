@@ -4,9 +4,10 @@
     [*_artifact] builder, a new entry in a hand-written assoc list, a
     hand-rolled memo ref if the experiment shared a campaign, and a new
     arm in every CLI consumer.  Now an experiment is a value: register
-    it once and [gcperf list], [gcperf run], [gcperf all], did-you-mean
-    suggestions and the test suite all enumerate the same table —
-    adding experiment #16 is one {!register} call.
+    it once, commit its ci-scope render as [results/ci/<id>.txt], and
+    [gcperf list], [gcperf run], [gcperf all], [gcperf check-identity],
+    did-you-mean suggestions and the test suite all enumerate the same
+    table.
 
     A {e campaign} that yields several artifacts (the Xalan runs feed
     Figures 1 {e and} 2; the client runs feed Figure 5 and Tables 5-7)
@@ -14,8 +15,10 @@
     runner returning every artifact of the campaign: the first id to
     run at a given scope fills the memo, its siblings read it.  Memos
     deliberately ignore [jobs] — the pool's determinism contract makes
-    results byte-identical for every worker count — and live on the
-    orchestrating domain only. *)
+    results byte-identical for every worker count.  The memo is an
+    unsynchronised table, so {!run}, {!artifact} and {!check_golden} are
+    called from the orchestrating domain only, never from a
+    {!Gcperf_exec.Pool} worker. *)
 
 type runner = scope:Scope.t -> ?jobs:int -> unit -> Artifact.t list
 (** Runs the experiment's campaign under a scope budget and returns its
@@ -27,29 +30,17 @@ type t = private {
   title : string;
   memo_key : string option;
       (** campaign key: entries sharing it share one memoised run *)
-  golden : bool;
-      (** its ci-scope text render is committed as
-          [results/ci/<id>.txt] and checked by {!check_golden} *)
   runner : runner;
 }
 
-val register :
-  id:string ->
-  title:string ->
-  ?memo_key:string ->
-  ?golden:bool ->
-  runner ->
-  unit
+val register : id:string -> title:string -> ?memo_key:string -> runner -> unit
 (** Add an experiment to the registry.  Order of registration is the
-    order [all]/[ids] report — [gcperf all] runs in it.  [golden]
-    (default [false]) puts the entry in the identity gate.  Raises
+    order [all]/[ids] report — [gcperf all] and [gcperf check-identity]
+    run in it.  Every entry needs its committed golden,
+    [results/ci/<id>.txt] (see {!check_golden}).  Raises
     [Invalid_argument] on a duplicate id. *)
 
 val all : unit -> t list
-
-val goldens : unit -> t list
-(** The entries registered with [~golden:true], in registration order:
-    the one list of golden artifacts. *)
 
 val ids : unit -> string list
 

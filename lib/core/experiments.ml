@@ -3,16 +3,16 @@ module A = Artifact
 let scope_params scope = [ ("scope", Scope.to_string scope) ]
 
 (* ------------------------------------------------------------------ *)
-(* Artifact builders: one typed artifact per experiment id.  Campaign
-   experiments (Xalan feeds Figures 1 and 2, the client runs feed
-   Figure 5 and Tables 5-7) take the campaign result as an argument;
-   their runners below compute it once and the registry memo shares
-   the artifact list between the sibling ids. *)
+(* Artifact builders: one typed artifact per experiment id.  Each takes
+   [make], [Artifact.make] with the id and registered title applied.
+   Campaign experiments (Xalan feeds Figures 1 and 2, the client runs
+   feed Figure 5 and Tables 5-7) take the campaign result as an
+   argument; their runner below computes it once and the registry memo
+   shares the artifact list between the sibling ids. *)
 
-let table2_artifact ~scope ?jobs () =
+let table2_artifact make ~scope ?jobs () =
   let r = Exp_table2.run_scope ~scope ?jobs () in
-  A.make ~name:"table2" ~title:"Table 2: benchmark stability"
-    ~params:(scope_params scope)
+  make ~params:(scope_params scope)
     ~columns:[ "bench"; "final_rsd_pct"; "total_rsd_pct"; "runs" ]
     ~rows:
       (List.map
@@ -27,10 +27,9 @@ let table2_artifact ~scope ?jobs () =
          r.Exp_table2.rows)
     ~render_text:(fun () -> Exp_table2.render r)
 
-let table3_artifact ~scope ?jobs () =
+let table3_artifact make ~scope ?jobs () =
   let r = Exp_table3.run_scope ~scope ?jobs () in
-  A.make ~name:"table3"
-    ~title:"Table 3: pause statistics across heap/young sizes"
+  make
     ~params:
       (scope_params scope
       @ [
@@ -64,10 +63,9 @@ let table3_artifact ~scope ?jobs () =
          r.Exp_table3.rows)
     ~render_text:(fun () -> Exp_table3.render r)
 
-let table4_artifact ~scope ?jobs () =
+let table4_artifact make ~scope ?jobs () =
   let r = Exp_table4.run_scope ~scope ?jobs () in
-  A.make ~name:"table4" ~title:"Table 4: TLAB influence"
-    ~params:(scope_params scope)
+  make ~params:(scope_params scope)
     ~columns:[ "bench"; "gc"; "with_tlab_s"; "without_tlab_s"; "influence" ]
     ~rows:
       (List.map
@@ -107,16 +105,14 @@ let series_rows (r : Exp_xalan.result) =
       ("no-system-gc", r.Exp_xalan.without_system_gc);
     ]
 
-let fig1_artifact ~scope (r : Exp_xalan.result) =
-  A.make ~name:"fig1" ~title:"Figure 1: Xalan GC pauses"
-    ~params:(scope_params scope)
+let fig1_artifact make ~scope (r : Exp_xalan.result) =
+  make ~params:(scope_params scope)
     ~columns:[ "mode"; "gc"; "pauses"; "max_pause_s"; "total_s" ]
     ~rows:(series_rows r)
     ~render_text:(fun () -> Exp_xalan.render_figure1 r)
 
-let fig2_artifact ~scope (r : Exp_xalan.result) =
-  A.make ~name:"fig2" ~title:"Figure 2: Xalan iteration durations"
-    ~params:(scope_params scope)
+let fig2_artifact make ~scope (r : Exp_xalan.result) =
+  make ~params:(scope_params scope)
     ~columns:[ "mode"; "gc"; "iteration"; "duration_s" ]
     ~rows:
       (List.concat_map
@@ -134,9 +130,9 @@ let fig2_artifact ~scope (r : Exp_xalan.result) =
          ])
     ~render_text:(fun () -> Exp_xalan.render_figure2 r)
 
-let fig3_artifact ~scope ?jobs () =
+let fig3_artifact make ~scope ?jobs () =
   let r = Exp_fig3.run_scope ~scope ?jobs () in
-  A.make ~name:"fig3" ~title:"Figure 3: GC ranking by experiments won"
+  make
     ~params:
       (scope_params scope
       @ [ ("experiments", string_of_int r.Exp_fig3.experiments) ])
@@ -182,10 +178,9 @@ let server_run_columns =
     "oom";
   ]
 
-let fig4_artifact ~scope ?jobs () =
+let fig4_artifact make ~scope ?jobs () =
   let r = Exp_server.figure4_scope ~scope ?jobs () in
-  A.make ~name:"fig4" ~title:"Figure 4: CMS and G1 server pauses"
-    ~params:(scope_params scope) ~columns:server_run_columns
+  make ~params:(scope_params scope) ~columns:server_run_columns
     ~rows:
       [
         server_run_row ~experiment:"stress" r.Exp_server.cms;
@@ -193,7 +188,7 @@ let fig4_artifact ~scope ?jobs () =
       ]
     ~render_text:(fun () -> Exp_server.render_figure4 r)
 
-let fig5_artifact ~scope (r : Exp_client.result) =
+let fig5_artifact make ~scope (r : Exp_client.result) =
   let row (e : Exp_client.gc_experiment) =
     let pts = e.Exp_client.points in
     let correlated =
@@ -216,8 +211,7 @@ let fig5_artifact ~scope (r : Exp_client.result) =
         Int correlated;
       ]
   in
-  A.make ~name:"fig5" ~title:"Figure 5: client latencies under server GC"
-    ~params:(scope_params scope)
+  make ~params:(scope_params scope)
     ~columns:[ "gc"; "points"; "max_latency_ms"; "gc_correlated_points" ]
     ~rows:
       [
@@ -225,7 +219,7 @@ let fig5_artifact ~scope (r : Exp_client.result) =
       ]
     ~render_text:(fun () -> Exp_client.render_figure5 r)
 
-let table567_artifact ~scope (r : Exp_client.result) =
+let table567_artifact make ~scope (r : Exp_client.result) =
   let rows_of (e : Exp_client.gc_experiment) =
     List.concat_map
       (fun (op, (rep : Gcperf_stats.Stats.latency_report)) ->
@@ -248,8 +242,7 @@ let table567_artifact ~scope (r : Exp_client.result) =
         ("update", e.Exp_client.update_report);
       ]
   in
-  A.make ~name:"table567" ~title:"Tables 5-7: client latency bands"
-    ~params:(scope_params scope)
+  make ~params:(scope_params scope)
     ~columns:
       [
         "gc";
@@ -266,10 +259,9 @@ let table567_artifact ~scope (r : Exp_client.result) =
       @ rows_of r.Exp_client.cms @ rows_of r.Exp_client.g1)
     ~render_text:(fun () -> Exp_client.render_tables567 r)
 
-let table8_artifact ~scope ?jobs () =
+let table8_artifact make ~scope ?jobs () =
   let r = Exp_table8.run_scope ~scope ?jobs () in
-  A.make ~name:"table8" ~title:"Table 8: collector summary"
-    ~params:(scope_params scope)
+  make ~params:(scope_params scope)
     ~columns:
       [ "gc"; "experiment"; "throughput"; "pause"; "total_rel"; "max_pause_s" ]
     ~rows:
@@ -287,10 +279,9 @@ let table8_artifact ~scope ?jobs () =
          r.Exp_table8.entries)
     ~render_text:(fun () -> Exp_table8.render r)
 
-let server_po_artifact ~scope ?jobs () =
+let server_po_artifact make ~scope ?jobs () =
   let r = Exp_server.parallel_old_analysis_scope ~scope ?jobs () in
-  A.make ~name:"server-po" ~title:"ParallelOld server analysis"
-    ~params:(scope_params scope) ~columns:server_run_columns
+  make ~params:(scope_params scope) ~columns:server_run_columns
     ~rows:
       [
         server_run_row ~experiment:"1h-load" r.Exp_server.one_hour;
@@ -299,7 +290,7 @@ let server_po_artifact ~scope ?jobs () =
       ]
     ~render_text:(fun () -> Exp_server.render_parallel_old r)
 
-let ablation_artifact ~scope ?jobs () =
+let ablation_artifact make ~scope ?jobs () =
   let r = Exp_ablation.run_scope ~scope ?jobs () in
   let rows =
     List.concat_map
@@ -353,13 +344,12 @@ let ablation_artifact ~scope ?jobs () =
           ])
         r.Exp_ablation.tenuring
   in
-  A.make ~name:"ablation" ~title:"Ablation studies"
-    ~params:(scope_params scope)
+  make ~params:(scope_params scope)
     ~columns:[ "section"; "config"; "metric"; "value" ]
     ~rows
     ~render_text:(fun () -> Exp_ablation.render r)
 
-let ergonomics_artifact ~scope ?jobs () =
+let ergonomics_artifact make ~scope ?jobs () =
   let r = Exp_ergonomics.run_scope ~scope ?jobs () in
   let summary_row (c : Exp_ergonomics.cell) =
     let s = c.Exp_ergonomics.stats in
@@ -401,8 +391,7 @@ let ergonomics_artifact ~scope ?jobs () =
           ])
       c.Exp_ergonomics.stats.Exp_ergonomics.trajectory
   in
-  A.make ~name:"ergonomics"
-    ~title:"Ergonomics: fixed vs adaptive sizing with convergence trajectory"
+  make
     ~params:
       (scope_params scope
       @ [
@@ -431,11 +420,9 @@ let ergonomics_artifact ~scope ?jobs () =
          r.Exp_ergonomics.cells)
     ~render_text:(fun () -> Exp_ergonomics.render r)
 
-let faults_artifact ~scope ?jobs () =
+let faults_artifact make ~scope ?jobs () =
   let r = Exp_faults.run_scope ~scope ?jobs () in
-  A.make ~name:"faults"
-    ~title:"Fault injection: resilience under GC pauses and network faults"
-    ~params:(scope_params scope)
+  make ~params:(scope_params scope)
     ~columns:
       [
         "gc";
@@ -490,10 +477,10 @@ let faults_artifact ~scope ?jobs () =
          (Exp_faults.sessions r))
     ~render_text:(fun () -> Exp_faults.render r)
 
-let cluster_artifact ~scope ?jobs () =
+let cluster_artifact make ~scope ?jobs () =
   let r = Exp_cluster.run_scope ~scope ?jobs () in
   let module C = Gcperf_cluster.Coordinator in
-  A.make ~name:"cluster" ~title:"Cluster ring: tail at scale"
+  make
     ~params:
       (scope_params scope
       @ [ ("replication", string_of_int r.Exp_cluster.replication) ])
@@ -548,11 +535,9 @@ let cluster_artifact ~scope ?jobs () =
          r.Exp_cluster.cells)
     ~render_text:(fun () -> Exp_cluster.render r)
 
-let pauseless_artifact ~scope ?jobs () =
+let pauseless_artifact make ~scope ?jobs () =
   let r = Exp_pauseless.run_scope ~scope ?jobs () in
-  A.make ~name:"pauseless"
-    ~title:"Pauseless family: concurrent regions and journaled RC"
-    ~params:(scope_params scope)
+  make ~params:(scope_params scope)
     ~columns:
       [
         "gc";
@@ -592,12 +577,10 @@ let pauseless_artifact ~scope ?jobs () =
          r.Exp_pauseless.cells)
     ~render_text:(fun () -> Exp_pauseless.render r)
 
-let distill_artifact ~scope ?jobs () =
+let distill_artifact make ~scope ?jobs () =
   let r = Exp_distill.run_scope ~scope ?jobs () in
   let module D = Gcperf_distill.Distill in
-  A.make ~name:"distill"
-    ~title:"Distilled collector cost (LBO): GC cost over an ideal-GC baseline"
-    ~params:(scope_params scope)
+  make ~params:(scope_params scope)
     ~columns:
       [
         "gc";
@@ -642,61 +625,66 @@ let distill_artifact ~scope ?jobs () =
 
 (* ------------------------------------------------------------------ *)
 (* Registration: the single place the experiment catalogue is written
-   down, golden flags included (a golden's ci-scope render is committed
-   under results/ci/ and checked by `gcperf check-identity`).  Runs at
+   down.  Every experiment's ci-scope render is committed as
+   results/ci/<id>.txt and checked by `gcperf check-identity`.  Runs at
    module-load time; every public entry point below lives in this module
-   precisely so that using the catalogue links it. *)
+   precisely so that using the catalogue links it.  Each title is
+   written once, here, and handed to its artifact builder as [make]. *)
 
-let single ?golden id title build =
-  Experiment.register ~id ~title ?golden (fun ~scope ?jobs () ->
-      [ build ~scope ?jobs () ])
+let single id title build =
+  let make = A.make ~name:id ~title in
+  Experiment.register ~id ~title (fun ~scope ?jobs () ->
+      [ build make ~scope ?jobs () ])
 
-let xalan_runner ~scope ?jobs () =
-  let r = Exp_xalan.run_scope ~scope ?jobs () in
-  [ fig1_artifact ~scope r; fig2_artifact ~scope r ]
-
-let client_runner ~scope ?jobs () =
-  let r = Exp_client.run_scope ~scope ?jobs () in
-  [ fig5_artifact ~scope r; table567_artifact ~scope r ]
+(* Sibling artifacts of one campaign, registered consecutively under a
+   shared memo key: whichever id runs first fills the memo for all. *)
+let campaign memo_key run members =
+  let runner ~scope ?jobs () =
+    let r = run ~scope ?jobs () in
+    List.map
+      (fun (id, title, build) -> build (A.make ~name:id ~title) ~scope r)
+      members
+  in
+  List.iter
+    (fun (id, title, _) -> Experiment.register ~id ~title ~memo_key runner)
+    members
 
 let () =
-  single ~golden:true "table2" "Table 2: benchmark stability" table2_artifact;
-  single ~golden:true "table3"
-    "Table 3: pause statistics across heap/young sizes" table3_artifact;
+  single "table2" "Table 2: benchmark stability" table2_artifact;
+  single "table3" "Table 3: pause statistics across heap/young sizes"
+    table3_artifact;
   single "table4" "Table 4: TLAB influence" table4_artifact;
-  Experiment.register ~id:"fig1" ~title:"Figure 1: Xalan GC pauses"
-    ~memo_key:"xalan" xalan_runner;
-  Experiment.register ~id:"fig2" ~title:"Figure 2: Xalan iteration durations"
-    ~memo_key:"xalan" xalan_runner;
-  single ~golden:true "fig3" "Figure 3: GC ranking by experiments won"
-    fig3_artifact;
+  campaign "xalan"
+    (fun ~scope ?jobs () -> Exp_xalan.run_scope ~scope ?jobs ())
+    [
+      ("fig1", "Figure 1: Xalan GC pauses", fig1_artifact);
+      ("fig2", "Figure 2: Xalan iteration durations", fig2_artifact);
+    ];
+  single "fig3" "Figure 3: GC ranking by experiments won" fig3_artifact;
   single "fig4" "Figure 4: CMS and G1 server pauses" fig4_artifact;
-  Experiment.register ~id:"fig5"
-    ~title:"Figure 5: client latencies under server GC" ~memo_key:"client"
-    client_runner;
-  Experiment.register ~id:"table567" ~title:"Tables 5-7: client latency bands"
-    ~memo_key:"client" client_runner;
+  campaign "client" Exp_client.run_scope
+    [
+      ("fig5", "Figure 5: client latencies under server GC", fig5_artifact);
+      ("table567", "Tables 5-7: client latency bands", table567_artifact);
+    ];
   single "table8" "Table 8: collector summary" table8_artifact;
   single "server-po" "ParallelOld server analysis" server_po_artifact;
   single "ablation" "Ablation studies" ablation_artifact;
   single "ergonomics"
     "Ergonomics: fixed vs adaptive sizing with convergence trajectory"
     ergonomics_artifact;
-  single ~golden:true "faults"
+  single "faults"
     "Fault injection: resilience under GC pauses and network faults"
     faults_artifact;
-  single ~golden:true "cluster" "Cluster ring: tail at scale" cluster_artifact;
-  single ~golden:true "pauseless"
-    "Pauseless family: concurrent regions and journaled RC" pauseless_artifact;
-  single ~golden:true "distill"
-    "Distilled collector cost (LBO) over an ideal-GC baseline"
+  single "cluster" "Cluster ring: tail at scale" cluster_artifact;
+  single "pauseless" "Pauseless family: concurrent regions and journaled RC"
+    pauseless_artifact;
+  single "distill" "Distilled collector cost (LBO) over an ideal-GC baseline"
     distill_artifact
 
 (* ------------------------------------------------------------------ *)
 (* Facade over the registry.                                          *)
 
 let all () = Experiment.all ()
-let goldens () = Experiment.goldens ()
 let all_names = Experiment.ids ()
 let artifact = Experiment.artifact
-let run = Experiment.run

@@ -1,25 +1,22 @@
 (** Umbrella: every table and figure of the study, through the registry.
 
     This module does two jobs.  At load time it {e registers} all
-    fifteen experiments with {!Experiment} — it is the only place an
-    experiment id, title or artifact builder is written down.  To
-    callers it is a thin facade over that registry, kept as the public
-    entry point so that linking this module (which every consumer does)
-    is what guarantees the registrations have run — OCaml links library
-    modules lazily, so the registry must live behind a module callers
-    actually reference.
+    seventeen experiments with {!Experiment} — it is the only place an
+    experiment id, title or artifact builder is written down, and each
+    title is written once.  To callers it is a thin facade over that
+    registry, kept as the public entry point so that linking this
+    module (which every consumer does) is what guarantees the
+    registrations have run — OCaml links library modules lazily, so the
+    registry must live behind a module callers actually reference.
 
-    Adding experiment #16 is one [Experiment.register] call in the
-    implementation; [gcperf list], [gcperf run], [gcperf all],
-    did-you-mean and the test suite pick it up with no further wiring. *)
+    Adding experiment #18 is one registration in the implementation plus
+    its committed ci-scope render, [results/ci/<id>.txt]; [gcperf list],
+    [gcperf run], [gcperf all], [gcperf check-identity], did-you-mean
+    and the test suite pick it up with no further wiring. *)
 
 val all : unit -> Experiment.t list
 (** Every registered experiment, in registration (= presentation)
     order. *)
-
-val goldens : unit -> Experiment.t list
-(** {!Experiment.goldens}: the experiments whose ci-scope renders are
-    committed under [results/ci/]. *)
 
 val all_names : string list
 (** Ids of {!all}: what {!artifact} accepts and [gcperf run] suggests
@@ -31,6 +28,3 @@ val artifact : scope:Scope.t -> ?jobs:int -> string -> Artifact.t option
     once per scope and are shared through the registry memo.  [jobs]
     caps the worker-domain fan-out (default
     {!Exp_common.default_jobs}); any value yields the same artifact. *)
-
-val run : Experiment.t -> scope:Scope.t -> ?jobs:int -> unit -> Artifact.t list
-(** {!Experiment.run}, re-exported for callers iterating {!all}. *)

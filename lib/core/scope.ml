@@ -35,8 +35,6 @@ let ci =
 
 let all = [ ci; bench; full ]
 
-let of_quick quick = if quick then ci else full
-
 let to_string t = t.label
 
 let of_string = function

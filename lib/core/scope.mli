@@ -1,19 +1,16 @@
 (** Run budgets.
 
     One record answers every "how much work" question an experiment
-    asks, replacing the [?quick:bool] flags that used to thread through
-    the campaign code.  Three budgets exist:
+    asks.  Three budgets exist:
 
-    - {!ci}: the old [~quick:true] — replicated counts divided by 4,
-      virtual-time budgets by 10, client rates by 4, grids cut to their
-      first point.  What the test suite runs; byte-compatible with the
-      historical quick mode.
+    - {!ci}: replicated counts divided by 4, virtual-time budgets by
+      10, client rates by 4, grids cut to their first point.  What the
+      test suite runs, and the scope of the goldens under [results/ci/].
     - {!bench}: an intermediate budget for the bechamel harness and
       local iteration — counts halved, grids cut to three points.
     - {!full}: the paper's configuration, untouched.
 
-    Experiments take [scope:t] ([run_scope]); the [?quick] entry points
-    remain as thin wrappers via {!of_quick}. *)
+    Every experiment runner takes [scope:t] ([run_scope]). *)
 
 type t = private {
   label : string;
@@ -31,18 +28,13 @@ val full : t
 val all : t list
 (** [ci; bench; full]. *)
 
-val of_quick : bool -> t
-(** [true] is {!ci}, [false] is {!full}. *)
-
 val to_string : t -> string
 
 val of_string : string -> t option
 (** Accepts "ci", "bench", "full". *)
 
 val scaled : t -> int -> int
-(** [scaled t n = max 1 (n / t.run_divisor)] — same arithmetic the old
-    [Exp_common.scaled ~quick] used, so ci runs reproduce quick runs
-    exactly. *)
+(** [scaled t n = max 1 (n / t.run_divisor)]. *)
 
 val grid : t -> 'a list -> 'a list
 (** First [grid_points] elements (all of them under {!full}). *)
@@ -51,7 +43,7 @@ val hours : t -> float -> float
 (** Scale a virtual-time budget. *)
 
 val bytes : t -> int -> int
-(** Scale a byte budget (integer division, as the quick paths did). *)
+(** Scale a byte budget (integer division). *)
 
 val rate : t -> float -> float
 (** Scale a request rate. *)

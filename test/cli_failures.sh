@@ -57,9 +57,11 @@ check unknown-fault-profile 1 "unknown fault profile" "did you mean" \
 check unknown-scope 1 "unknown scope" -- run table2 --scope huge
 check unknown-format 1 "unknown format" -- run table2 --scope ci --format yaml
 
-# Retired host-parallelism options are unknown options now.
+# Retired options (host parallelism, the boolean run budget) are
+# unknown options now.
 check retired-trace-jobs 124 "unknown option" -- run table2 --trace-jobs 2
 check retired-gc-jobs 124 "unknown option" -- run table2 --gc-jobs 2
+check retired-quick 124 "unknown option" -- run table2 --quick
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures CLI failure-path check(s) failed" >&2

@@ -5,14 +5,10 @@
    non-negative, additive decomposition, zero for a zero-cost
    collector), the experiment must attribute cost to the right
    component per collector family, and — the repo-wide contract — the
-   distill artifact must be byte-identical at every --jobs, whatever
-   host GC domain count is passed to the retained no-op
-   Obj_store.set_default_gc_domains. *)
+   distill artifact must match its committed golden at every --jobs. *)
 
 module Distill = Gcperf_distill.Distill
 module Telemetry = Gcperf_telemetry.Telemetry
-module Store = Gcperf_heap.Obj_store
-module E = Gcperf.Experiments
 
 let components ?(raw = 0.0) ?(alloc = 0.0) ?(stw = 0.0) ?(steal = 0.0)
     ?(tax = 0.0) () =
@@ -137,28 +133,14 @@ let test_experiment_attribution () =
   in
   Alcotest.(check bool) "ranking ascends" true sorted
 
-(* --- byte-identity across the jobs × gc-jobs matrix ----------------- *)
+(* --- byte-identity across --jobs ------------------------------------- *)
 
-let test_artifact_identity_matrix () =
-  let scope = Gcperf.Scope.ci in
-  let render jobs =
-    match E.artifact ~scope ~jobs "distill" with
-    | Some a -> Gcperf.Artifact.render a `Json
-    | None -> Alcotest.fail "distill artifact missing"
-  in
-  Fun.protect
-    ~finally:(fun () -> Store.set_default_gc_domains 1)
-    (fun () ->
-      Store.set_default_gc_domains 1;
-      let sequential = render 1 in
-      List.iter
-        (fun (jobs, gc_jobs) ->
-          Store.set_default_gc_domains gc_jobs;
-          Alcotest.(check string)
-            (Printf.sprintf "distill byte-identical at jobs=%d gc-jobs=%d"
-               jobs gc_jobs)
-            sequential (render jobs))
-        [ (1, 2); (1, 4); (2, 1); (2, 2); (2, 4); (4, 1); (4, 2); (4, 4) ])
+(* jobs 1 and 2 here; test_exec checks jobs 4. The gc-jobs axis of the
+   test's name is retired: no collector splits work across domains, so
+   the matrix is its jobs column. *)
+let test_golden_across_jobs () =
+  let distill = Golden.find "distill" in
+  List.iter (fun jobs -> Golden.check ~jobs distill) [ 1; 2 ]
 
 let () =
   Alcotest.run "distill"
@@ -179,6 +161,6 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "jobs x gc-jobs identity matrix" `Slow
-            test_artifact_identity_matrix;
+            test_golden_across_jobs;
         ] );
     ]

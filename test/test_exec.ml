@@ -1,7 +1,7 @@
 (* The worker pool: ordering, edge cases, deterministic exception
-   propagation, and the determinism contract end to end — parallel
-   artifacts byte-identical to sequential ones, and the golden identity
-   gate. *)
+   propagation, and the determinism contract end to end — every
+   experiment rendered over four pool workers is byte-identical to its
+   committed golden — plus the identity gate itself. *)
 
 module Pool = Gcperf_exec.Pool
 module E = Gcperf.Experiments
@@ -50,63 +50,24 @@ let test_exception_lowest_index () =
       done)
     [ 1; 2; 4; 8 ]
 
-(* --- parallel-vs-sequential artifact identity ---------------------- *)
+(* --- the identity gate ------------------------------------------------ *)
 
-(* The determinism contract end to end, over every golden experiment:
-   cell fan-out at four workers must render byte-identically to the
-   sequential run.  The host GC domain count the e2e harness still
-   passes (Obj_store.set_default_gc_domains, a no-op since every heap
-   kernel is sequential) is set to 4 alongside, so the matrix also pins
-   that it changes no artifact.  The other legs run in the
-   @check-identity gate and the CI matrix. *)
-let test_artifact_identity_matrix () =
-  let module Store = Gcperf_heap.Obj_store in
-  let render ~jobs (e : Gcperf.Experiment.t) =
-    match E.artifact ~scope:Gcperf.Scope.ci ~jobs e.id with
-    | Some a -> Gcperf.Artifact.render a `Json
-    | None -> Alcotest.fail ("unknown artifact " ^ e.id)
-  in
-  let goldens = E.goldens () in
-  (* The sequential references are independent experiments, each
-     rendered at jobs 1; the pool only overlaps them. *)
-  Store.set_default_gc_domains 1;
-  let sequential =
-    Pool.map_list ~jobs:(Pool.default_jobs ()) (render ~jobs:1) goldens
-  in
-  Fun.protect
-    ~finally:(fun () -> Store.set_default_gc_domains 1)
-    (fun () ->
-      Store.set_default_gc_domains 4;
-      List.iter2
-        (fun (e : Gcperf.Experiment.t) reference ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s byte-identical at jobs=4 gc-jobs=4" e.id)
-            reference (render ~jobs:4 e))
-        goldens sequential)
+(* The determinism contract end to end: every experiment, its cells
+   fanned out over four pool workers, renders byte-identically to the
+   committed golden (rendered at --jobs 1).  The loop is sequential, so
+   the registry memo (fig5 and table567 share one campaign) is only
+   touched from this domain.  The other legs run in the @check-identity
+   gate and CI. *)
+let test_every_experiment_at_jobs_4 () =
+  List.iter (Golden.check ~jobs:4) (E.all ())
 
-(* --- the identity gate itself --------------------------------------- *)
-
-(* The test stanza's dependency lays the committed goldens out under
-   the parent directory, which plays the repository root. *)
-let repo_root = Filename.parent_dir_name
-
-let in_dir dir f =
-  let cwd = Sys.getcwd () in
-  Sys.chdir dir;
-  Fun.protect ~finally:(fun () -> Sys.chdir cwd) f
-
-(* A golden with one flipped byte must fail and name the line; the
-   untouched golden must pass. *)
+(* A golden with one flipped byte must fail and name the line (the
+   untouched golden passes in the loop above). *)
 let test_check_golden_detects_tampering () =
-  let table2 =
-    List.find (fun (e : Gcperf.Experiment.t) -> e.id = "table2")
-      (E.goldens ())
-  in
+  let table2 = Golden.find "table2" in
   let file = Filename.concat Gcperf.Experiment.golden_dir "table2.txt" in
-  Alcotest.(check (result unit string)) "untouched golden passes" (Ok ())
-    (in_dir repo_root (fun () -> Gcperf.Experiment.check_golden table2));
   let text =
-    In_channel.with_open_bin (Filename.concat repo_root file)
+    In_channel.with_open_bin (Filename.concat Golden.repo_root file)
       In_channel.input_all
   in
   (* First byte of line 4 (the column header). *)
@@ -120,7 +81,9 @@ let test_check_golden_detects_tampering () =
   Sys.mkdir dir 0o755;
   Out_channel.with_open_bin (Filename.concat root file) (fun oc ->
       Out_channel.output_bytes oc tampered);
-  let result = in_dir root (fun () -> Gcperf.Experiment.check_golden table2) in
+  let result =
+    Golden.in_dir root (fun () -> Gcperf.Experiment.check_golden table2)
+  in
   Sys.remove (Filename.concat root file);
   Sys.rmdir dir;
   Sys.rmdir (Filename.dirname dir);
@@ -131,17 +94,18 @@ let test_check_golden_detects_tampering () =
       Alcotest.(check bool) ("error names line 4: " ^ msg) true
         (String.starts_with ~prefix:(file ^ " differs at line 4\n") msg)
 
-(* The golden list has one home: results/ci/ holds exactly one file per
-   golden experiment, and nothing else. *)
+(* Every experiment is a golden: results/ci/ holds exactly one file per
+   registered experiment, and nothing else. *)
 let test_golden_files_match_registry () =
   let files =
     Array.to_list
-      (Sys.readdir (Filename.concat repo_root Gcperf.Experiment.golden_dir))
+      (Sys.readdir
+         (Filename.concat Golden.repo_root Gcperf.Experiment.golden_dir))
   in
   let ids =
-    List.map (fun (e : Gcperf.Experiment.t) -> e.id ^ ".txt") (E.goldens ())
+    List.map (fun (e : Gcperf.Experiment.t) -> e.id ^ ".txt") (E.all ())
   in
-  Alcotest.(check (list string)) "results/ci = golden ids"
+  Alcotest.(check (list string)) "results/ci = experiment ids"
     (List.sort compare ids) (List.sort compare files)
 
 (* --- deterministic telemetry merge --------------------------------- *)
@@ -201,13 +165,13 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "artifact identity jobs x gc-jobs matrix" `Slow
-            test_artifact_identity_matrix;
           Alcotest.test_case "telemetry merge" `Quick
             test_merge_matches_sequential;
         ] );
       ( "golden gate",
         [
+          Alcotest.test_case "every experiment at jobs 4" `Slow
+            test_every_experiment_at_jobs_4;
           Alcotest.test_case "tampered golden fails" `Slow
             test_check_golden_detects_tampering;
           Alcotest.test_case "results/ci matches the registry" `Quick

@@ -1,6 +1,7 @@
-(* End-to-end experiment tests: every runner executes in quick mode and
-   produces a well-formed artifact, and the headline qualitative results
-   of the paper hold on the measured data. *)
+(* End-to-end experiment tests: the campaign runners produce
+   well-formed results at ci scope, and the headline qualitative results
+   of the paper hold on the measured data.  That every experiment
+   renders, byte for byte, is test_exec's golden loop. *)
 
 module E = Gcperf.Experiments
 
@@ -14,25 +15,8 @@ let test_registry () =
   Alcotest.(check bool) "unknown rejected" true
     (E.artifact ~scope:Gcperf.Scope.ci "nope" = None)
 
-(* The registry round-trip: every registered id runs at ci scope, names
-   its artifact after itself and renders non-trivially.  This is the
-   guarantee that lets the CLI drop per-experiment dispatch arms. *)
-let test_registry_round_trip () =
-  List.iter
-    (fun (e : Gcperf.Experiment.t) ->
-      let id = e.Gcperf.Experiment.id in
-      match E.artifact ~scope:Gcperf.Scope.ci id with
-      | None -> Alcotest.fail (id ^ " not resolvable")
-      | Some a ->
-          Alcotest.(check string)
-            (id ^ " artifact named after id")
-            id a.Gcperf.Artifact.name;
-          Alcotest.(check bool) (id ^ " renders") true
-            (String.length (Gcperf.Artifact.to_text a) > 40))
-    (E.all ())
-
 let test_table2 () =
-  let r = Gcperf.Exp_table2.run ~quick:true () in
+  let r = Gcperf.Exp_table2.run_scope ~scope:Gcperf.Scope.ci () in
   Alcotest.(check int) "7 stable benchmarks" 7
     (List.length r.Gcperf.Exp_table2.rows);
   List.iter
@@ -46,7 +30,7 @@ let test_table2 () =
   Alcotest.(check bool) "mentions benchmarks" true (contains rendered "xalan")
 
 let test_table3 () =
-  let r = Gcperf.Exp_table3.run ~quick:true () in
+  let r = Gcperf.Exp_table3.run_scope ~scope:Gcperf.Scope.ci () in
   Alcotest.(check int) "10 configurations" 10
     (List.length r.Gcperf.Exp_table3.rows);
   List.iter
@@ -58,13 +42,13 @@ let test_table3 () =
         (row.total_pause_s >= row.avg_pause_s -. 1e-9))
     r.Gcperf.Exp_table3.rows;
   (* Smaller heaps collect more: the 1 GB row must out-pause the 64 GB
-     row (the 250 MB rows may even OOM in quick mode). *)
+     row (the 250 MB rows may even OOM at ci scope). *)
   let pauses_of i = (List.nth r.Gcperf.Exp_table3.rows i).Gcperf.Exp_table3.pauses in
   Alcotest.(check bool) "small heap pauses more" true
     (pauses_of 4 >= pauses_of 0)
 
 let test_table4 () =
-  let r = Gcperf.Exp_table4.run ~quick:true () in
+  let r = Gcperf.Exp_table4.run_scope ~scope:Gcperf.Scope.ci () in
   Alcotest.(check int) "7 benchmarks x 6 GCs" 42
     (List.length r.Gcperf.Exp_table4.cells);
   let rendered = Gcperf.Exp_table4.render r in
@@ -83,7 +67,7 @@ let test_table4_classify () =
        (classify ~deviation:0.05 ~with_tlab:100.0 ~without_tlab:102.0))
 
 let test_figures_1_2 () =
-  let r = Gcperf.Exp_xalan.run ~quick:true () in
+  let r = Gcperf.Exp_xalan.run_scope ~scope:Gcperf.Scope.ci () in
   Alcotest.(check int) "6 collectors, sysgc on" 6
     (List.length r.Gcperf.Exp_xalan.with_system_gc);
   Alcotest.(check int) "6 collectors, sysgc off" 6
@@ -103,7 +87,7 @@ let test_figures_1_2 () =
   Alcotest.(check bool) "figure 2 renders" true (contains f2 "Figure 2")
 
 let test_fig3 () =
-  let r = Gcperf.Exp_fig3.run ~quick:true () in
+  let r = Gcperf.Exp_fig3.run_scope ~scope:Gcperf.Scope.ci () in
   let pct l = List.fold_left (fun a (_, v) -> a +. v) 0.0 l in
   Alcotest.(check bool) "percentages sum to ~100 (sysgc)" true
     (Float.abs (pct r.Gcperf.Exp_fig3.with_system_gc -. 100.0) < 1.0);
@@ -134,12 +118,12 @@ let test_table8_classifiers () =
   Alcotest.(check string) "longer forced fulls are not" "unacceptable"
     (pause_verdict_to_string (classify_pause ~max_pause_s:1.7 ~server:false))
 
-let test_server_quick () =
+let test_server_ci () =
   (* One scaled-down stressed server run per concurrent collector: pauses
      must stay bounded (no full GC) — the Figure 4 contrast. *)
   let cms =
-    Gcperf.Exp_server.run_server ~quick:true ~kind:Gcperf_gc.Gc_config.Cms
-      ~stress:true ~hours:1.0 ()
+    Gcperf.Exp_server.run_server_scope ~scope:Gcperf.Scope.ci
+      ~kind:Gcperf_gc.Gc_config.Cms ~stress:true ~hours:1.0 ()
   in
   Alcotest.(check bool) "CMS run produced pauses" true
     (Array.length cms.Gcperf.Exp_server.pauses > 0);
@@ -157,11 +141,7 @@ let test_server_quick () =
 let () =
   Alcotest.run "experiments"
     [
-      ( "registry",
-        [
-          Alcotest.test_case "registry" `Quick test_registry;
-          Alcotest.test_case "round-trip" `Slow test_registry_round_trip;
-        ] );
+      ("registry", [ Alcotest.test_case "registry" `Quick test_registry ]);
       ( "benchmark campaigns",
         [
           Alcotest.test_case "table 2" `Slow test_table2;
@@ -173,5 +153,5 @@ let () =
           Alcotest.test_case "table 8 classifiers" `Quick test_table8_classifiers;
         ] );
       ( "server campaigns",
-        [ Alcotest.test_case "stressed server (quick)" `Slow test_server_quick ] );
+        [ Alcotest.test_case "stressed server (ci scope)" `Slow test_server_ci ] );
     ]
