@@ -511,7 +511,7 @@ let cluster_tests =
 
 (* Journal fold over 100k pre-built entries against 50k rc cells. *)
 let journal_fold_test =
-  let module Journal = Gcperf_gc_concurrent.Journal in
+  let module Journal = Gcperf_gc.Journal in
   let j = Journal.create () in
   let cells = 50_000 in
   let state = ref 17 in

@@ -109,7 +109,7 @@ let list_cmd =
     List.iter
       (fun (e : Gcperf.Experiment.t) ->
         Printf.printf "  %-10s %s\n" e.id e.title)
-      (Gcperf.Experiments.all ())
+      Gcperf.Experiments.all
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
@@ -536,15 +536,15 @@ let all_cmd =
   let run scope jobs =
     let scope = resolve_scope scope in
     (* Campaign siblings (fig1/fig2, fig5/table567) share one run via
-       the registry memo, so the full sweep costs no duplicate work. *)
+       the campaign memo, so the full sweep costs no duplicate work. *)
     List.iter
       (fun (e : Gcperf.Experiment.t) ->
-        match Gcperf.Experiments.artifact ~scope ?jobs e.Gcperf.Experiment.id with
+        match Gcperf.Experiment.artifact ~scope ?jobs e with
         | Some artifact ->
-            Printf.printf "==== %s ====\n%s\n%!" e.Gcperf.Experiment.id
+            Printf.printf "==== %s ====\n%s\n%!" e.id
               (Gcperf.Artifact.to_text artifact)
         | None -> assert false)
-      (Gcperf.Experiments.all ())
+      Gcperf.Experiments.all
   in
   Cmd.v (Cmd.info "all" ~doc)
     Term.(const run $ scope_arg $ jobs_arg)
@@ -559,7 +559,7 @@ let check_identity_cmd =
      on any failure."
   in
   let run jobs =
-    let experiments = Gcperf.Experiments.all () in
+    let experiments = Gcperf.Experiments.all in
     let failures = ref 0 in
     let fail name msg =
       incr failures;

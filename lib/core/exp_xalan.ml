@@ -18,7 +18,7 @@ type result = {
 
 (* One glyph per collector, in Gc_config.all_kinds order:
    Serial, ParNew, Parallel, ParallelOld, CMS, G1. *)
-let glyphs = [| 'S'; 'N'; 'L'; 'P'; 'C'; 'G' |]
+let glyphs = "SNLPCG"
 
 let series_of_run (r : Harness.result) =
   {
@@ -68,7 +68,7 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) ?(bench = "xalan")
 let chart_series l =
   List.mapi
     (fun i s ->
-      { Chart.label = s.gc; glyph = glyphs.(i mod Array.length glyphs);
+      { Chart.label = s.gc; glyph = glyphs.[i mod String.length glyphs];
         points = s.pause_points })
     l
 
@@ -97,7 +97,7 @@ let render_figure2 result =
       (fun i s ->
         {
           Chart.label = s.gc;
-          glyph = glyphs.(i mod Array.length glyphs);
+          glyph = glyphs.[i mod String.length glyphs];
           points = last_iterations s;
         })
       l

@@ -7,42 +7,32 @@ type t = {
   runner : runner;
 }
 
-let registry : t list ref = ref []
-
-let register ~id ~title ?memo_key runner =
-  if List.exists (fun e -> e.id = id) !registry then
-    invalid_arg (Printf.sprintf "Experiment.register: duplicate id %S" id);
-  registry := !registry @ [ { id; title; memo_key; runner } ]
-
-let all () = !registry
-
-let ids () = List.map (fun e -> e.id) !registry
-
-let find id = List.find_opt (fun e -> e.id = id) !registry
+let make ~id ~title ?memo_key runner = { id; title; memo_key; runner }
 
 (* One cache slot per (campaign, scope).  Keyed on the memo key rather
    than the experiment id so that sibling entries of a campaign (fig1 &
    fig2, fig5 & tables 5-7) share the run.  [jobs] is deliberately not
    part of the key: pool cells are pure functions of their seeds, so any
-   worker count produces the same artifacts. *)
+   worker count produces the same artifacts.  Find-or-compute holds
+   [memo_lock], so a sibling asking from another domain waits for the
+   run instead of starting it again. *)
 let memo : (string * Scope.t, Artifact.t list) Hashtbl.t = Hashtbl.create 8
+let memo_lock = Mutex.create ()
 
 let run e ~scope ?jobs () =
   match e.memo_key with
   | None -> e.runner ~scope ?jobs ()
-  | Some key -> (
-      match Hashtbl.find_opt memo (key, scope) with
-      | Some arts -> arts
-      | None ->
-          let arts = e.runner ~scope ?jobs () in
-          Hashtbl.replace memo (key, scope) arts;
-          arts)
+  | Some key ->
+      Mutex.protect memo_lock (fun () ->
+          match Hashtbl.find_opt memo (key, scope) with
+          | Some arts -> arts
+          | None ->
+              let arts = e.runner ~scope ?jobs () in
+              Hashtbl.replace memo (key, scope) arts;
+              arts)
 
-let artifact ~scope ?jobs id =
-  match find id with
-  | None -> None
-  | Some e ->
-      List.find_opt (fun (a : Artifact.t) -> a.name = id) (run e ~scope ?jobs ())
+let artifact ~scope ?jobs e =
+  List.find_opt (fun (a : Artifact.t) -> a.name = e.id) (run e ~scope ?jobs ())
 
 (* --- golden identity ----------------------------------------------- *)
 
@@ -66,7 +56,7 @@ let check_golden ?jobs e =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error ("cannot read golden: " ^ msg)
   | expected -> (
-      match artifact ~scope:Scope.ci ?jobs e.id with
+      match artifact ~scope:Scope.ci ?jobs e with
       | None -> Error (e.id ^ " yields no artifact of its own id")
       | Some a -> (
           match first_difference expected (Artifact.render a `Text) with

@@ -1,24 +1,22 @@
-(** First-class experiment registry.
+(** First-class experiments.
 
-    Before this module, wiring an experiment into the repo meant a new
-    [*_artifact] builder, a new entry in a hand-written assoc list, a
-    hand-rolled memo ref if the experiment shared a campaign, and a new
-    arm in every CLI consumer.  Now an experiment is a value: register
-    it once, commit its ci-scope render as [results/ci/<id>.txt], and
-    [gcperf list], [gcperf run], [gcperf all], [gcperf check-identity],
-    did-you-mean suggestions and the test suite all enumerate the same
-    table.
+    An experiment is a value: an id, a title and a runner, listed once
+    in {!Experiments.all} with its ci-scope render committed as
+    [results/ci/<id>.txt].  [gcperf list], [gcperf run], [gcperf all],
+    [gcperf check-identity], did-you-mean suggestions and the test suite
+    all enumerate that one list.
 
     A {e campaign} that yields several artifacts (the Xalan runs feed
     Figures 1 {e and} 2; the client runs feed Figure 5 and Tables 5-7)
-    is registered once per artifact id with a shared [memo_key] and a
+    becomes one entry per artifact id with a shared [memo_key] and a
     runner returning every artifact of the campaign: the first id to
     run at a given scope fills the memo, its siblings read it.  Memos
     deliberately ignore [jobs] — the pool's determinism contract makes
-    results byte-identical for every worker count.  The memo is an
-    unsynchronised table, so {!run}, {!artifact} and {!check_golden} are
-    called from the orchestrating domain only, never from a
-    {!Gcperf_exec.Pool} worker. *)
+    results byte-identical for every worker count.  The memo is guarded
+    by a mutex held across find-or-compute, so {!run}, {!artifact} and
+    {!check_golden} may be called from any domain, {!Gcperf_exec.Pool}
+    workers included: a sibling that asks while its campaign is running
+    waits for that run rather than starting a second one. *)
 
 type runner = scope:Scope.t -> ?jobs:int -> unit -> Artifact.t list
 (** Runs the experiment's campaign under a scope budget and returns its
@@ -33,25 +31,15 @@ type t = private {
   runner : runner;
 }
 
-val register : id:string -> title:string -> ?memo_key:string -> runner -> unit
-(** Add an experiment to the registry.  Order of registration is the
-    order [all]/[ids] report — [gcperf all] and [gcperf check-identity]
-    run in it.  Every entry needs its committed golden,
-    [results/ci/<id>.txt] (see {!check_golden}).  Raises
-    [Invalid_argument] on a duplicate id. *)
-
-val all : unit -> t list
-
-val ids : unit -> string list
-
-val find : string -> t option
+val make : id:string -> title:string -> ?memo_key:string -> runner -> t
+(** An entry.  Every entry needs its committed golden,
+    [results/ci/<id>.txt] (see {!check_golden}). *)
 
 val run : t -> scope:Scope.t -> ?jobs:int -> unit -> Artifact.t list
 (** The entry's artifacts, through the campaign memo. *)
 
-val artifact : scope:Scope.t -> ?jobs:int -> string -> Artifact.t option
-(** [find] + [run] + select the artifact whose name is the id: the one
-    call almost every consumer wants.  [None] for unknown ids. *)
+val artifact : scope:Scope.t -> ?jobs:int -> t -> Artifact.t option
+(** {!run}, then select the artifact whose name is the entry's id. *)
 
 (** {1 Golden identity} *)
 

@@ -4,10 +4,10 @@ let scope_params scope = [ ("scope", Scope.to_string scope) ]
 
 (* ------------------------------------------------------------------ *)
 (* Artifact builders: one typed artifact per experiment id.  Each takes
-   [make], [Artifact.make] with the id and registered title applied.
+   [make], [Artifact.make] with the id and catalogue title applied.
    Campaign experiments (Xalan feeds Figures 1 and 2, the client runs
    feed Figure 5 and Tables 5-7) take the campaign result as an
-   argument; their runner below computes it once and the registry memo
+   argument; their runner below computes it once and the campaign memo
    shares the artifact list between the sibling ids. *)
 
 let table2_artifact make ~scope ?jobs () =
@@ -624,20 +624,21 @@ let distill_artifact make ~scope ?jobs () =
     ~render_text:(fun () -> Exp_distill.render r)
 
 (* ------------------------------------------------------------------ *)
-(* Registration: the single place the experiment catalogue is written
-   down.  Every experiment's ci-scope render is committed as
-   results/ci/<id>.txt and checked by `gcperf check-identity`.  Runs at
-   module-load time; every public entry point below lives in this module
-   precisely so that using the catalogue links it.  Each title is
-   written once, here, and handed to its artifact builder as [make]. *)
+(* The catalogue: the single place an experiment id, title or artifact
+   builder is written down.  Every experiment's ci-scope render is
+   committed as results/ci/<id>.txt and checked by `gcperf
+   check-identity`.  Each title is written once, here, and handed to its
+   artifact builder as [make]. *)
 
 let single id title build =
   let make = A.make ~name:id ~title in
-  Experiment.register ~id ~title (fun ~scope ?jobs () ->
-      [ build make ~scope ?jobs () ])
+  [
+    Experiment.make ~id ~title (fun ~scope ?jobs () ->
+        [ build make ~scope ?jobs () ]);
+  ]
 
-(* Sibling artifacts of one campaign, registered consecutively under a
-   shared memo key: whichever id runs first fills the memo for all. *)
+(* Sibling artifacts of one campaign, sharing a memo key: whichever id
+   runs first fills the memo for all. *)
 let campaign memo_key run members =
   let runner ~scope ?jobs () =
     let r = run ~scope ?jobs () in
@@ -645,46 +646,51 @@ let campaign memo_key run members =
       (fun (id, title, build) -> build (A.make ~name:id ~title) ~scope r)
       members
   in
-  List.iter
-    (fun (id, title, _) -> Experiment.register ~id ~title ~memo_key runner)
+  List.map
+    (fun (id, title, _) -> Experiment.make ~id ~title ~memo_key runner)
     members
 
-let () =
-  single "table2" "Table 2: benchmark stability" table2_artifact;
-  single "table3" "Table 3: pause statistics across heap/young sizes"
-    table3_artifact;
-  single "table4" "Table 4: TLAB influence" table4_artifact;
-  campaign "xalan"
-    (fun ~scope ?jobs () -> Exp_xalan.run_scope ~scope ?jobs ())
+let all =
+  List.concat
     [
-      ("fig1", "Figure 1: Xalan GC pauses", fig1_artifact);
-      ("fig2", "Figure 2: Xalan iteration durations", fig2_artifact);
-    ];
-  single "fig3" "Figure 3: GC ranking by experiments won" fig3_artifact;
-  single "fig4" "Figure 4: CMS and G1 server pauses" fig4_artifact;
-  campaign "client" Exp_client.run_scope
-    [
-      ("fig5", "Figure 5: client latencies under server GC", fig5_artifact);
-      ("table567", "Tables 5-7: client latency bands", table567_artifact);
-    ];
-  single "table8" "Table 8: collector summary" table8_artifact;
-  single "server-po" "ParallelOld server analysis" server_po_artifact;
-  single "ablation" "Ablation studies" ablation_artifact;
-  single "ergonomics"
-    "Ergonomics: fixed vs adaptive sizing with convergence trajectory"
-    ergonomics_artifact;
-  single "faults"
-    "Fault injection: resilience under GC pauses and network faults"
-    faults_artifact;
-  single "cluster" "Cluster ring: tail at scale" cluster_artifact;
-  single "pauseless" "Pauseless family: concurrent regions and journaled RC"
-    pauseless_artifact;
-  single "distill" "Distilled collector cost (LBO) over an ideal-GC baseline"
-    distill_artifact
+      single "table2" "Table 2: benchmark stability" table2_artifact;
+      single "table3" "Table 3: pause statistics across heap/young sizes"
+        table3_artifact;
+      single "table4" "Table 4: TLAB influence" table4_artifact;
+      campaign "xalan"
+        (fun ~scope ?jobs () -> Exp_xalan.run_scope ~scope ?jobs ())
+        [
+          ("fig1", "Figure 1: Xalan GC pauses", fig1_artifact);
+          ("fig2", "Figure 2: Xalan iteration durations", fig2_artifact);
+        ];
+      single "fig3" "Figure 3: GC ranking by experiments won" fig3_artifact;
+      single "fig4" "Figure 4: CMS and G1 server pauses" fig4_artifact;
+      campaign "client" Exp_client.run_scope
+        [
+          ("fig5", "Figure 5: client latencies under server GC", fig5_artifact);
+          ("table567", "Tables 5-7: client latency bands", table567_artifact);
+        ];
+      single "table8" "Table 8: collector summary" table8_artifact;
+      single "server-po" "ParallelOld server analysis" server_po_artifact;
+      single "ablation" "Ablation studies" ablation_artifact;
+      single "ergonomics"
+        "Ergonomics: fixed vs adaptive sizing with convergence trajectory"
+        ergonomics_artifact;
+      single "faults"
+        "Fault injection: resilience under GC pauses and network faults"
+        faults_artifact;
+      single "cluster" "Cluster ring: tail at scale" cluster_artifact;
+      single "pauseless"
+        "Pauseless family: concurrent regions and journaled RC"
+        pauseless_artifact;
+      single "distill"
+        "Distilled collector cost (LBO) over an ideal-GC baseline"
+        distill_artifact;
+    ]
 
-(* ------------------------------------------------------------------ *)
-(* Facade over the registry.                                          *)
+let all_names = List.map (fun (e : Experiment.t) -> e.id) all
 
-let all () = Experiment.all ()
-let all_names = Experiment.ids ()
-let artifact = Experiment.artifact
+let artifact ~scope ?jobs id =
+  match List.find_opt (fun (e : Experiment.t) -> e.id = id) all with
+  | None -> None
+  | Some e -> Experiment.artifact ~scope ?jobs e

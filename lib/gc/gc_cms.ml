@@ -19,26 +19,7 @@ type phase =
 type state = {
   mutable phase : phase;
   mutable fragmentation : float;  (* fraction of old free space unusable *)
-  mutable cycles_started : int;
-  mutable concurrent_mode_failures : int;
 }
-
-(* Registry to expose internals to tests without widening Collector.t. *)
-let registry : (string, state) Hashtbl.t = Hashtbl.create 4
-
-type debug = {
-  cycles_started : int;
-  concurrent_mode_failures : int;
-  fragmentation : float;
-}
-
-let debug_stats (c : Collector.t) =
-  let s = Hashtbl.find registry c.Collector.name in
-  {
-    cycles_started = s.cycles_started;
-    concurrent_mode_failures = s.concurrent_mode_failures;
-    fragmentation = s.fragmentation;
-  }
 
 let name = "ConcMarkSweepGC"
 
@@ -52,15 +33,7 @@ let create ctx (config : Gc_config.t) =
       ~survivor_ratio:config.Gc_config.survivor_ratio
       ~tenuring_threshold:config.Gc_config.tenuring_threshold ()
   in
-  let st =
-    {
-      phase = Idle;
-      fragmentation = 0.0;
-      cycles_started = 0;
-      concurrent_mode_failures = 0;
-    }
-  in
-  Hashtbl.replace registry name st;
+  let st = { phase = Idle; fragmentation = 0.0 } in
   let usable_old_free () =
     let free = Gh.old_free heap in
     int_of_float (float_of_int free *. (1.0 -. st.fragmentation))
@@ -80,12 +53,8 @@ let create ctx (config : Gc_config.t) =
     st.fragmentation <- 0.0;
     st.phase <- Idle
   in
-  let concurrent_mode_failure () =
-    st.concurrent_mode_failures <- st.concurrent_mode_failures + 1;
-    full "concurrent mode failure"
-  in
+  let concurrent_mode_failure () = full "concurrent mode failure" in
   let initial_mark () =
-    st.cycles_started <- st.cycles_started + 1;
     let phases =
       [
         (Span.Safepoint, Gc_ctx.stw_begin_us ctx);

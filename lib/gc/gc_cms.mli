@@ -20,13 +20,3 @@
     paper observes on the saturated server. *)
 
 val create : Gc_ctx.t -> Gc_config.t -> Collector.t
-
-type debug = {
-  cycles_started : int;
-  concurrent_mode_failures : int;
-  fragmentation : float;
-}
-
-val debug_stats : Collector.t -> debug
-(** Introspection for tests and ablation benches; only valid on a
-    collector created by this module.  @raise Not_found otherwise. *)

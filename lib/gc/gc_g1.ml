@@ -14,31 +14,7 @@ type state = {
          cycles when occupancy stays above the threshold *)
   mutable mixed_candidates : int list;  (* region indices, most garbage first *)
   mutable eden_bytes : int;  (* bytes allocated young since last collection *)
-  mutable young_collections : int;
-  mutable mixed_collections : int;
-  mutable marking_cycles : int;
-  mutable evacuation_failures : int;
 }
-
-let registry : (string, state * Rh.t) Hashtbl.t = Hashtbl.create 4
-
-type debug = {
-  young_collections : int;
-  mixed_collections : int;
-  marking_cycles : int;
-  evacuation_failures : int;
-  young_target_regions : int;
-}
-
-let debug_stats (c : Collector.t) =
-  let st, rheap = Hashtbl.find registry c.Collector.name in
-  {
-    young_collections = st.young_collections;
-    mixed_collections = st.mixed_collections;
-    marking_cycles = st.marking_cycles;
-    evacuation_failures = st.evacuation_failures;
-    young_target_regions = rheap.Rh.young_target_bytes / rheap.Rh.region_size;
-  }
 
 let name = "G1GC"
 
@@ -64,13 +40,8 @@ let create ctx (config : Gc_config.t) =
       marking_allowed = true;
       mixed_candidates = [];
       eden_bytes = 0;
-      young_collections = 0;
-      mixed_collections = 0;
-      marking_cycles = 0;
-      evacuation_failures = 0;
     }
   in
-  Hashtbl.replace registry name (st, rheap);
   let old_hum_used () = Rh.used_old_hum rheap in
   let young_used () = Rh.used_young rheap in
   (* Per-collection scratch, hoisted so steady-state evacuation pauses
@@ -176,7 +147,6 @@ let create ctx (config : Gc_config.t) =
           && occ > config.Gc_config.g1_ihop *. float_of_int rheap.Rh.heap_bytes
         then begin
           st.marking_allowed <- false;
-          st.marking_cycles <- st.marking_cycles + 1;
           let phases =
             [
               (Span.Safepoint, Gc_ctx.stw_begin_us ctx);
@@ -503,10 +473,7 @@ let create ctx (config : Gc_config.t) =
       !count
     in
     let needed = regions_for surv + regions_for prom in
-    if needed > Rh.free_regions rheap then begin
-      st.evacuation_failures <- st.evacuation_failures + 1;
-      full_gc "evacuation failure"
-    end
+    if needed > Rh.free_regions rheap then full_gc "evacuation failure"
     else begin
       (* Evacuate.  Phase A (plan): first-fit bump packing walks the
          survivor and promotion sets in trace order, keeping the
@@ -578,12 +545,9 @@ let create ctx (config : Gc_config.t) =
       st.eden_bytes <- 0;
       rheap.Rh.promoted_bytes <- rheap.Rh.promoted_bytes + !prom_bytes;
       let mixed = mixed_now <> [] in
-      if mixed then begin
-        st.mixed_collections <- st.mixed_collections + 1;
+      if mixed then
         st.mixed_candidates <-
-          List.filter (fun i -> not (List.mem i mixed_now)) st.mixed_candidates
-      end
-      else st.young_collections <- st.young_collections + 1;
+          List.filter (fun i -> not (List.mem i mixed_now)) st.mixed_candidates;
       let workers = m.Machine.gc_threads in
       let safepoint_us = Gc_ctx.stw_begin_us ctx in
       let root_scan_us =

@@ -21,15 +21,3 @@
       between iterations. *)
 
 val create : Gc_ctx.t -> Gc_config.t -> Collector.t
-
-type debug = {
-  young_collections : int;
-  mixed_collections : int;
-  marking_cycles : int;
-  evacuation_failures : int;
-  young_target_regions : int;
-}
-
-val debug_stats : Collector.t -> debug
-(** Introspection for tests; only valid on a collector created here.
-    @raise Not_found otherwise. *)

@@ -9,17 +9,6 @@ let tlab_waste config =
     }
   else config
 
-(* Collectors that live outside this library (the pauseless family in
-   [lib/gc_concurrent], which depends on [lib/gc] and so cannot be
-   dispatched to statically here) register a builder per kind.  The
-   runtime installs them before the first [create]; a missing builder is
-   a linkage bug, not a user error. *)
-let external_builders :
-    (Gc_config.kind, Gc_ctx.t -> Gc_config.t -> Collector.t) Hashtbl.t =
-  Hashtbl.create 4
-
-let register_builder kind f = Hashtbl.replace external_builders kind f
-
 let create ctx config =
   let config = tlab_waste config in
   (* Ergonomics: attach the adaptive sizing policy before the collector
@@ -43,15 +32,8 @@ let create ctx config =
       Gc_stw.create ctx config
   | Gc_config.Cms -> Gc_cms.create ctx config
   | Gc_config.G1 -> Gc_g1.create ctx config
-  | (Gc_config.Concurrent_regions | Gc_config.Journal_rc) as kind -> (
-      match Hashtbl.find_opt external_builders kind with
-      | Some build -> build ctx config
-      | None ->
-          invalid_arg
-            (Printf.sprintf
-               "Registry.create: %s has no registered builder (is \
-                gcperf_gc_concurrent linked and installed?)"
-               (Gc_config.kind_to_string kind)))
+  | Gc_config.Concurrent_regions -> Gc_regions.create ctx config
+  | Gc_config.Journal_rc -> Gc_journal_rc.create ctx config
 
 let create_named ctx name (config : Gc_config.t) =
   match Gc_config.kind_of_string name with

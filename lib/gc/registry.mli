@@ -7,8 +7,3 @@ val create_named : Gc_ctx.t -> string -> Gc_config.t -> Collector.t option
 (** [create_named ctx name config] overrides the configuration's kind with
     the collector named [name] ("SerialGC", "cms", ...). *)
 
-val register_builder :
-  Gc_config.kind -> (Gc_ctx.t -> Gc_config.t -> Collector.t) -> unit
-(** Registers the constructor for a collector kind implemented outside
-    this library (the pauseless family in [lib/gc_concurrent]).  Called
-    by [Gcperf_gc_concurrent.Plug.install]; last registration wins. *)

@@ -13,11 +13,6 @@ module Telemetry = Gcperf_telemetry.Telemetry
 module Metrics = Gcperf_telemetry.Metrics
 module Cost = Gcperf_telemetry.Cost
 
-(* Link-time registration of the concurrent collector family
-   ([ConcurrentRegionsGC], [JournalRCGC]); without this,
-   [Registry.create] has no builder for those kinds. *)
-let () = Gcperf_gc_concurrent.Plug.install ()
-
 type thread = {
   tid : int;
   roots : Int_table.t;

@@ -10,8 +10,9 @@ let in_dir dir f =
   Fun.protect ~finally:(fun () -> Sys.chdir cwd) f
 
 (* [Experiment.check_golden], run from the repository root and reported
-   through Alcotest.  Call it from the test's own domain only: the
-   registry memo is not shared with pool workers. *)
+   through Alcotest.  [in_dir] changes the process-wide working
+   directory, so call this from the test's own domain; to check from
+   pool workers, wrap the whole map in one [in_dir] instead. *)
 let check ?jobs (e : Gcperf.Experiment.t) =
   let label =
     match jobs with
@@ -22,13 +23,11 @@ let check ?jobs (e : Gcperf.Experiment.t) =
     label (Ok ())
     (in_dir repo_root (fun () -> Gcperf.Experiment.check_golden ?jobs e))
 
-(* Through the [Experiments] facade, whose linking runs the
-   registrations. *)
 let find id =
   match
     List.find_opt
       (fun (e : Gcperf.Experiment.t) -> e.id = id)
-      (Gcperf.Experiments.all ())
+      Gcperf.Experiments.all
   with
   | Some e -> e
   | None -> Alcotest.fail ("unknown experiment " ^ id)

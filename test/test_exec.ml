@@ -54,12 +54,43 @@ let test_exception_lowest_index () =
 
 (* The determinism contract end to end: every experiment, its cells
    fanned out over four pool workers, renders byte-identically to the
-   committed golden (rendered at --jobs 1).  The loop is sequential, so
-   the registry memo (fig5 and table567 share one campaign) is only
-   touched from this domain.  The other legs run in the @check-identity
-   gate and CI. *)
+   committed golden (rendered at --jobs 1).  The other legs run in the
+   @check-identity gate and CI. *)
 let test_every_experiment_at_jobs_4 () =
-  List.iter (Golden.check ~jobs:4) (E.all ())
+  List.iter (Golden.check ~jobs:4) E.all
+
+(* The campaign memo is domain-safe: fig5 and table567 share one run.
+   Two pool workers ask for both siblings at once; the one that loses
+   the race waits for the other's run, so both get the very same
+   artifact list (a second campaign run would build a fresh one), and
+   both then match their goldens.  The campaign itself fans out over
+   four workers (nested pools are fresh domains), so the client
+   campaign is rendered at --jobs 4 whichever golden test fills the memo
+   first.  The working directory is process-global, so it is changed
+   once around the map, never inside a worker. *)
+let test_campaign_siblings_from_pool () =
+  let siblings = [ Golden.find "fig5"; Golden.find "table567" ] in
+  let results =
+    Golden.in_dir Golden.repo_root (fun () ->
+        Pool.map_list ~jobs:2
+          (fun e ->
+            let arts =
+              Gcperf.Experiment.run e ~scope:Gcperf.Scope.ci ~jobs:4 ()
+            in
+            (arts, Gcperf.Experiment.check_golden ~jobs:4 e))
+          siblings)
+  in
+  (match results with
+  | [ (a, _); (b, _) ] ->
+      Alcotest.(check bool) "one campaign run shared by both siblings" true
+        (a == b)
+  | _ -> Alcotest.fail "expected two results");
+  List.iter2
+    (fun (e : Gcperf.Experiment.t) (_, r) ->
+      Alcotest.(check (result unit string))
+        (e.id ^ " matches its golden from a pool worker")
+        (Ok ()) r)
+    siblings results
 
 (* A golden with one flipped byte must fail and name the line (the
    untouched golden passes in the loop above). *)
@@ -95,7 +126,7 @@ let test_check_golden_detects_tampering () =
         (String.starts_with ~prefix:(file ^ " differs at line 4\n") msg)
 
 (* Every experiment is a golden: results/ci/ holds exactly one file per
-   registered experiment, and nothing else. *)
+   catalogued experiment, and nothing else. *)
 let test_golden_files_match_registry () =
   let files =
     Array.to_list
@@ -103,7 +134,7 @@ let test_golden_files_match_registry () =
          (Filename.concat Golden.repo_root Gcperf.Experiment.golden_dir))
   in
   let ids =
-    List.map (fun (e : Gcperf.Experiment.t) -> e.id ^ ".txt") (E.all ())
+    List.map (fun (e : Gcperf.Experiment.t) -> e.id ^ ".txt") E.all
   in
   Alcotest.(check (list string)) "results/ci = experiment ids"
     (List.sort compare ids) (List.sort compare files)
@@ -170,6 +201,8 @@ let () =
         ] );
       ( "golden gate",
         [
+          Alcotest.test_case "campaign siblings from pool workers" `Slow
+            test_campaign_siblings_from_pool;
           Alcotest.test_case "every experiment at jobs 4" `Slow
             test_every_experiment_at_jobs_4;
           Alcotest.test_case "tampered golden fails" `Slow

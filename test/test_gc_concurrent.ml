@@ -13,7 +13,7 @@ module Machine = Gcperf_machine.Machine
 module Gc_config = Gcperf_gc.Gc_config
 module Gc_event = Gcperf_sim.Gc_event
 module Os = Gcperf_heap.Obj_store
-module Journal = Gcperf_gc_concurrent.Journal
+module Journal = Gcperf_gc.Journal
 
 let mb = 1024 * 1024
 let machine = Machine.paper_server ()
@@ -73,9 +73,8 @@ let test_aliases () =
     (List.length Gc_config.extended_kinds)
 
 let test_registry_round_trip () =
-  (* Building a VM for each extended kind proves the registry has a
-     builder (the concurrent family arrives via Plug.install, which
-     linking Vm guarantees), and that the collector reports the kind it
+  (* Building a VM for each extended kind proves [Registry.create]
+     dispatches every kind, and that the collector reports the kind it
      was asked for. *)
   List.iter
     (fun kind ->
