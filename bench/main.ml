@@ -12,12 +12,13 @@
 
    Plus "policy" (adaptive-sizing overhead against the fixed baseline),
    "exec" (worker-pool fan-out), "fault" (fault injector, degraded
-   gateway and the resilient client session) and "cluster" (consistent-
-   hash placement and the fan-out coordinator).
+   gateway and the resilient client session), "cluster" (consistent-
+   hash placement and the fan-out coordinator) and "kvstore" (the
+   server's update path).
 
    Options:
 
-   - [--only micro,policy,exec,fault,cluster,concurrent,distill,
+   - [--only micro,policy,exec,fault,cluster,kvstore,concurrent,distill,
      calibrate,paper,server] restricts the groups that run;
    - [--quota SECONDS] overrides the per-test measurement quota;
    - [--json PATH] writes the per-benchmark ns/run estimates as a JSON
@@ -507,6 +508,40 @@ let cluster_tests =
            ignore (Coordinator.run config ~ring ~nodes ~seed:9)));
   ]
 
+(* --- kvstore: the server's write path ------------------------------------ *)
+
+let kvstore_tests =
+  let module Server = Gcperf_kvstore.Server in
+  [
+    Test.make ~name:"update-path"
+      (* 100 updates against a store replayed to 32 MB of records: the
+         key-column lookup, the record install, the overwrite's reference
+         removal and the allocation (with its young collections) they
+         cause.  The 512 MB flush threshold keeps the commit log bounded
+         however long the run.  No write transients: their lifetimes only
+         retire inside [Vm.step], which this loop never reaches. *)
+      (let vm =
+         Vm.create machine
+           (Gc_config.default Gc_config.ParallelOld ~heap_bytes:(2048 * mb)
+              ~young_bytes:(512 * mb))
+           ~seed:11
+       in
+       let config =
+         {
+           Server.default_config with
+           Server.memtable_flush_bytes = 512 * mb;
+           write_transient_bytes = 0;
+           service_threads = 4;
+         }
+       in
+       let s = Server.create vm config ~seed:3 in
+       Server.replay_commitlog s ~target_bytes:(32 * mb);
+       Staged.stage (fun () ->
+           for _ = 1 to 100 do
+             Server.perform s Server.Update
+           done));
+  ]
+
 (* --- concurrent collector family --------------------------------------- *)
 
 (* Journal fold over 100k pre-built entries against 50k rc cells. *)
@@ -794,6 +829,8 @@ let () =
     ~quota_s:0.5 ~lim:50;
   run_group "cluster" "cluster (ring placement, fan-out coordinator)"
     cluster_tests ~quota_s:0.5 ~lim:50;
+  run_group "kvstore" "kvstore (server write path)" kvstore_tests ~quota_s:0.5
+    ~lim:200;
   run_group "concurrent" "concurrent family (barriers, journal fold)"
     concurrent_tests ~quota_s:0.5 ~lim:200;
   run_group "distill" "distill (LBO cost extraction)" distill_tests

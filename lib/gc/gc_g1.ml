@@ -492,8 +492,12 @@ let create ctx (config : Gc_config.t) =
               match !target with
               | Some r when r.Rh.used + size <= rheap.Rh.region_size ->
                   Rh.add_used rheap src (-size);
+                  (* Mixed collections re-evacuate tenured objects, so
+                     ages grow without bound there.  Every decision
+                     compares an age with the tenuring threshold (at
+                     most 15), so saturating changes none of them. *)
                   Os.plan_push_region store id ~region:r.Rh.idx
-                    ~age:(Os.age store id + age_bump);
+                    ~age:(min Os.max_age (Os.age store id + age_bump));
                   Rh.add_used rheap r size;
                   Vec.push r.Rh.objects id
               | _ -> (

@@ -12,10 +12,11 @@ type t
 val create : unit -> t
 
 val append : t -> int -> int -> unit
-(** [append t id delta] logs one RC delta. *)
+(** [append t id delta] logs one RC delta, packed into one word.
+    @raise Invalid_argument when [delta] is outside [-1, 1]. *)
 
 val length : t -> int
-(** Entries logged (pairs, not ints). *)
+(** Entries logged (one per {!append}). *)
 
 val is_empty : t -> bool
 val clear : t -> unit

@@ -7,17 +7,44 @@ type location = Eden | Survivor | Old | Region of int | Nowhere
    One unboxed int-array column per attribute instead of one boxed record
    per object: a mark loop touches size/location/mark words that sit
    densely in a handful of arrays rather than chasing a pointer per
-   object into a scattered heap of records.  Locations are small int
-   codes (constant-time compares; [Region r] packs the index into the
-   code), and outgoing references live in one shared CSR edge arena —
-   per-object offset/length/capacity columns into a single [edges] array
-   — so a scan of an object's children is a linear slice walk. *)
+   object into a scattered heap of records.  Six columns hold everything
+   an object needs, and attributes that fit share a word:
+
+   - [locv]: location code and age, [code lsl age_bits lor age].  Codes
+     are small ints ([Region r] packs the index into the code), so the
+     young test is one compare ([locv < young_limit]) and every other
+     location test is a shift and a compare;
+   - [ref_off] and [ref_lc]: the object's slice of one shared CSR edge
+     arena, as its start offset and [cap lsl len_bits lor len], so a
+     scan of an object's children is a linear slice walk;
+   - [sizev], [markv] (trace epoch stamp) and [yrefv] (young-ref count).
+
+   There is no live-id list: freed slots carry the [Nowhere] code, and
+   live-id iteration scans the slots in id order. *)
 
 let code_eden = 0
 let code_survivor = 1
 let code_old = 2
 let code_nowhere = 3
 let region_base = 4
+
+(* Young ages stay below 16: the tenuring threshold is validated to 1..15
+   and a survivor ages by one per collection until it is promoted.  Only
+   G1's mixed collections keep ageing tenured objects, and they saturate
+   at [max_age]. *)
+let age_bits = 5
+let max_age = (1 lsl age_bits) - 1  (* also the age field's mask *)
+let young_limit = (code_survivor + 1) lsl age_bits
+let nowhere_word = code_nowhere lsl age_bits
+let region_floor = region_base lsl age_bits
+
+let[@inline] code_of_word w = w lsr age_bits
+
+let len_bits = 32
+let len_mask = (1 lsl len_bits) - 1
+let[@inline] lc_len lc = lc land len_mask
+let[@inline] lc_cap lc = lc lsr len_bits
+let[@inline] lc_pack ~cap ~len = (cap lsl len_bits) lor len
 
 let[@inline] code_of_loc = function
   | Eden -> code_eden
@@ -35,87 +62,68 @@ let[@inline] loc_of_code c =
 
 type t = {
   mutable sizev : int array;
-  mutable agev : int array;
-  mutable locv : int array;
+  mutable locv : int array;  (* code lsl age_bits lor age *)
   mutable markv : int array;  (* epoch stamp; 0 = never marked *)
   mutable yrefv : int array;  (* outgoing refs targeting young objects *)
   mutable ref_off : int array;  (* CSR: slice start in [edges] *)
-  mutable ref_len : int array;
-  mutable ref_cap : int array;
-  mutable live_pos : int array;  (* index in [live_list]; -1 when free *)
+  mutable ref_lc : int array;  (* CSR: cap lsl len_bits lor len *)
   mutable edges : int array;
   mutable edges_len : int;  (* bump cursor *)
   mutable edges_garbage : int;  (* entries abandoned by slice regrowth *)
   mutable slot_count : int;
+  mutable live_n : int;
   free_slots : Ivec.t;
-  live_list : Ivec.t;  (* live ids, unordered (swap-remove) *)
   mutable epoch : int;
-  (* Relocation plan (see [finish_relocate]): parallel triples of object
-     id, destination location code and destination age, filled in
-     placement order by the collector's plan pass. *)
+  (* Relocation plan (see [finish_relocate]): parallel pairs of object id
+     and destination [locv] word, filled in placement order by the
+     collector's plan pass. *)
   mutable plan_ids : int array;
-  mutable plan_code : int array;
-  mutable plan_age : int array;
+  mutable plan_word : int array;
   mutable plan_n : int;
   (* Double-buffered destination arena for [rebuild_edges]: the retired
      source arena becomes the next rebuild's preallocated destination, so
      steady-state rebuilds allocate nothing in the host runtime. *)
   mutable edges_spare : int array;
-  (* Forwarding table for pauseless concurrent relocation: epoch-stamped
-     per-slot entries, so opening a new relocation phase is O(1) and no
-     clearing pass ever runs.  [fwd_stampv.(id) = fwd_epoch] means the
-     object moved this phase; [fwd_healv.(id) = fwd_epoch] means some
-     reader already remapped (healed) it. *)
-  mutable fwd_stampv : int array;
-  mutable fwd_healv : int array;
+  (* Forwarding table for pauseless concurrent relocation: one epoch-
+     stamped word per slot, [fwd_v.(id) = e lsl 1 lor u], so opening a
+     new relocation phase is O(1) and no clearing pass ever runs.  [e =
+     fwd_epoch] means the object moved this phase; [u = 1] means no
+     reader has remapped (healed) it yet.  Zero-filled slots read as
+     "healed in epoch 0", which is never forwarded. *)
+  mutable fwd_v : int array;
   fwd_ids : Ivec.t;  (* ids recorded this phase, record order *)
   mutable fwd_epoch : int;
   mutable fwd_pending : int;  (* recorded, not yet healed *)
-  mutable fwd_hits : int;  (* load-barrier slow paths taken this phase *)
 }
 
 let create () =
   {
     sizev = [||];
-    agev = [||];
     locv = [||];
     markv = [||];
     yrefv = [||];
     ref_off = [||];
-    ref_len = [||];
-    ref_cap = [||];
-    live_pos = [||];
+    ref_lc = [||];
     edges = [||];
     edges_len = 0;
     edges_garbage = 0;
     slot_count = 0;
+    live_n = 0;
     free_slots = Ivec.create ();
-    live_list = Ivec.create ();
     epoch = 0;
     plan_ids = [||];
-    plan_code = [||];
-    plan_age = [||];
+    plan_word = [||];
     plan_n = 0;
     edges_spare = [||];
-    fwd_stampv = [||];
-    fwd_healv = [||];
+    fwd_v = [||];
     fwd_ids = Ivec.create ();
     fwd_epoch = 0;
     fwd_pending = 0;
-    fwd_hits = 0;
   }
 
 let[@inline] is_young_loc = function
   | Eden | Survivor -> true
   | Old | Region _ | Nowhere -> false
-
-let[@inline] is_old_loc = function
-  | Old -> true
-  | Eden | Survivor | Region _ | Nowhere -> false
-
-let[@inline] is_nowhere_loc = function
-  | Nowhere -> true
-  | Eden | Survivor | Old | Region _ -> false
 
 let[@inline] check t id =
   if id < 0 || id >= t.slot_count then
@@ -123,10 +131,11 @@ let[@inline] check t id =
 
 let[@inline] check_live t id =
   check t id;
-  if t.locv.(id) = code_nowhere then invalid_arg "Obj_store.get: stale id"
+  if code_of_word t.locv.(id) = code_nowhere then
+    invalid_arg "Obj_store.get: stale id"
 
 let[@inline] is_live t id =
-  id >= 0 && id < t.slot_count && t.locv.(id) <> code_nowhere
+  id >= 0 && id < t.slot_count && code_of_word t.locv.(id) <> code_nowhere
 
 (* Per-id accessors compile to single unchecked word moves: every id a
    caller can legitimately hold is below [slot_count] (ids are only
@@ -135,29 +144,20 @@ let[@inline] is_live t id =
    hottest loads.  [is_live]/[check_live] remain the checked entry
    points for untrusted ids. *)
 let[@inline] size t id = Array.unsafe_get t.sizev id
-let[@inline] age t id = Array.unsafe_get t.agev id
-let[@inline] set_age t id v = Array.unsafe_set t.agev id v
-let[@inline] loc_code t id = Array.unsafe_get t.locv id
-let[@inline] loc t id = loc_of_code (Array.unsafe_get t.locv id)
+let[@inline] age t id = Array.unsafe_get t.locv id land max_age
+let[@inline] loc_code t id = code_of_word (Array.unsafe_get t.locv id)
+let[@inline] loc t id = loc_of_code (loc_code t id)
 let[@inline] young_refs t id = Array.unsafe_get t.yrefv id
 
-let[@inline] is_young t id = Array.unsafe_get t.locv id <= code_survivor
-let[@inline] is_old t id = Array.unsafe_get t.locv id = code_old
-let[@inline] is_nowhere t id = Array.unsafe_get t.locv id = code_nowhere
+let[@inline] is_young t id = Array.unsafe_get t.locv id < young_limit
+let[@inline] is_old t id = loc_code t id = code_old
+let[@inline] is_nowhere t id = loc_code t id = code_nowhere
 
 let[@inline] region_index t id =
-  let c = Array.unsafe_get t.locv id in
+  let c = loc_code t id in
   if c >= region_base then c - region_base else -1
 
-let[@inline] in_region t id idx =
-  Array.unsafe_get t.locv id = region_base + idx
-
-let[@inline] set_loc t id l = Array.unsafe_set t.locv id (code_of_loc l)
-let[@inline] set_loc_eden t id = Array.unsafe_set t.locv id code_eden
-let[@inline] set_loc_survivor t id = Array.unsafe_set t.locv id code_survivor
-let[@inline] set_loc_old t id = Array.unsafe_set t.locv id code_old
-let[@inline] set_loc_region t id idx =
-  Array.unsafe_set t.locv id (region_base + idx)
+let[@inline] in_region t id idx = loc_code t id = region_base + idx
 
 (* --- epoch-stamped marks --------------------------------------------- *)
 
@@ -171,8 +171,6 @@ let[@inline] mark t id = Array.unsafe_set t.markv id t.epoch
 
 let[@inline] is_marked t id = Array.unsafe_get t.markv id = t.epoch
 
-let[@inline] unmark t id = Array.unsafe_set t.markv id 0
-
 (* --- allocation ------------------------------------------------------- *)
 
 let[@inline never] grow_columns t =
@@ -184,14 +182,11 @@ let[@inline never] grow_columns t =
     nd
   in
   t.sizev <- extend t.sizev;
-  t.agev <- extend t.agev;
   t.locv <- extend t.locv;
   t.markv <- extend t.markv;
   t.yrefv <- extend t.yrefv;
   t.ref_off <- extend t.ref_off;
-  t.ref_len <- extend t.ref_len;
-  t.ref_cap <- extend t.ref_cap;
-  t.live_pos <- extend t.live_pos
+  t.ref_lc <- extend t.ref_lc
 
 (* Sizes are positive by construction at every call site (allocation
    requests are validated at the VM boundary); no assert on this path. *)
@@ -210,17 +205,18 @@ let[@inline] alloc_code t ~size ~code =
   in
   (* [id < Array.length t.sizev] by construction (grow above, or a
      recycled slot), and every column shares that length: unchecked
-     stores keep the per-allocation cost to the seven word writes. *)
+     stores keep the per-allocation cost to the four word writes. *)
   Array.unsafe_set t.sizev id size;
-  Array.unsafe_set t.locv id code;
-  Array.unsafe_set t.agev id 0;
+  Array.unsafe_set t.locv id (code lsl age_bits);
   Array.unsafe_set t.markv id 0;
   Array.unsafe_set t.yrefv id 0;
-  Array.unsafe_set t.live_pos id (Ivec.length t.live_list);
-  Ivec.push t.live_list id;
+  t.live_n <- t.live_n + 1;
   id
 
-let alloc t ~size ~loc = alloc_code t ~size ~code:(code_of_loc loc)
+let alloc t ~size ~loc =
+  let code = code_of_loc loc in
+  if code = code_nowhere then invalid_arg "Obj_store.alloc: Nowhere";
+  alloc_code t ~size ~code
 
 let alloc_region t ~size ~region =
   alloc_code t ~size ~code:(region_base + region)
@@ -230,30 +226,22 @@ let alloc_region t ~size ~region =
    recycling, which the goldens depend on — every caller must visit dead
    objects in the same order the checked per-object loop did. *)
 let[@inline] free_unchecked t id =
-  (* Only [locv] and [ref_len] need clearing.  [markv]/[yrefv] of a dead
-     id are unreachable — every reader guards on location first
-     ([code_nowhere] fails both the young and the not-nowhere tests) and
-     [alloc_code] re-zeroes them on recycling — and [live_pos] is only
-     read while live.  [ref_len] must drop to zero here: the recycled
-     slot keeps its arena slice capacity but starts with no refs. *)
-  Array.unsafe_set t.locv id code_nowhere;
-  Array.unsafe_set t.ref_len id 0;
-  (* Inlined swap-remove of the live-list slot: move the tail id into the
-     vacated position and patch its back-pointer.  When [id] is itself
-     the tail ([p = last]) the self-move is harmless and no patch is
-     needed — identical to the checked original. *)
-  let p = Array.unsafe_get t.live_pos id in
-  let live = t.live_list in
-  let moved = Ivec.unsafe_pop live in
-  if p < Ivec.length live then begin
-    Ivec.unsafe_set live p moved;
-    Array.unsafe_set t.live_pos moved p
-  end;
+  (* Only [locv] and the slice length need clearing.  [markv]/[yrefv] of
+     a dead id are unreachable — every reader guards on location first
+     ([Nowhere] fails both the young and the not-nowhere tests) and
+     [alloc_code] re-zeroes them on recycling.  The length must drop to
+     zero here: the recycled slot keeps its arena slice capacity but
+     starts with no refs. *)
+  Array.unsafe_set t.locv id nowhere_word;
+  Array.unsafe_set t.ref_lc id
+    (Array.unsafe_get t.ref_lc id land lnot len_mask);
+  t.live_n <- t.live_n - 1;
   Ivec.push t.free_slots id
 
 let free t id =
   check t id;
-  if t.locv.(id) = code_nowhere then invalid_arg "Obj_store.free: double free";
+  if code_of_word t.locv.(id) = code_nowhere then
+    invalid_arg "Obj_store.free: double free";
   free_unchecked t id
 
 (* Retained for callers that still pass a host domain count: every heap
@@ -262,10 +250,11 @@ let set_default_gc_domains (_ : int) = ()
 
 (* --- CSR edge arena --------------------------------------------------- *)
 
-(* Slices grow by relocating to the bump end of the arena; the abandoned
-   block counts as garbage.  When the arena itself runs out, it is rebuilt
-   tight (slices packed in id order, capacities collapsed to lengths) into
-   a store at least twice the live size — one deterministic path covering
+(* A slice starts with room for one reference and doubles by relocating
+   to the bump end of the arena; the abandoned block counts as garbage.
+   When the arena itself runs out, it is rebuilt tight (slices packed in
+   id order, capacities collapsed to lengths) into a store of twice the
+   live size, never smaller than before — one deterministic path covering
    both growth and compaction.  Rebuilds only happen from the mutator-
    facing ref operations, never mid-trace, so trace kernels can cache the
    [edges] array.
@@ -278,27 +267,27 @@ let set_default_gc_domains (_ : int) = ()
 let[@inline never] rebuild_edges t need =
   let live = t.edges_len - t.edges_garbage in
   let target = live + need in
-  let ncap = ref (max 64 (Array.length t.edges)) in
-  while !ncap < target * 2 do
-    ncap := !ncap * 2
-  done;
+  let ncap = max 64 (max (Array.length t.edges) (target * 2)) in
   let src = t.edges in
   let dst =
-    if Array.length t.edges_spare >= !ncap then t.edges_spare
-    else Array.make !ncap 0
+    if Array.length t.edges_spare >= ncap then t.edges_spare
+    else Array.make ncap 0
   in
-  let ref_off = t.ref_off and ref_len = t.ref_len and ref_cap = t.ref_cap in
+  let ref_off = t.ref_off and ref_lc = t.ref_lc in
   let pos = ref 0 in
   for id = 0 to t.slot_count - 1 do
-    let len = ref_len.(id) in
+    let len = lc_len ref_lc.(id) in
     if len > 0 then Array.blit src ref_off.(id) dst !pos len;
     ref_off.(id) <- !pos;
-    ref_cap.(id) <- len;
+    ref_lc.(id) <- lc_pack ~cap:len ~len;
     pos := !pos + len
   done;
   t.edges_len <- !pos;
   t.edges <- dst;
-  t.edges_spare <- (if src == dst then [||] else src);
+  (* Keep the retired arena only if it can serve as a later destination:
+     a rebuild never shrinks the arena, so after a growing rebuild the
+     smaller source could only hold host memory until the next one. *)
+  t.edges_spare <- (if Array.length src >= ncap then src else [||]);
   t.edges_garbage <- 0
 
 let[@inline] reserve_edges t need =
@@ -306,41 +295,41 @@ let[@inline] reserve_edges t need =
 
 let[@inline never] grow_ref t id =
   let ncap =
-    let c = t.ref_cap.(id) in
-    if c = 0 then 4 else c * 2
+    let c = lc_cap t.ref_lc.(id) in
+    if c = 0 then 1 else c * 2
   in
   reserve_edges t ncap;
   (* re-read after a possible rebuild *)
-  let off = t.ref_off.(id)
-  and len = t.ref_len.(id)
-  and cap = t.ref_cap.(id) in
+  let off = t.ref_off.(id) and lc = t.ref_lc.(id) in
+  let len = lc_len lc in
   let noff = t.edges_len in
   Array.blit t.edges off t.edges noff len;
   t.edges_len <- noff + ncap;
   t.ref_off.(id) <- noff;
-  t.ref_cap.(id) <- ncap;
-  t.edges_garbage <- t.edges_garbage + cap
+  t.ref_lc.(id) <- lc_pack ~cap:ncap ~len;
+  t.edges_garbage <- t.edges_garbage + lc_cap lc
 
 let[@inline] push_ref t id x =
-  if t.ref_len.(id) = t.ref_cap.(id) then grow_ref t id;
-  let len = t.ref_len.(id) in
-  t.edges.(t.ref_off.(id) + len) <- x;
-  t.ref_len.(id) <- len + 1
+  let lc = t.ref_lc.(id) in
+  if lc_len lc = lc_cap lc then grow_ref t id;
+  let lc = t.ref_lc.(id) in
+  t.edges.(t.ref_off.(id) + lc_len lc) <- x;
+  (* [len < cap] here, so the increment stays inside the length field *)
+  t.ref_lc.(id) <- lc + 1
 
-let[@inline] ref_count t id = t.ref_len.(id)
+let[@inline] ref_count t id = lc_len t.ref_lc.(id)
 
 let[@inline] ref_at t id i = t.edges.(t.ref_off.(id) + i)
 
 let iter_refs t id f =
   let off = t.ref_off.(id) in
   let edges = t.edges in
-  for i = off to off + t.ref_len.(id) - 1 do
+  for i = off to off + lc_len t.ref_lc.(id) - 1 do
     f edges.(i)
   done
 
-let refs_array t id = Array.sub t.edges t.ref_off.(id) t.ref_len.(id)
-
-let refs_list t id = Array.to_list (refs_array t id)
+let refs_list t id =
+  Array.to_list (Array.sub t.edges t.ref_off.(id) (lc_len t.ref_lc.(id)))
 
 (* --- references and the young-ref counter ----------------------------- *)
 
@@ -354,12 +343,13 @@ let refs_list t id = Array.to_list (refs_array t id)
 let add_ref t ~from ~to_ =
   check_live t from;
   check_live t to_;
-  if t.locv.(to_) <= code_survivor then t.yrefv.(from) <- t.yrefv.(from) + 1;
+  if t.locv.(to_) < young_limit then t.yrefv.(from) <- t.yrefv.(from) + 1;
   push_ref t from to_
 
 let remove_ref t ~from ~to_ =
   check_live t from;
-  let off = t.ref_off.(from) and n = t.ref_len.(from) in
+  let off = t.ref_off.(from) and lc = t.ref_lc.(from) in
+  let n = lc_len lc in
   let edges = t.edges in
   let rec find i =
     if i >= n then -1 else if edges.(off + i) = to_ then i else find (i + 1)
@@ -367,68 +357,68 @@ let remove_ref t ~from ~to_ =
   let i = find 0 in
   if i >= 0 then begin
     edges.(off + i) <- edges.(off + n - 1);
-    t.ref_len.(from) <- n - 1;
-    if to_ >= 0 && to_ < t.slot_count && t.locv.(to_) <= code_survivor then
+    t.ref_lc.(from) <- lc - 1;
+    if to_ >= 0 && to_ < t.slot_count && t.locv.(to_) < young_limit then
       t.yrefv.(from) <- t.yrefv.(from) - 1
   end
 
 let clear_refs t id =
   check_live t id;
-  t.ref_len.(id) <- 0;
+  t.ref_lc.(id) <- t.ref_lc.(id) land lnot len_mask;
   t.yrefv.(id) <- 0
 
 let set_refs t id refs =
   check_live t id;
   let n = Array.length refs in
-  if n > t.ref_cap.(id) then begin
+  if n > lc_cap t.ref_lc.(id) then begin
     reserve_edges t n;
-    let abandoned = t.ref_cap.(id) in
+    let abandoned = lc_cap t.ref_lc.(id) in
     t.ref_off.(id) <- t.edges_len;
-    t.ref_cap.(id) <- n;
+    t.ref_lc.(id) <- lc_pack ~cap:n ~len:0;
     t.edges_len <- t.edges_len + n;
     t.edges_garbage <- t.edges_garbage + abandoned
   end;
-  t.ref_len.(id) <- 0;
+  let cap_word = t.ref_lc.(id) land lnot len_mask in
+  t.ref_lc.(id) <- cap_word;
   t.yrefv.(id) <- 0;
   let off = t.ref_off.(id) in
   for i = 0 to n - 1 do
     let r = refs.(i) in
     check_live t r;
     t.edges.(off + i) <- r;
-    t.ref_len.(id) <- i + 1;
-    if t.locv.(r) <= code_survivor then t.yrefv.(id) <- t.yrefv.(id) + 1
+    t.ref_lc.(id) <- cap_word lor (i + 1);
+    if t.locv.(r) < young_limit then t.yrefv.(id) <- t.yrefv.(id) + 1
   done
 
 let recount_young_refs t id =
   let off = t.ref_off.(id) in
   let edges = t.edges and locv = t.locv in
   let n = ref 0 in
-  for i = off to off + t.ref_len.(id) - 1 do
-    if locv.(edges.(i)) <= code_survivor then incr n
+  for i = off to off + lc_len t.ref_lc.(id) - 1 do
+    if locv.(edges.(i)) < young_limit then incr n
   done;
   t.yrefv.(id) <- !n
 
 (* --- live-id iteration ------------------------------------------------ *)
 
-(* The live list makes these O(live), not O(capacity): a heap that has
-   shrunk does not pay for its peak.  Iteration sorts a copy — ids
-   ascending is the order the O(capacity) scan gave, and downstream
-   consumers (G1's remembered-set rebuild) depend on it. *)
+(* A scan of the slot table in id order: O(capacity), not O(live), but
+   with no live-id list to keep per slot and no sort — ascending ids are
+   the order downstream consumers (G1's remembered-set rebuild) depend
+   on.  The slot table only grows to the peak live count, since freed
+   slots are recycled before new ones are minted. *)
 
-let[@inline] live_count t = Ivec.length t.live_list
+let[@inline] live_count t = t.live_n
 
-let sorted_live t =
-  let a = Ivec.to_array t.live_list in
-  Array.sort (fun (x : int) y -> compare x y) a;
-  a
+let iter_live t f =
+  let locv = t.locv in
+  for id = 0 to t.slot_count - 1 do
+    if code_of_word (Array.unsafe_get locv id) <> code_nowhere then f id
+  done
 
 let live_ids t =
-  let a = sorted_live t in
-  let acc = Ivec.create ~capacity:(max 1 (Array.length a)) () in
-  Array.iter (fun id -> Ivec.push acc id) a;
+  let acc = Ivec.create ~capacity:(max 1 t.live_n) () in
+  iter_live t (fun id -> Ivec.push acc id);
   acc
-
-let iter_live t f = Array.iter f (sorted_live t)
 
 let[@inline] capacity t = t.slot_count
 
@@ -448,7 +438,7 @@ type trace_pred = Trace_young | Trace_live | Trace_regions of bool array
 let sequential_finish t ~pred ~marked ~stack =
   let edges = t.edges
   and ref_off = t.ref_off
-  and ref_len = t.ref_len
+  and ref_lc = t.ref_lc
   and markv = t.markv
   and locv = t.locv
   and ep = t.epoch in
@@ -458,15 +448,15 @@ let sequential_finish t ~pred ~marked ~stack =
   while not (Ivec.is_empty stack) do
     let v = Ivec.unsafe_pop stack in
     let off = Array.unsafe_get ref_off v in
-    for i = off to off + Array.unsafe_get ref_len v - 1 do
+    for i = off to off + lc_len (Array.unsafe_get ref_lc v) - 1 do
       let c = Array.unsafe_get edges i in
       let admit =
         match pred with
-        | Trace_young -> Array.unsafe_get locv c <= code_survivor
-        | Trace_live -> Array.unsafe_get locv c <> code_nowhere
+        | Trace_young -> Array.unsafe_get locv c < young_limit
+        | Trace_live -> code_of_word (Array.unsafe_get locv c) <> code_nowhere
         | Trace_regions rs ->
-            let l = Array.unsafe_get locv c in
-            l >= region_base && rs.(l - region_base)
+            let w = Array.unsafe_get locv c in
+            w >= region_floor && rs.(code_of_word w - region_base)
       in
       if admit && Array.unsafe_get markv c <> ep then begin
         Array.unsafe_set markv c ep;
@@ -480,11 +470,12 @@ let sequential_finish t ~pred ~marked ~stack =
 
    [finish_relocate] is the move half of a two-phase relocation.  Phase
    A (plan) happens in the collector: walking survivors in deterministic
-   trace order it decides destinations — bump-packing, budget checks, registry pushes and used
-   accounting are inherently ordered and stay sequential — and records
-   each object's target location code and age with {!plan_push}.  Phase B
-   (move) is this kernel: one pass applies the recorded writes to the
-   [locv] and [agev] columns in plan order. *)
+   trace order it decides destinations — bump-packing, budget checks,
+   registry pushes and used accounting are inherently ordered and stay
+   sequential — and records each object's target location code and age,
+   already packed as a [locv] word, with {!plan_push}.  Phase B (move)
+   is this kernel: one pass stores the recorded words into [locv] in
+   plan order. *)
 
 let[@inline never] grow_plan t =
   let cap = Array.length t.plan_ids in
@@ -495,18 +486,18 @@ let[@inline never] grow_plan t =
     nd
   in
   t.plan_ids <- extend t.plan_ids;
-  t.plan_code <- extend t.plan_code;
-  t.plan_age <- extend t.plan_age
+  t.plan_word <- extend t.plan_word
 
 let[@inline] plan_clear t = t.plan_n <- 0
 let[@inline] plan_length t = t.plan_n
 
 let[@inline] plan_push_code t id code age =
+  if age < 0 || age > max_age then
+    invalid_arg "Obj_store.plan_push: age does not fit the age bits";
   let n = t.plan_n in
   if n = Array.length t.plan_ids then grow_plan t;
   t.plan_ids.(n) <- id;
-  t.plan_code.(n) <- code;
-  t.plan_age.(n) <- age;
+  t.plan_word.(n) <- (code lsl age_bits) lor age;
   t.plan_n <- n + 1
 
 let[@inline] plan_push t id ~loc ~age = plan_push_code t id (code_of_loc loc) age
@@ -519,12 +510,10 @@ let[@inline] plan_push_region t id ~region ~age =
 
 let finish_relocate t =
   let n = t.plan_n in
-  let ids = t.plan_ids and code = t.plan_code and age = t.plan_age in
-  let locv = t.locv and agev = t.agev in
+  let ids = t.plan_ids and word = t.plan_word in
+  let locv = t.locv in
   for i = 0 to n - 1 do
-    let id = Array.unsafe_get ids i in
-    Array.unsafe_set locv id (Array.unsafe_get code i);
-    Array.unsafe_set agev id (Array.unsafe_get age i)
+    Array.unsafe_set locv (Array.unsafe_get ids i) (Array.unsafe_get word i)
   done;
   t.plan_n <- 0;
   n
@@ -547,7 +536,7 @@ let sweep_young_registry t v =
   let n = Ivec.length v in
   for i = 0 to n - 1 do
     let id = Ivec.unsafe_get v i in
-    if Array.unsafe_get locv id <= code_survivor then
+    if Array.unsafe_get locv id < young_limit then
       if Array.unsafe_get markv id = ep then begin
         Ivec.unsafe_set v !j id;
         incr j
@@ -571,7 +560,7 @@ let sweep_dead t v =
   for i = 0 to n - 1 do
     let id = Ivec.unsafe_get v i in
     if
-      Array.unsafe_get locv id <> code_nowhere
+      code_of_word (Array.unsafe_get locv id) <> code_nowhere
       && Array.unsafe_get markv id <> ep
     then begin
       freed := !freed + Array.unsafe_get sizev id;
@@ -587,67 +576,57 @@ let sweep_dead t v =
    load runs a load barrier: forwarded and not yet healed means the
    reader takes the slow path once, remaps the referencing slot
    (self-healing) and never pays again for that object.  The remap flip
-   heals whatever the mutators did not touch.  Entries are epoch stamps:
-   [fwd_begin] invalidates the whole table in O(1). *)
+   heals whatever the mutators did not touch.  An entry is one word,
+   [fwd_epoch lsl 1 lor unhealed]: [fwd_begin] invalidates the whole
+   table in O(1), a read heals by clearing the low bit. *)
 
 let[@inline never] grow_fwd t =
   let cap = max 64 (Array.length t.sizev) in
-  let ext col =
-    let nd = Array.make cap 0 in
-    Array.blit col 0 nd 0 (Array.length col);
-    nd
-  in
-  t.fwd_stampv <- ext t.fwd_stampv;
-  t.fwd_healv <- ext t.fwd_healv
+  let nd = Array.make cap 0 in
+  Array.blit t.fwd_v 0 nd 0 (Array.length t.fwd_v);
+  t.fwd_v <- nd
 
 let fwd_begin t =
-  if Array.length t.fwd_stampv < t.slot_count then grow_fwd t;
+  if Array.length t.fwd_v < t.slot_count then grow_fwd t;
   t.fwd_epoch <- t.fwd_epoch + 1;
   Ivec.clear t.fwd_ids;
-  t.fwd_pending <- 0;
-  t.fwd_hits <- 0
+  t.fwd_pending <- 0
 
 let fwd_record t id =
   check t id;
-  if Array.length t.fwd_stampv <= id then grow_fwd t;
-  if t.fwd_stampv.(id) <> t.fwd_epoch then begin
-    t.fwd_stampv.(id) <- t.fwd_epoch;
+  if Array.length t.fwd_v <= id then grow_fwd t;
+  if t.fwd_v.(id) lsr 1 <> t.fwd_epoch then begin
+    t.fwd_v.(id) <- (t.fwd_epoch lsl 1) lor 1;
     Ivec.push t.fwd_ids id;
     t.fwd_pending <- t.fwd_pending + 1
   end
 
+(* Forwarded this phase and not yet healed. *)
 let[@inline] fwd_is_forwarded t id =
   id >= 0
-  && id < Array.length t.fwd_stampv
-  && Array.unsafe_get t.fwd_stampv id = t.fwd_epoch
-  && Array.unsafe_get t.fwd_healv id <> t.fwd_epoch
+  && id < Array.length t.fwd_v
+  && Array.unsafe_get t.fwd_v id = (t.fwd_epoch lsl 1) lor 1
 
 let fwd_read t id =
   if fwd_is_forwarded t id then begin
-    t.fwd_healv.(id) <- t.fwd_epoch;
+    t.fwd_v.(id) <- t.fwd_epoch lsl 1;
     t.fwd_pending <- t.fwd_pending - 1;
-    t.fwd_hits <- t.fwd_hits + 1;
     true
   end
   else false
 
 let fwd_pending t = t.fwd_pending
-let fwd_hits t = t.fwd_hits
-let fwd_count t = Ivec.length t.fwd_ids
 
 let fwd_heal_all t =
   let healed = ref 0 in
+  let unhealed = (t.fwd_epoch lsl 1) lor 1 in
   Ivec.iter
     (fun id ->
-      if t.fwd_healv.(id) <> t.fwd_epoch then begin
-        t.fwd_healv.(id) <- t.fwd_epoch;
+      if t.fwd_v.(id) = unhealed then begin
+        t.fwd_v.(id) <- t.fwd_epoch lsl 1;
         incr healed
       end)
     t.fwd_ids;
   t.fwd_pending <- 0;
   Ivec.clear t.fwd_ids;
   !healed
-
-(* Debug/bench introspection. *)
-let edges_capacity t = Array.length t.edges
-let edges_garbage t = t.edges_garbage

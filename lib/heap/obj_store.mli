@@ -2,10 +2,11 @@
 
     Every simulated heap object lives in this arena, identified by a
     dense integer id.  Attributes are parallel unboxed int-array columns
-    (size, age, location code, mark epoch, young-ref count) and outgoing
-    references are CSR slices — per-object offset/length into one shared
-    edge arena — so the collectors' hot loops are linear walks over flat
-    int arrays with no per-object boxing or pointer chasing.
+    (size, location code packed with age, mark epoch, young-ref count)
+    and outgoing references are CSR slices — per-object offset and
+    packed length/capacity into one shared edge arena — so the
+    collectors' hot loops are linear walks over flat int arrays with no
+    per-object boxing or pointer chasing.
 
     An object here stands for a {e cluster} of real Java objects
     allocated together (see DESIGN.md §6, "scale factor"): sizes are real
@@ -27,12 +28,6 @@ val create : unit -> t
 val is_young_loc : location -> bool
 (** Whether the location is a young space (eden or survivor). *)
 
-val is_old_loc : location -> bool
-(** Whether the location is the contiguous old generation. *)
-
-val is_nowhere_loc : location -> bool
-(** Whether the location marks a freed slot. *)
-
 (** {1 Per-object attributes}
 
     Accessors index the columns directly: only the array bounds check
@@ -41,16 +36,19 @@ val is_nowhere_loc : location -> bool
     never shrinks.  A freed slot reads as [Nowhere]. *)
 
 val size : t -> int -> int
+
 val age : t -> int -> int
-val set_age : t -> int -> int -> unit
+(** Collections survived, as last set by a relocation plan; 0 at
+    allocation.  Always in [0, {!max_age}]. *)
+
+val max_age : int
+(** The largest age the packed location word holds (31).  Young ages
+    stop at the tenuring threshold (at most 15); a collector that keeps
+    ageing tenured objects saturates at this bound. *)
 
 val loc : t -> int -> location
 (** Decoded location.  Allocates for [Region _]; hot paths should use the
-    predicates or {!loc_code} instead. *)
-
-val loc_code : t -> int -> int
-(** Raw location code: [Eden] 0, [Survivor] 1, [Old] 2, [Nowhere] 3,
-    [Region r] [4 + r]. *)
+    predicates instead. *)
 
 val young_refs : t -> int -> int
 (** Outgoing references currently targeting a young-space object;
@@ -67,15 +65,6 @@ val region_index : t -> int -> int
 val in_region : t -> int -> int -> bool
 (** [in_region t id idx] — whether the object sits in region [idx]. *)
 
-val set_loc : t -> int -> location -> unit
-
-val set_loc_eden : t -> int -> unit
-val set_loc_survivor : t -> int -> unit
-val set_loc_old : t -> int -> unit
-
-val set_loc_region : t -> int -> int -> unit
-(** Allocation-free variants of {!set_loc} for the move/promote loops. *)
-
 (** {1 Epoch-stamped marks} *)
 
 val begin_trace : t -> unit
@@ -88,15 +77,12 @@ val mark : t -> int -> unit
 val is_marked : t -> int -> bool
 (** Whether the object was marked during the current trace epoch. *)
 
-val unmark : t -> int -> unit
-(** Clears the object's stamp (rarely needed; collections normally rely
-    on epoch staleness instead). *)
-
 (** {1 Allocation} *)
 
 val alloc : t -> size:int -> loc:location -> int
 (** Allocates a fresh object (recycling a free slot when possible) and
-    returns its id.  The object starts with age 0, unmarked, no refs. *)
+    returns its id.  The object starts with age 0, unmarked, no refs.
+    @raise Invalid_argument when [loc] is [Nowhere]. *)
 
 val alloc_region : t -> size:int -> region:int -> int
 (** [alloc] into a G1 region without boxing a [Region] constructor. *)
@@ -141,10 +127,8 @@ val ref_at : t -> int -> int -> int
 
 val iter_refs : t -> int -> (int -> unit) -> unit
 
-val refs_array : t -> int -> int array
-(** Fresh copy of the reference slice, in reference order. *)
-
 val refs_list : t -> int -> int list
+(** The reference slice, in reference order. *)
 
 val recount_young_refs : t -> int -> unit
 (** Recomputes the young-ref counter from the object's current references
@@ -153,8 +137,9 @@ val recount_young_refs : t -> int -> unit
 
 (** {1 Live-id iteration}
 
-    Backed by a live-id list maintained on alloc/free — O(live), not
-    O(capacity), so a heap that has shrunk does not pay for its peak. *)
+    A scan of the slot table in id order: O(capacity), where the capacity
+    is the peak live count (freed slots are recycled first).  No per-slot
+    live list is kept. *)
 
 val live_count : t -> int
 
@@ -163,7 +148,8 @@ val live_ids : t -> Gcperf_util.Int_vec.t
 
 val iter_live : t -> (int -> unit) -> unit
 (** Iterates live ids in ascending order (the order downstream
-    remembered-set rebuilds depend on). *)
+    remembered-set rebuilds depend on).  The callback must not allocate
+    or free objects. *)
 
 val capacity : t -> int
 (** Total slots ever allocated (live + recyclable). *)
@@ -206,7 +192,8 @@ val set_default_gc_domains : int -> unit
     placement decisions (bump-packing, budgets, registry pushes, used
     accounting) are inherently ordered and stay in the collector.
     Phase B (move): the kernel applies the recorded writes to the
-    location and age columns in one pass, in plan order. *)
+    location column (which carries the age) in one pass, in plan
+    order. *)
 
 val plan_clear : t -> unit
 (** Drops any pending plan entries (a plan survives only until the next
@@ -217,7 +204,8 @@ val plan_length : t -> int
 
 val plan_push : t -> int -> loc:location -> age:int -> unit
 (** Records one relocation: on {!finish_relocate} the object's location
-    becomes [loc] and its age [age]. *)
+    becomes [loc] and its age [age].
+    @raise Invalid_argument when [age] is outside [0, {!max_age}]. *)
 
 val plan_push_old : t -> int -> age:int -> unit
 
@@ -252,7 +240,8 @@ val sweep_dead : t -> Gcperf_util.Int_vec.t -> int
 (** {1 Forwarding table (pauseless concurrent relocation)}
 
     Per-object forwarding entries with self-healing load-barrier reads,
-    for the concurrent region collector.  Entries are epoch stamps:
+    for the concurrent region collector.  Entries are epoch-stamped
+    words, one per slot:
     {!fwd_begin} opens a relocation phase and invalidates the previous
     table in O(1); {!fwd_record} marks an object as moved this phase;
     {!fwd_read} is the mutator's load barrier — the {e first} read of a
@@ -264,9 +253,6 @@ val sweep_dead : t -> Gcperf_util.Int_vec.t -> int
 val fwd_begin : t -> unit
 val fwd_record : t -> int -> unit
 
-val fwd_is_forwarded : t -> int -> bool
-(** Forwarded this phase and not yet healed. *)
-
 val fwd_read : t -> int -> bool
 (** Load barrier: heals on first contact, [true] iff this read took the
     slow path. *)
@@ -274,17 +260,7 @@ val fwd_read : t -> int -> bool
 val fwd_pending : t -> int
 (** Entries recorded this phase and not yet healed. *)
 
-val fwd_hits : t -> int
-(** Load-barrier slow paths taken this phase. *)
-
-val fwd_count : t -> int
-(** Entries recorded this phase (healed or not). *)
-
 val fwd_heal_all : t -> int
 (** Heals every pending entry; returns how many were left for the flip
     (i.e. never touched by a mutator read). *)
 
-(**/**)
-
-val edges_capacity : t -> int
-val edges_garbage : t -> int

@@ -8,7 +8,6 @@ type config = {
   record_bytes : int;
   read_transient_bytes : int;
   write_transient_bytes : int;
-  key_space : int;
   zipf_theta : float;
   memtable_flush_bytes : int;
   index_fanout : int;
@@ -24,7 +23,6 @@ let default_config =
     record_bytes = 20 * 1024;
     read_transient_bytes = 96 * 1024;
     write_transient_bytes = 8 * 1024;
-    key_space = 200_000;
     zipf_theta = 0.99;
     memtable_flush_bytes = mb 16384;
     index_fanout = 64;
@@ -43,7 +41,11 @@ type t = {
   config : config;
   prng : Prng.t;
   threads : Vm.thread array;
-  keys : (int, int * int) Hashtbl.t;  (* key -> (record id, index id) *)
+  (* Dense key columns: key [k]'s record and index ids, -1 when absent.
+     Keys are minted in order by [next_key] and updates draw below it, so
+     the columns never hold more than [next_key] entries. *)
+  key_record : Ivec.t;
+  key_index : Ivec.t;
   mutable next_key : int;
   indexes : Ivec.t;  (* memtable index objects of the current epoch *)
   mutable current_index : int;  (* index object receiving new records *)
@@ -81,7 +83,8 @@ let create vm config ~seed =
       config;
       prng = Prng.create seed;
       threads;
-      keys = Hashtbl.create 4096;
+      key_record = Ivec.create ();
+      key_index = Ivec.create ();
       next_key = 0;
       indexes = Ivec.create ();
       current_index = -1;
@@ -119,11 +122,27 @@ let flush t =
   Ivec.clear t.indexes;
   Ivec.iter (fun seg -> Vm.drop_global_root t.vm seg) t.commitlog_segments;
   Ivec.clear t.commitlog_segments;
-  Hashtbl.reset t.keys;
+  Ivec.clear t.key_record;
+  Ivec.clear t.key_index;
   t.memtable <- 0;
   t.commitlog <- 0;
   t.commitlog_fill <- commitlog_segment_bytes;
   ignore (fresh_index t)
+
+let set_key t key ~record ~index =
+  let n = Ivec.length t.key_record in
+  if key < n then begin
+    Ivec.set t.key_record key record;
+    Ivec.set t.key_index key index
+  end
+  else begin
+    for _ = n to key - 1 do
+      Ivec.push t.key_record (-1);
+      Ivec.push t.key_index (-1)
+    done;
+    Ivec.push t.key_record record;
+    Ivec.push t.key_index index
+  end
 
 let commitlog_append t thread bytes =
   t.commitlog <- t.commitlog + bytes;
@@ -151,7 +170,7 @@ let install_record_old t key =
   Vm.add_ref t.vm ~parent:index ~child:record;
   t.current_index_fill <- t.current_index_fill + 1;
   Vm.drop_global_root t.vm record;
-  Hashtbl.replace t.keys key (record, index);
+  set_key t key ~record ~index;
   t.memtable <- t.memtable + t.config.record_bytes;
   t.commitlog <- t.commitlog + t.config.record_bytes
 
@@ -172,15 +191,14 @@ let install_record t thread key =
   Vm.add_ref t.vm ~parent:index ~child:record;
   t.current_index_fill <- t.current_index_fill + 1;
   Vm.drop_root t.vm thread record;
-  (match Hashtbl.find_opt t.keys key with
-  | Some (old_record, old_index) ->
-      (* Overwrite: sever the memtable's reference to the old version. *)
-      let st = store t in
-      if Os.is_live st old_index then
-        Vm.remove_ref t.vm ~parent:old_index ~child:old_record;
-      t.memtable <- t.memtable - t.config.record_bytes
-  | None -> ());
-  Hashtbl.replace t.keys key (record, index);
+  if key < Ivec.length t.key_record && Ivec.get t.key_record key >= 0 then begin
+    (* Overwrite: sever the memtable's reference to the old version. *)
+    let old_index = Ivec.get t.key_index key in
+    if Os.is_live (store t) old_index then
+      Vm.remove_ref t.vm ~parent:old_index ~child:(Ivec.get t.key_record key);
+    t.memtable <- t.memtable - t.config.record_bytes
+  end;
+  set_key t key ~record ~index;
   t.memtable <- t.memtable + t.config.record_bytes;
   commitlog_append t thread t.config.record_bytes;
   if t.memtable + t.commitlog >= t.config.memtable_flush_bytes then flush t

@@ -22,7 +22,6 @@ type config = {
   record_bytes : int;  (** one record cluster (a batch of rows) *)
   read_transient_bytes : int;  (** allocation per read operation *)
   write_transient_bytes : int;  (** serialisation buffers per write *)
-  key_space : int;  (** number of distinct keys (record clusters) *)
   zipf_theta : float;  (** key popularity skew, as in YCSB *)
   memtable_flush_bytes : int;  (** flush threshold; = heap for stress *)
   index_fanout : int;  (** records per memtable index object *)

@@ -117,6 +117,21 @@ let test_determinism () =
   let b = run_small bench ~system_gc:true in
   Alcotest.(check (float 0.0)) "same total" a.Harness.total_s b.Harness.total_s
 
+(* G1's mixed collections re-evacuate tenured objects and age them each
+   time, past anything a young collection produces.  This run (xalan,
+   1 GB heap, 100 MB young) drives some ages past the 31 the store's
+   location word holds; they must saturate rather than be refused. *)
+let test_g1_tenured_ages_saturate () =
+  let bench = Option.get (Suite.find "xalan") in
+  let mb = 1024 * 1024 in
+  let gc =
+    Gc_config.default Gc_config.G1 ~heap_bytes:(1024 * mb)
+      ~young_bytes:(100 * mb)
+  in
+  let r = Harness.run ~seed:1227 machine bench ~gc ~system_gc:true () in
+  Alcotest.(check int) "all iterations ran" 10
+    (Array.length r.Harness.iterations)
+
 let () =
   Alcotest.run "dacapo"
     [
@@ -137,5 +152,7 @@ let () =
           Alcotest.test_case "oom flag" `Quick test_harness_oom_flag;
           Alcotest.test_case "best_of" `Quick test_best_of;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "G1 tenured ages saturate" `Quick
+            test_g1_tenured_ages_saturate;
         ] );
     ]

@@ -188,6 +188,34 @@ let test_fold_sum () =
   Alcotest.(check (array int)) "fold = per-entry sum" expected rc;
   Alcotest.(check int) "fold leaves the journal" entries (Journal.length j)
 
+(* Entries pack the delta into two bits: every legal delta must come back
+   unchanged through [iter] and [fold], and any other delta is refused. *)
+let test_journal_round_trip () =
+  let j = Journal.create () in
+  let entries = [ (0, -1); (1, 0); (2, 1); (1 lsl 40, 1); (7, -1); (7, 0) ] in
+  List.iter (fun (id, d) -> Journal.append j id d) entries;
+  Alcotest.(check int) "one entry per append" (List.length entries)
+    (Journal.length j);
+  let seen = ref [] in
+  Journal.iter j (fun id d -> seen := (id, d) :: !seen);
+  Alcotest.(check (list (pair int int))) "iter round-trips" entries
+    (List.rev !seen);
+  let small = Journal.create () in
+  List.iter
+    (fun (id, d) -> Journal.append small id d)
+    [ (0, -1); (1, 0); (2, 1); (2, 1) ];
+  let rc = [| 10; 10; 10 |] in
+  Alcotest.(check int) "fold count" 4 (Journal.fold small ~rc);
+  Alcotest.(check (array int)) "fold round-trips" [| 9; 10; 12 |] rc;
+  List.iter
+    (fun d ->
+      match Journal.append j 3 d with
+      | () -> Alcotest.failf "delta %d accepted" d
+      | exception Invalid_argument _ -> ())
+    [ -2; 2; 5 ];
+  Alcotest.(check int) "refused deltas not logged" (List.length entries)
+    (Journal.length j)
+
 (* --- collector correctness through the VM ----------------------------- *)
 
 let test_rooted_survive kind =
@@ -300,6 +328,8 @@ let () =
         [
           Alcotest.test_case "fold equals the per-entry sum" `Quick
             test_fold_sum;
+          Alcotest.test_case "journal entries round-trip" `Quick
+            test_journal_round_trip;
         ] );
       ("rooted-survive", concurrent_kind_cases test_rooted_survive);
       ("garbage-reclaimed", concurrent_kind_cases test_garbage_reclaimed);

@@ -78,12 +78,20 @@ let test_store_live_ids () =
 type model_obj = {
   mutable m_size : int;
   mutable m_loc : Os.location;
+  mutable m_age : int;
   mutable m_refs : int array;
 }
 
+let loc_of_int b =
+  match b mod 4 with
+  | 0 -> Os.Eden
+  | 1 -> Os.Survivor
+  | 2 -> Os.Old
+  | _ -> Os.Region (b mod 8)
+
 let prop_store_model =
   QCheck.Test.make ~name:"SoA store matches a record-based model" ~count:300
-    QCheck.(list (triple (int_bound 5) (int_bound 999) (int_bound 999)))
+    QCheck.(list (triple (int_bound 7) (int_bound 999) (int_bound 999)))
     (fun ops ->
       let s = Os.create () in
       let model : (int, model_obj) Hashtbl.t = Hashtbl.create 64 in
@@ -99,16 +107,10 @@ let prop_store_model =
           match tag with
           | 0 ->
               let size = (a mod 1000) + 1 in
-              let loc =
-                match b mod 4 with
-                | 0 -> Os.Eden
-                | 1 -> Os.Survivor
-                | 2 -> Os.Old
-                | _ -> Os.Region (b mod 8)
-              in
+              let loc = loc_of_int b in
               let id = Os.alloc s ~size ~loc in
               Hashtbl.replace model id
-                { m_size = size; m_loc = loc; m_refs = [||] };
+                { m_size = size; m_loc = loc; m_age = 0; m_refs = [||] };
               live := id :: !live
           | 1 when !live <> [] ->
               let id = pick a in
@@ -158,6 +160,37 @@ let prop_store_model =
               if Os.young_refs s id <> expect then
                 QCheck.Test.fail_reportf "young_refs %d: store %d model %d" id
                   (Os.young_refs s id) expect
+          | 6 when !live <> [] ->
+              (* Relocation rewrites the packed location/age word.  The
+                 edge ages are drawn often: 15 and 16, the oldest young
+                 collections produce, and [max_age], where G1's mixed
+                 collections saturate. *)
+              let id = pick a in
+              let loc = loc_of_int (b / 17) in
+              let age =
+                match b mod 5 with
+                | 0 -> 15
+                | 1 -> 16
+                | 2 -> Os.max_age
+                | _ -> b mod 17
+              in
+              Os.plan_clear s;
+              Os.plan_push s id ~loc ~age;
+              ignore (Os.finish_relocate s);
+              let m = Hashtbl.find model id in
+              m.m_loc <- loc;
+              m.m_age <- age
+          | 7 when !live <> [] ->
+              (* A burst of up to 20 appends doubles one slice's capacity
+                 past 4 -> 8 -> 16 through the packed length/capacity
+                 word. *)
+              let from = pick a in
+              let m = Hashtbl.find model from in
+              for i = 0 to b mod 20 do
+                let to_ = pick (b + i) in
+                Os.add_ref s ~from ~to_;
+                m.m_refs <- Array.append m.m_refs [| to_ |]
+              done
           | _ -> ())
         ops;
       let sorted_live = List.sort compare !live in
@@ -172,6 +205,11 @@ let prop_store_model =
             QCheck.Test.fail_reportf "size mismatch for %d" id;
           if Os.loc s id <> m.m_loc then
             QCheck.Test.fail_reportf "loc mismatch for %d" id;
+          if Os.age s id <> m.m_age then
+            QCheck.Test.fail_reportf "age mismatch for %d: store %d model %d"
+              id (Os.age s id) m.m_age;
+          if Os.ref_count s id <> Array.length m.m_refs then
+            QCheck.Test.fail_reportf "ref_count mismatch for %d" id;
           if Os.refs_list s id <> Array.to_list m.m_refs then
             QCheck.Test.fail_reportf "refs mismatch for %d" id)
         sorted_live;
@@ -251,6 +289,142 @@ let prop_finish_relocate =
       && List.for_all
            (fun (id, loc, age) -> Os.loc s id = loc && Os.age s id = age)
            !unplanned)
+
+(* The age shares the location word: an age outside its five bits must
+   be refused at plan time rather than corrupt the location code. *)
+let test_plan_age_range () =
+  let s = Os.create () in
+  let id = Os.alloc s ~size:8 ~loc:Os.Eden in
+  let refused name push =
+    List.iter
+      (fun age ->
+        match push age with
+        | () -> Alcotest.failf "%s accepted age %d" name age
+        | exception Invalid_argument _ -> ())
+      [ -1; 32; 1000 ]
+  in
+  refused "plan_push" (fun age -> Os.plan_push s id ~loc:Os.Old ~age);
+  refused "plan_push_old" (fun age -> Os.plan_push_old s id ~age);
+  refused "plan_push_survivor" (fun age -> Os.plan_push_survivor s id ~age);
+  refused "plan_push_eden" (fun age -> Os.plan_push_eden s id ~age);
+  refused "plan_push_region" (fun age ->
+      Os.plan_push_region s id ~region:3 ~age);
+  Alcotest.(check int) "nothing planned" 0 (Os.plan_length s);
+  Os.plan_push_region s id ~region:3 ~age:31;
+  Alcotest.(check int) "moved" 1 (Os.finish_relocate s);
+  Alcotest.(check int) "max age kept" 31 (Os.age s id);
+  Alcotest.(check bool) "region kept" true (Os.in_region s id 3)
+
+(* --- forwarding table vs a two-array model ---------------------------- *)
+
+(* The forwarding table packs each slot's phase stamp and healed flag
+   into one word.  The model is the two-array layout it replaced: a
+   stamp array (recorded in epoch e) and a heal array (healed in epoch
+   e), both zero-filled, with the epoch starting at 0 — so nothing is
+   forwarded before the first [fwd_begin], and every read, heal-all and
+   pending count must agree across epochs and table growth. *)
+let prop_forwarding_model =
+  let op =
+    QCheck.oneof
+      [
+        QCheck.map (fun i -> `Record i) QCheck.small_nat;
+        QCheck.map (fun i -> `Read i) QCheck.small_nat;
+        QCheck.always `Heal_all;
+        QCheck.always `Begin;
+        QCheck.always `Alloc;
+      ]
+  in
+  QCheck.Test.make ~count:300 ~name:"forwarding word matches a two-array model"
+    (QCheck.list_of_size (QCheck.Gen.int_range 0 150) op)
+    (fun ops ->
+      let s = Os.create () in
+      let n = ref 0 in
+      let alloc () =
+        ignore (Os.alloc s ~size:16 ~loc:Os.Old);
+        incr n
+      in
+      for _ = 1 to 8 do
+        alloc ()
+      done;
+      let cap = 256 in
+      let stamp = Array.make cap 0 and heal = Array.make cap 0 in
+      let epoch = ref 0 and recorded = ref [] and pending = ref 0 in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      for id = 0 to !n - 1 do
+        if Os.fwd_read s id then fail "id %d forwarded before fwd_begin" id
+      done;
+      List.iter
+        (fun op ->
+          (match op with
+          | `Record i ->
+              let id = i mod !n in
+              Os.fwd_record s id;
+              if stamp.(id) <> !epoch then begin
+                stamp.(id) <- !epoch;
+                recorded := id :: !recorded;
+                incr pending
+              end
+          | `Read i ->
+              let id = i mod !n in
+              let expect = stamp.(id) = !epoch && heal.(id) <> !epoch in
+              if expect then begin
+                heal.(id) <- !epoch;
+                decr pending
+              end;
+              let got = Os.fwd_read s id in
+              if got <> expect then
+                fail "read %d at epoch %d: store %b model %b" id !epoch got
+                  expect
+          | `Heal_all ->
+              let expect =
+                List.fold_left
+                  (fun acc id ->
+                    if heal.(id) <> !epoch then begin
+                      heal.(id) <- !epoch;
+                      acc + 1
+                    end
+                    else acc)
+                  0 !recorded
+              in
+              recorded := [];
+              pending := 0;
+              let got = Os.fwd_heal_all s in
+              if got <> expect then
+                fail "heal_all at epoch %d: store %d model %d" !epoch got
+                  expect
+          | `Begin ->
+              Os.fwd_begin s;
+              incr epoch;
+              recorded := [];
+              pending := 0
+          | `Alloc -> if !n < cap then alloc ());
+          if Os.fwd_pending s <> !pending then
+            fail "pending at epoch %d: store %d model %d" !epoch
+              (Os.fwd_pending s) !pending)
+        ops;
+      true)
+
+(* --- host footprint ---------------------------------------------------- *)
+
+(* The ROADMAP bound on the store's host footprint: at most 16 words per
+   live object, counted over every block the store reaches.  The fill
+   stops just past a power-of-two slot count, where the doubled columns
+   carry the most slack, and every object holds one reference. *)
+let test_store_census () =
+  let s = Os.create () in
+  let n = (1 lsl 14) + 1 in
+  let prev = ref (Os.alloc s ~size:64 ~loc:Os.Old) in
+  Os.add_ref s ~from:!prev ~to_:!prev;
+  for _ = 2 to n do
+    let id = Os.alloc s ~size:64 ~loc:Os.Old in
+    Os.add_ref s ~from:id ~to_:!prev;
+    prev := id
+  done;
+  Alcotest.(check int) "live" n (Os.live_count s);
+  let words = Obj.reachable_words (Obj.repr s) in
+  let per_object = float_of_int words /. float_of_int n in
+  if per_object > 16.0 then
+    Alcotest.failf "%.2f host words per live object (bound 16)" per_object
 
 (* --- Gen_heap ------------------------------------------------------- *)
 
@@ -594,6 +768,9 @@ let () =
           Alcotest.test_case "live ids" `Quick test_store_live_ids;
           QCheck_alcotest.to_alcotest prop_store_model;
           QCheck_alcotest.to_alcotest prop_finish_relocate;
+          Alcotest.test_case "plan age range" `Quick test_plan_age_range;
+          QCheck_alcotest.to_alcotest prop_forwarding_model;
+          Alcotest.test_case "host words per object" `Quick test_store_census;
         ] );
       ( "gen_heap",
         [

@@ -84,6 +84,34 @@ let test_flush () =
   Alcotest.(check bool) "flushed records were reclaimed" true
     (used < 96 * mb)
 
+(* A flush forgets every key: an update drawn from the pre-flush key
+   range installs a fresh record (the memtable grows by one record) and
+   must not sever a reference through the dropped index's stale id, which
+   after a collection may name a recycled slot. *)
+let test_update_after_flush () =
+  let vm = fresh_vm () in
+  let record = small_config.Server.record_bytes in
+  (* Each insert adds one record to the memtable and one to the commit
+     log, so the tenth insert reaches the threshold and flushes. *)
+  let config =
+    { small_config with Server.memtable_flush_bytes = 10 * 2 * record }
+  in
+  let s = Server.create vm config ~seed:1 in
+  for _ = 1 to 10 do
+    Server.perform s Server.Insert
+  done;
+  Alcotest.(check int) "flushed once" 1 (Server.flushes s);
+  Alcotest.(check int) "memtable empty" 0 (Server.memtable_bytes s);
+  Vm.system_gc vm;
+  Server.perform s Server.Update;
+  Alcotest.(check int) "pre-flush key treated as absent" record
+    (Server.memtable_bytes s);
+  let store = (Vm.collector vm).Gcperf_gc.Collector.store in
+  let refs = ref 0 in
+  Gcperf_heap.Obj_store.iter_live store (fun id ->
+      refs := !refs + Gcperf_heap.Obj_store.ref_count store id);
+  Alcotest.(check int) "only the new record is referenced" 1 !refs
+
 let test_replay_fills_old_gen () =
   let vm = fresh_vm () in
   let s = Server.create vm small_config ~seed:1 in
@@ -138,6 +166,8 @@ let () =
           Alcotest.test_case "updates overwrite" `Quick test_update_overwrites;
           Alcotest.test_case "reads allocate" `Quick test_reads_allocate_transients;
           Alcotest.test_case "flush" `Quick test_flush;
+          Alcotest.test_case "update after flush" `Quick
+            test_update_after_flush;
           Alcotest.test_case "replay" `Quick test_replay_fills_old_gen;
           Alcotest.test_case "run + timeline" `Quick test_run_timeline;
           Alcotest.test_case "stress config" `Quick test_stress_config;
