@@ -38,13 +38,30 @@ let out_arg =
   let doc = "Write the rendered artifact to $(docv) instead of stdout." in
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
+(* OCaml 5.1's [Max_domains] (caml/domain.h) on 64-bit hosts: a pool
+   wider than this would fail inside [Domain.spawn] mid-run. *)
+let max_jobs = 128
+
 let jobs_arg =
   let doc =
-    "Worker domains for the experiment's cell fan-out (default: the \
-     machine's recommended domain count).  Results are byte-identical \
-     for every value; $(b,--jobs 1) runs sequentially."
+    Printf.sprintf
+      "Worker domains for the experiment's cell fan-out, 1..%d (default: \
+       the machine's recommended domain count).  Results are \
+       byte-identical for every value; $(b,--jobs 1) runs sequentially."
+      max_jobs
   in
-  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= max_jobs -> Ok n
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf
+               "must be an integer in 1..%d (OCaml's domain limit), got %S"
+               max_jobs s))
+  in
+  let jobs = Arg.conv ~docv:"N" (parse, Format.pp_print_int) in
+  Arg.(value & opt (some jobs) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let emit out text =
   match out with

@@ -13,9 +13,6 @@ type config = {
   resilience : Session.Resilience.t;
   fanout : int;
   keyspace : int;
-  zipf_theta : float;
-  read_quorum : int;
-  write_quorum : int;
   replication : int;
   hedge : bool;
   hinted_handoff : bool;
@@ -34,14 +31,18 @@ let default =
     resilience = Session.Resilience.Off;
     fanout = 8;
     keyspace = 4_000_000;
-    zipf_theta = 0.99;
-    read_quorum = 1;
-    write_quorum = 2;
     replication = 3;
     hedge = false;
     hinted_handoff = true;
     profile = Profile.none;
   }
+
+(* YCSB's Zipf skew over the keyspace. *)
+let zipf_theta = 0.99
+
+(* Read-one / write-two: a read needs one replica, a write two acks. *)
+let read_quorum = 1
+let write_quorum = 2
 
 type summary = {
   requests : int;
@@ -240,9 +241,9 @@ let start_request sess (req : req) t =
       req.pending_subs <- sess.c.fanout;
       for _ = 1 to sess.c.fanout do
         sess.subops <- sess.subops + 1;
-        let key = Prng.zipf sess.prng ~n:sess.c.keyspace ~theta:sess.c.zipf_theta in
+        let key = Prng.zipf sess.prng ~n:sess.c.keyspace ~theta:zipf_theta in
         let reps = Ring.replicas sess.ring ~key in
-        let q = min sess.c.read_quorum (Array.length reps) in
+        let q = min read_quorum (Array.length reps) in
         let sub =
           {
             parent = req;
@@ -266,10 +267,10 @@ let start_request sess (req : req) t =
       sess.updates <- sess.updates + 1;
       req.pending_subs <- 1;
       sess.subops <- sess.subops + 1;
-      let key = Prng.zipf sess.prng ~n:sess.c.keyspace ~theta:sess.c.zipf_theta in
+      let key = Prng.zipf sess.prng ~n:sess.c.keyspace ~theta:zipf_theta in
       let reps = Ring.replicas sess.ring ~key in
       let r = min sess.c.replication (Array.length reps) in
-      let w = min sess.c.write_quorum r in
+      let w = min write_quorum r in
       let sub =
         {
           parent = req;

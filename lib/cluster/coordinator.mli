@@ -21,18 +21,20 @@
     Semantics, deliberately Dynamo-flavoured where the paper's Cassandra
     stand-in left them open:
 
-    - {e reads} go to the first [read_quorum] replicas and need all of
-      them (Cassandra sends CL.QUORUM reads to exactly that many
-      replicas); a failed attempt retries the next replica in ring
-      order;
-    - {e hedged reads} ([hedge = true], [read_quorum = 1]): if the
-      primary has not answered within the resilience config's hedge
-      delay, race the next replica and take the first answer;
-    - {e writes} use sloppy quorum with hinted handoff: a natural
-      replica caught inside a GC pause (or fault window) is replaced by
-      the next healthy successor on the ring, which stores a hint —
-      [write_quorum] acks complete the write, so handoff masks
-      paused-replica write latency instead of waiting it out. *)
+    - the quorum is fixed at read-one / write-two;
+    - {e reads} go to the first replica only (a CL.ONE read); a failed
+      attempt retries the next replica in ring order;
+    - {e hedged reads} ([hedge = true]): if the primary has not answered
+      within the resilience config's hedge delay, race the next replica
+      and take the first answer;
+    - {e writes} go to all [replication] replicas and use sloppy quorum
+      with hinted handoff: a natural replica caught inside a GC pause
+      (or fault window) is replaced by the next healthy successor on
+      the ring, which stores a hint — two acks complete the write, so
+      handoff masks paused-replica write latency instead of waiting it
+      out.
+
+    Keys follow YCSB's Zipf skew (theta 0.99) over [keyspace]. *)
 
 type config = {
   workload : Gcperf_ycsb.Client.workload;
@@ -44,9 +46,6 @@ type config = {
           caller builds each node's gateway from the same value *)
   fanout : int;  (** keys per multi-get *)
   keyspace : int;  (** distinct keys; requests draw Zipf ranks over it *)
-  zipf_theta : float;
-  read_quorum : int;
-  write_quorum : int;
   replication : int;  (** write breadth; must match the ring's factor *)
   hedge : bool;
   hinted_handoff : bool;

@@ -63,7 +63,6 @@ let create ~id timeline ~profile ~gateway ~seed =
     hints = 0;
   }
 
-let id t = t.id
 let timeline t = t.timeline
 let injector t = t.injector
 let gateway t = t.gateway

@@ -55,7 +55,6 @@ val create :
     the cell seed and [id]), the gateway replays the timeline's pause
     intervals. *)
 
-val id : t -> int
 val timeline : t -> timeline
 val injector : t -> Gcperf_fault.Injector.t
 val gateway : t -> Gcperf_kvstore.Gateway.t

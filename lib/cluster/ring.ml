@@ -22,15 +22,12 @@ let point_hash ~node ~vnode =
 
 type t = {
   nodes : int;
-  vnodes : int;
   replication : int;
   hashes : int array;  (* sorted point hashes *)
   owners : int array;  (* owners.(i) owns hashes.(i) *)
 }
 
 let nodes t = t.nodes
-let vnodes t = t.vnodes
-let replication t = t.replication
 
 let create ~nodes ?(vnodes = 64) ~replication () =
   if nodes <= 0 then invalid_arg "Ring.create: nodes must be positive";
@@ -48,7 +45,6 @@ let create ~nodes ?(vnodes = 64) ~replication () =
   Array.sort compare points;
   {
     nodes;
-    vnodes;
     replication = min replication nodes;
     hashes = Array.map fst points;
     owners = Array.map snd points;

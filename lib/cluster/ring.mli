@@ -27,14 +27,6 @@ val create : nodes:int -> ?vnodes:int -> replication:int -> unit -> t
     [vnodes <= 0] or [replication <= 0]. *)
 
 val nodes : t -> int
-val vnodes : t -> int
-
-val replication : t -> int
-(** The effective replication factor: [min requested nodes]. *)
-
-val hash_key : int -> int
-(** The ring's key hash (SplitMix64 finalizer, 63-bit result).  Exposed
-    so callers can pre-hash hot keys; [replicas] applies it itself. *)
 
 val replicas : t -> key:int -> int array
 (** The key's replica set: [replication] distinct node ids, primary

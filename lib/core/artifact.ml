@@ -10,6 +10,14 @@ type t = {
 }
 
 let make ~name ~title ~params ~columns ~rows ~render_text =
+  let width = List.length columns in
+  List.iteri
+    (fun i row ->
+      if List.length row <> width then
+        invalid_arg
+          (Printf.sprintf "Artifact.make %s: row %d has %d cells, expected %d"
+             name i (List.length row) width))
+    rows;
   { name; title; params; columns; rows; render_text }
 
 let cell_to_string = function

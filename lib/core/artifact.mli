@@ -25,18 +25,15 @@ val make :
   rows:cell list list ->
   render_text:(unit -> string) ->
   t
-
-val cell_to_string : cell -> string
+(** @raise Invalid_argument naming the artifact and the (0-based) row
+    index when a row does not have [List.length columns] cells. *)
 
 val to_text : t -> string
 (** The plain-text table/figure, exactly what the string API returns. *)
 
-val to_csv : t -> string
-(** Header + rows, RFC-4180 quoting. *)
-
-val to_json : t -> string
-(** One object: name, title, params, columns, rows. *)
-
 type format = [ `Text | `Csv | `Json ]
 
 val render : t -> format -> string
+(** [`Csv] is the header then one line per row, RFC-4180 quoting (a
+    cell with a comma, quote or newline is quoted); [`Json] is one
+    object with the name, title, params, columns and rows. *)

@@ -94,6 +94,7 @@ let render_figure5 r =
   ^ Printf.sprintf "(b) CMS\n%s\n" (render_one r.cms)
   ^ Printf.sprintf "(c) G1\n%s\n" (render_one r.g1)
 
+(* One of Tables 5/6/7, depending on the experiment's collector. *)
 let render_table e =
   let t =
     Table.create

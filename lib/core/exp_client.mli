@@ -25,7 +25,4 @@ val run_scope : scope:Scope.t -> ?jobs:int -> unit -> result
 
 val render_figure5 : result -> string
 
-val render_table : gc_experiment -> string
-(** One of Tables 5/6/7, depending on the experiment's collector. *)
-
 val render_tables567 : result -> string

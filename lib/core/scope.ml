@@ -33,8 +33,6 @@ let ci =
     grid_points = Some 1;
   }
 
-let all = [ ci; bench; full ]
-
 let to_string t = t.label
 
 let of_string = function

@@ -6,7 +6,7 @@
     - {!ci}: replicated counts divided by 4, virtual-time budgets by
       10, client rates by 4, grids cut to their first point.  What the
       test suite runs, and the scope of the goldens under [results/ci/].
-    - {!bench}: an intermediate budget for the bechamel harness and
+    - [bench]: an intermediate budget for the bechamel harness and
       local iteration — counts halved, grids cut to three points.
     - {!full}: the paper's configuration, untouched.
 
@@ -22,11 +22,7 @@ type t = private {
 }
 
 val ci : t
-val bench : t
 val full : t
-
-val all : t list
-(** [ci; bench; full]. *)
 
 val to_string : t -> string
 

@@ -114,6 +114,8 @@ let size_flag prefix bytes =
     Printf.sprintf "%s%dg" prefix (bytes / Gc_config.gb 1)
   else Printf.sprintf "%s%dm" prefix ((bytes + mb - 1) / mb)
 
+(* The JVM command-line flags the recommendation translates to
+   (["-XX:+UseG1GC"; "-Xms8g"; ...]); empty when [best] is [None]. *)
 let flags r =
   match r.best with
   | None -> []

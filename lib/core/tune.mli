@@ -37,8 +37,4 @@ val run_scope :
 (** Candidate measurements fan out on the deterministic pool; the
     adaptive refinement is a single sequential run. *)
 
-val flags : recommendation -> string list
-(** The JVM command-line flags the recommendation translates to
-    (["-XX:+UseG1GC"; "-Xms8g"; ...]); empty when [best] is [None]. *)
-
 val render : recommendation -> string

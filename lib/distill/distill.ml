@@ -38,6 +38,7 @@ type cost = {
   distilled : float;
 }
 
+(* Reads the Cost counters and pause spans of one run. *)
 let of_telemetry t =
   let taxes = Cost.taxes t in
   {

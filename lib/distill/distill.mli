@@ -30,9 +30,6 @@ type cost = {
           0 when [t_ideal_us = 0] (a run that never stepped). *)
 }
 
-val of_telemetry : Gcperf_telemetry.Telemetry.t -> components
-(** Reads the Cost counters and pause spans of one run. *)
-
 val distill : components -> cost
 (** Total function: negative or NaN components are clamped to 0, so the
     distilled cost is always non-negative and exactly 0 for a zero-cost

@@ -36,10 +36,6 @@ let create ~profile ~seed ~pauses =
     spike_cursor = 0;
   }
 
-let profile t = t.profile
-
-let now_s t = Clock.now_s t.clock
-
 let advance_to t at_s =
   let d = at_s -. Clock.now_s t.clock in
   if d > 0.0 then Clock.advance_s t.clock d

@@ -24,10 +24,6 @@ val create :
 (** [pauses] are the server's stop-the-world intervals in seconds,
     sorted by start time (as from {!Gcperf_sim.Gc_event.intervals}). *)
 
-val profile : t -> Profile.t
-
-val now_s : t -> float
-
 val advance_to : t -> float -> unit
 (** Move the injector's clock forward to an absolute simulated time.
     Times in the past are ignored (the clock never rewinds). *)

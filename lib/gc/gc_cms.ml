@@ -23,6 +23,10 @@ type state = {
 
 let name = "ConcMarkSweepGC"
 
+(* -XX:CMSInitiatingOccupancyFraction=70: old-generation occupancy that
+   starts a concurrent cycle. *)
+let initiating_occupancy = 0.70
+
 let create ctx (config : Gc_config.t) =
   let m = ctx.Gc_ctx.machine in
   let cost = m.Machine.cost in
@@ -155,7 +159,7 @@ let create ctx (config : Gc_config.t) =
         let occupancy =
           float_of_int heap.Gh.old_used /. float_of_int (max 1 heap.Gh.old_cap)
         in
-        if occupancy > config.Gc_config.cms_initiating_occupancy then
+        if occupancy > initiating_occupancy then
           initial_mark ()
     | Marking _ | Sweeping _ -> ()
   in

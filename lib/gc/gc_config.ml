@@ -65,22 +65,14 @@ type t = {
   heap_bytes : int;
   young_bytes : int;
   tlab : bool;
-  tlab_bytes : int;
   survivor_ratio : int;
   tenuring_threshold : int;
-  cms_initiating_occupancy : float;
-  g1_ihop : float;
-  g1_pause_target_ms : float;
-  g1_region_target : int;
   g1_parallel_full : bool;
   adaptive : bool;
   pause_goal_ms : float;
-  gc_time_ratio : int;
-  journal_alloc_overhead : float;
   journal_fold_jobs : int;
 }
 
-let kb = 1024
 let mb n = n * 1024 * 1024
 let gb n = n * 1024 * 1024 * 1024
 
@@ -92,18 +84,11 @@ let default kind ~heap_bytes ~young_bytes =
     heap_bytes;
     young_bytes;
     tlab = true;
-    tlab_bytes = 256 * kb;
     survivor_ratio = 8;
     tenuring_threshold = 6;
-    cms_initiating_occupancy = 0.70;
-    g1_ihop = 0.45;
-    g1_pause_target_ms = 200.0;
-    g1_region_target = 1024;
     g1_parallel_full = false;
     adaptive = false;
     pause_goal_ms = 200.0;
-    gc_time_ratio = 99;
-    journal_alloc_overhead = 0.25;
     journal_fold_jobs = 1;
   }
 
@@ -137,59 +122,20 @@ let validate t =
       (Printf.sprintf
          "survivor ratio (-XX:SurvivorRatio) must be >= 1, got %d"
          t.survivor_ratio)
-  else if t.tlab && t.tlab_bytes <= 0 then
-    Error
-      (Printf.sprintf
-         "TLAB size (-XX:TLABSize) must be positive when TLABs are enabled, \
-          got %d bytes"
-         t.tlab_bytes)
   else if t.tenuring_threshold < 1 || t.tenuring_threshold > 15 then
     Error
       (Printf.sprintf
          "tenuring threshold (-XX:MaxTenuringThreshold) must be in 1..15, \
           got %d"
          t.tenuring_threshold)
-  else if t.cms_initiating_occupancy <= 0.0 || t.cms_initiating_occupancy > 1.0
-  then
-    Error
-      (Printf.sprintf
-         "CMS initiating occupancy must be a fraction in (0, 1], got %g"
-         t.cms_initiating_occupancy)
-  else if t.g1_ihop <= 0.0 || t.g1_ihop > 1.0 then
-    Error
-      (Printf.sprintf
-         "G1 IHOP (-XX:InitiatingHeapOccupancyPercent) must be a fraction \
-          in (0, 1], got %g"
-         t.g1_ihop)
-  else if t.g1_region_target < 1 then
-    Error
-      (Printf.sprintf "G1 region target must be >= 1, got %d"
-         t.g1_region_target)
   else if t.pause_goal_ms <= 0.0 then
     Error
       (Printf.sprintf
          "pause goal (-XX:MaxGCPauseMillis) must be positive, got %g ms"
          t.pause_goal_ms)
-  else if t.gc_time_ratio < 1 then
-    Error
-      (Printf.sprintf "GC time ratio (-XX:GCTimeRatio) must be >= 1, got %d"
-         t.gc_time_ratio)
-  else if t.journal_alloc_overhead < 0.0 || t.journal_alloc_overhead >= 1.0
-  then
-    Error
-      (Printf.sprintf
-         "journal allocation overhead must be a fraction in [0, 1), got %g"
-         t.journal_alloc_overhead)
   else if t.journal_fold_jobs < 1 then
     Error
       (Printf.sprintf
          "journal fold jobs (--journal-fold-jobs) must be >= 1, got %d"
          t.journal_fold_jobs)
   else Ok t
-
-let pp ppf t =
-  Format.fprintf ppf "%s heap=%dMB young=%dMB tlab=%b"
-    (kind_to_string t.kind)
-    (t.heap_bytes / (1024 * 1024))
-    (t.young_bytes / (1024 * 1024))
-    t.tlab

@@ -1,9 +1,12 @@
 (** Collector selection and VM memory configuration.
 
     Mirrors the JVM flags the paper varies: [-XX:+Use...GC], [-Xmx]/[-Xms]
-    (fixed-size heap), [-Xmn] (young generation size), TLAB on/off, and the
-    collector-specific tunables that matter for the study (CMS initiating
-    occupancy, G1 pause target and IHOP). *)
+    (fixed-size heap), [-Xmn] (young generation size) and [-XX:+UseTLAB],
+    plus [-XX:SurvivorRatio], [-XX:MaxTenuringThreshold],
+    [-XX:+UseAdaptiveSizePolicy] and [-XX:MaxGCPauseMillis] for the
+    ablations.  Tunables no experiment varies are constants in the module
+    that reads them (CMS initiating occupancy in [Gc_cms], G1's IHOP in
+    [Gc_g1], the TLAB size in [Vm]). *)
 
 type kind =
   | Serial
@@ -51,14 +54,8 @@ type t = {
   heap_bytes : int;  (** fixed heap size (-Xms = -Xmx, as in the study) *)
   young_bytes : int;  (** young generation size (-Xmn) *)
   tlab : bool;
-  tlab_bytes : int;  (** per-thread TLAB size *)
   survivor_ratio : int;
   tenuring_threshold : int;
-  cms_initiating_occupancy : float;
-      (** old-gen occupancy fraction that starts a CMS cycle *)
-  g1_ihop : float;  (** heap occupancy fraction that starts G1 marking *)
-  g1_pause_target_ms : float;
-  g1_region_target : int;  (** desired number of regions *)
   g1_parallel_full : bool;
       (** ablation switch: run G1's full collection on the parallel
           workers instead of JDK8's single thread (JDK10's behaviour);
@@ -69,14 +66,7 @@ type t = {
           the study disables it, and fixed-size runs are byte-identical
           with or without the policy subsystem built in. *)
   pause_goal_ms : float;
-      (** [-XX:MaxGCPauseMillis] for the adaptive policy (and G1) *)
-  gc_time_ratio : int;
-      (** [-XX:GCTimeRatio]: the throughput goal tolerates a GC cost of
-          [1 / (1 + ratio)] *)
-  journal_alloc_overhead : float;
-      (** Journal_rc only: fractional mutator slowdown for journaling RC
-          entries at allocation/store sites.  Default 0.25 — the ~25%
-          allocation overhead mo-gc measured. *)
+      (** [-XX:MaxGCPauseMillis] for the adaptive policy *)
   journal_fold_jobs : int;
       (** Journal_rc only: simulated worker count for the concurrent
           journal fold ([--journal-fold-jobs]).  1 reproduces mo-gc's
@@ -87,9 +77,8 @@ type t = {
 }
 
 val default : kind -> heap_bytes:int -> young_bytes:int -> t
-(** JDK8-like defaults for everything else (TLAB on, 256 KB TLABs,
-    SurvivorRatio 8, MaxTenuringThreshold 6, CMS occupancy 0.70,
-    G1 IHOP 0.45, 200 ms pause target). *)
+(** JDK8-like defaults for everything else (TLAB on, SurvivorRatio 8,
+    MaxTenuringThreshold 6, 200 ms pause goal, one fold worker). *)
 
 val gb : int -> int
 val mb : int -> int
@@ -100,9 +89,7 @@ val baseline : kind -> t
 
 val validate : t -> (t, string) result
 (** Rejects configurations that would only fail deep inside the simulator
-    (young >= heap, survivor ratio < 1, non-positive TLAB, out-of-range
-    thresholds and fractions) with an actionable message naming the JVM
-    flag to fix.  The CLI funnels every user-supplied configuration
-    through this. *)
-
-val pp : Format.formatter -> t -> unit
+    (young >= heap, survivor ratio < 1, out-of-range thresholds,
+    non-positive pause goal or fold workers) with an actionable message
+    naming the JVM flag to fix.  The CLI funnels every user-supplied
+    configuration through this. *)

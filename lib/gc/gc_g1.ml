@@ -18,6 +18,9 @@ type state = {
 
 let name = "G1GC"
 
+(* -XX:InitiatingHeapOccupancyPercent=45, as a fraction of the heap. *)
+let ihop = 0.45
+
 (* Per-region constant work in an evacuation pause (choosing the
    collection set, swapping region roles, updating free lists). *)
 let region_fixed_us = 120.0
@@ -27,8 +30,7 @@ let create ctx (config : Gc_config.t) =
   let cost = m.Machine.cost in
   let store = Os.create () in
   let rheap =
-    Rh.create store ~heap_bytes:config.Gc_config.heap_bytes
-      ~target_regions:config.Gc_config.g1_region_target ()
+    Rh.create store ~heap_bytes:config.Gc_config.heap_bytes ()
   in
   rheap.Rh.young_target_bytes <-
     max rheap.Rh.region_size config.Gc_config.young_bytes;
@@ -144,7 +146,7 @@ let create ctx (config : Gc_config.t) =
         let occ = float_of_int (old_hum_used ()) in
         if
           st.marking_allowed
-          && occ > config.Gc_config.g1_ihop *. float_of_int rheap.Rh.heap_bytes
+          && occ > ihop *. float_of_int rheap.Rh.heap_bytes
         then begin
           st.marking_allowed <- false;
           let phases =

@@ -20,4 +20,9 @@
       finding: G1 is the worst collector when DaCapo forces a full GC
       between iterations. *)
 
+val ihop : float
+(** Initiating heap occupancy ([-XX:InitiatingHeapOccupancyPercent], as
+    a fraction): old + humongous occupancy that starts marking.
+    ConcurrentRegions starts its cycles at the same occupancy. *)
+
 val create : Gc_ctx.t -> Gc_config.t -> Collector.t

@@ -6,8 +6,8 @@ module Span = Gcperf_telemetry.Span
 
 (* mo-gc-style journaled reference counting.
 
-   Mutators pay a flat journaling tax ([journal_alloc_overhead], the
-   ~25% mo-gc measured) and append RC deltas to a journal: +1 per
+   Mutators pay a flat journaling tax ([alloc_overhead], the ~25%
+   mo-gc measured) and append RC deltas to a journal: +1 per
    reference store, -1 per reference delete, and a 0-delta entry per
    allocation (the new-object record).  A concurrent collector thread
    folds a journal snapshot into the reference-count column — the fold
@@ -47,6 +47,10 @@ type state = {
 }
 
 let name = "JournalRCGC"
+
+(* Fractional mutator slowdown for journaling RC entries at allocation
+   and store sites: the ~25% allocation overhead mo-gc measured. *)
+let alloc_overhead = 0.25
 
 (* Entries accumulated before the collector thread picks up a journal. *)
 let fold_batch = 8192
@@ -363,7 +367,7 @@ let create ctx (config : Gc_config.t) =
   in
   let mutator_factor () =
     let backlog = Journal.length st.active in
-    let base = 1.0 +. config.Gc_config.journal_alloc_overhead in
+    let base = 1.0 +. alloc_overhead in
     let cores = float_of_int (Machine.cores m) in
     let steal =
       match st.phase with
@@ -387,7 +391,7 @@ let create ctx (config : Gc_config.t) =
      stolen cores. *)
   let mutator_tax () =
     let backlog = Journal.length st.active in
-    let base = 1.0 +. config.Gc_config.journal_alloc_overhead in
+    let base = 1.0 +. alloc_overhead in
     let cores = float_of_int (Machine.cores m) in
     let steal =
       match st.phase with

@@ -43,8 +43,7 @@ let create ctx (config : Gc_config.t) =
   let cost = m.Machine.cost in
   let store = Os.create () in
   let rheap =
-    Rh.create store ~heap_bytes:config.Gc_config.heap_bytes
-      ~target_regions:config.Gc_config.g1_region_target ()
+    Rh.create store ~heap_bytes:config.Gc_config.heap_bytes ()
   in
   rheap.Rh.young_target_bytes <-
     max rheap.Rh.region_size config.Gc_config.young_bytes;
@@ -104,7 +103,7 @@ let create ctx (config : Gc_config.t) =
     | Idle ->
         let used = float_of_int (Rh.heap_used rheap) in
         let reserve = max 4 (Array.length rheap.Rh.regions / 20) in
-        if used > config.Gc_config.g1_ihop *. float_of_int rheap.Rh.heap_bytes
+        if used > Gc_g1.ihop *. float_of_int rheap.Rh.heap_bytes
         then start_mark "occupancy threshold crossed"
         else if
           Rh.free_regions rheap < reserve

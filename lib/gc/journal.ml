@@ -15,7 +15,6 @@ let[@inline] append t id delta =
   Ivec.push t.entries ((id lsl 2) lor (delta + 1))
 
 let length t = Ivec.length t.entries
-let is_empty t = Ivec.length t.entries = 0
 let clear t = Ivec.clear t.entries
 
 let iter t f =

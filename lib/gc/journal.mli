@@ -18,7 +18,6 @@ val append : t -> int -> int -> unit
 val length : t -> int
 (** Entries logged (one per {!append}). *)
 
-val is_empty : t -> bool
 val clear : t -> unit
 
 val iter : t -> (int -> int -> unit) -> unit

@@ -9,6 +9,9 @@ let tlab_waste config =
     }
   else config
 
+(* -XX:GCTimeRatio=99: the throughput goal tolerates a GC cost of 1%. *)
+let gc_time_ratio = 99
+
 let create ctx config =
   let config = tlab_waste config in
   (* Ergonomics: attach the adaptive sizing policy before the collector
@@ -25,7 +28,7 @@ let create ctx config =
               ~survivor_ratio:config.Gc_config.survivor_ratio
               ~tenuring_threshold:config.Gc_config.tenuring_threshold
               ~pause_goal_ms:config.Gc_config.pause_goal_ms
-              ~gc_time_ratio:config.Gc_config.gc_time_ratio ()));
+              ~gc_time_ratio));
   match config.Gc_config.kind with
   | Gc_config.Serial | Gc_config.ParNew | Gc_config.Parallel
   | Gc_config.ParallelOld ->
@@ -34,8 +37,3 @@ let create ctx config =
   | Gc_config.G1 -> Gc_g1.create ctx config
   | Gc_config.Concurrent_regions -> Gc_regions.create ctx config
   | Gc_config.Journal_rc -> Gc_journal_rc.create ctx config
-
-let create_named ctx name (config : Gc_config.t) =
-  match Gc_config.kind_of_string name with
-  | None -> None
-  | Some kind -> Some (create ctx { config with Gc_config.kind })

@@ -66,8 +66,6 @@ let create store ~heap_bytes ~young_bytes ?(survivor_ratio = 8)
     age_bytes = [||];
   }
 
-let is_young = Obj_store.is_young_loc
-
 let young_used t = t.eden_used + t.survivor_used
 
 let heap_used t = young_used t + t.old_used

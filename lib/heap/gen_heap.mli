@@ -78,13 +78,9 @@ val create :
     (default 8, i.e. eden = 8/10 of young, each survivor space 1/10).
     @raise Invalid_argument if [young_bytes > heap_bytes]. *)
 
-val is_young : Obj_store.location -> bool
-
 val young_used : t -> int
 
 val heap_used : t -> int
-
-val eden_free : t -> int
 
 val old_free : t -> int
 

@@ -121,10 +121,6 @@ let create () =
     fwd_pending = 0;
   }
 
-let[@inline] is_young_loc = function
-  | Eden | Survivor -> true
-  | Old | Region _ | Nowhere -> false
-
 let[@inline] check t id =
   if id < 0 || id >= t.slot_count then
     invalid_arg "Obj_store: id out of bounds"

@@ -25,9 +25,6 @@ type t
 
 val create : unit -> t
 
-val is_young_loc : location -> bool
-(** Whether the location is a young space (eden or survivor). *)
-
 (** {1 Per-object attributes}
 
     Accessors index the columns directly: only the array bounds check
@@ -263,4 +260,3 @@ val fwd_pending : t -> int
 val fwd_heal_all : t -> int
 (** Heals every pending entry; returns how many were left for the flip
     (i.e. never touched by a mutator read). *)
-

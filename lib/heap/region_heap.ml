@@ -130,9 +130,6 @@ let set_young_target t ~bytes =
   t.young_target_bytes <- clamped;
   clamped
 
-let young_target_regions t =
-  (t.young_target_bytes + t.region_size - 1) / t.region_size
-
 let region_of t id =
   let r = Obj_store.region_index t.store id in
   if r < 0 then invalid_arg "Region_heap.region_of: object not in a region"

@@ -81,9 +81,6 @@ val set_young_target : t -> bytes:int -> int
     minus an evacuation reserve of max(2, regions/10) regions].  Returns
     the target actually in effect. *)
 
-val young_target_regions : t -> int
-(** The current young target expressed in regions (rounded up). *)
-
 val take_free_region : t -> region_kind -> region option
 (** Claims a free region for the given role. *)
 

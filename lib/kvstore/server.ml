@@ -6,13 +6,8 @@ module Os = Gcperf_heap.Obj_store
 
 type config = {
   record_bytes : int;
-  read_transient_bytes : int;
   write_transient_bytes : int;
-  zipf_theta : float;
   memtable_flush_bytes : int;
-  index_fanout : int;
-  index_bytes : int;
-  flush_write_s : float;
   service_threads : int;
 }
 
@@ -21,15 +16,21 @@ let mb n = n * 1024 * 1024
 let default_config =
   {
     record_bytes = 20 * 1024;
-    read_transient_bytes = 96 * 1024;
     write_transient_bytes = 8 * 1024;
-    zipf_theta = 0.99;
     memtable_flush_bytes = mb 16384;
-    index_fanout = 64;
-    index_bytes = 192 * 1024;
-    flush_write_s = 0.0;
     service_threads = 24;
   }
+
+(* Allocation per read: short-lived deserialisation buffers. *)
+let read_transient_bytes = 96 * 1024
+
+(* Key popularity skew of updates, as in YCSB. *)
+let zipf_theta = 0.99
+
+(* Records per memtable index object, and the size of one
+   memtable/row-cache index object. *)
+let index_fanout = 64
+let index_bytes = 192 * 1024
 
 let stress_config ~heap_bytes =
   { default_config with memtable_flush_bytes = heap_bytes }
@@ -64,9 +65,9 @@ let commitlog_segment_bytes = mb 8
 let fresh_index ?(old = false) t =
   let id =
     if old then
-      Vm.alloc_old_global t.vm ~size:t.config.index_bytes ~lifetime:`Permanent
+      Vm.alloc_old_global t.vm ~size:index_bytes ~lifetime:`Permanent
     else
-      Vm.alloc_global t.vm ~size:t.config.index_bytes ~lifetime:`Permanent
+      Vm.alloc_global t.vm ~size:index_bytes ~lifetime:`Permanent
   in
   Ivec.push t.indexes id;
   t.current_index <- id;
@@ -164,7 +165,7 @@ let install_record_old t key =
   let record =
     Vm.alloc_old_global t.vm ~size:t.config.record_bytes ~lifetime:`Permanent
   in
-  if t.current_index_fill >= t.config.index_fanout then
+  if t.current_index_fill >= index_fanout then
     ignore (fresh_index ~old:true t);
   let index = t.current_index in
   Vm.add_ref t.vm ~parent:index ~child:record;
@@ -186,7 +187,7 @@ let install_record t thread key =
   (* The record is kept alive by the memtable index, not by a root: this
      is what makes overwritten records collectable and what creates the
      old-to-young reference traffic of a real memtable. *)
-  if t.current_index_fill >= t.config.index_fanout then ignore (fresh_index t);
+  if t.current_index_fill >= index_fanout then ignore (fresh_index t);
   let index = t.current_index in
   Vm.add_ref t.vm ~parent:index ~child:record;
   t.current_index_fill <- t.current_index_fill + 1;
@@ -206,12 +207,12 @@ let install_record t thread key =
 let perform_on t thread = function
   | Read ->
       ignore
-        (Vm.alloc t.vm thread ~size:t.config.read_transient_bytes
-           ~lifetime:(`Bytes (t.config.read_transient_bytes * 4)))
+        (Vm.alloc t.vm thread ~size:read_transient_bytes
+           ~lifetime:(`Bytes (read_transient_bytes * 4)))
   | Update ->
       let key =
         if t.next_key = 0 then 0
-        else Prng.zipf t.prng ~n:t.next_key ~theta:t.config.zipf_theta
+        else Prng.zipf t.prng ~n:t.next_key ~theta:zipf_theta
       in
       if t.next_key = 0 then t.next_key <- 1;
       install_record t thread key

@@ -20,13 +20,8 @@
 
 type config = {
   record_bytes : int;  (** one record cluster (a batch of rows) *)
-  read_transient_bytes : int;  (** allocation per read operation *)
   write_transient_bytes : int;  (** serialisation buffers per write *)
-  zipf_theta : float;  (** key popularity skew, as in YCSB *)
   memtable_flush_bytes : int;  (** flush threshold; = heap for stress *)
-  index_fanout : int;  (** records per memtable index object *)
-  index_bytes : int;  (** size of one memtable/row-cache index object *)
-  flush_write_s : float;  (** virtual seconds to write one flush out *)
   service_threads : int;
 }
 

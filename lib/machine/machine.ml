@@ -160,8 +160,8 @@ let default_cost =
     locality_bytes = 4.0e9;
     (* ZGC/Shenandoah report low-single-digit steady-state throughput
        tax for the write barrier and ~10% worst-case for load barriers
-       during relocation; mo-gc's journal write sits in the config knob
-       (journal_alloc_overhead), not here. *)
+       during relocation; mo-gc's journal write sits in the collector
+       (Gc_journal_rc.alloc_overhead), not here. *)
     satb_barrier_factor = 1.05;
     load_barrier_factor = 1.10;
     load_barrier_slow_us = 0.12;

@@ -27,7 +27,6 @@ type topology = {
   ram_bytes : int;
 }
 
-val total_cores : topology -> int
 val numa_nodes : topology -> int
 
 (** {1 Cost model}

@@ -8,25 +8,30 @@ type config = {
   initial_young_bytes : int;
   initial_survivor_ratio : int;
   initial_tenuring_threshold : int;
-  avg_weight : int;
-  increment_frac : float;
-  decrement_frac : float;
-  pause_padding : float;
 }
 
-let default_config ~heap_bytes ~young_bytes ?(survivor_ratio = 8)
-    ?(tenuring_threshold = 6) ?(pause_goal_ms = 200.0) ?(gc_time_ratio = 99)
-    () =
+(* Percent weight of a new sample in the decaying averages (HotSpot's
+   AdaptiveSizePolicyWeight). *)
+let avg_weight = 25
+
+(* Grow step (HotSpot grows the young generation by ~20%) and shrink
+   step (the increment over AdaptiveSizeDecrementScaleFactor = 4). *)
+let increment_frac = 0.20
+let decrement_frac = 0.05
+
+(* Deviations added to the decayed pause average when comparing against
+   the pause goal (AdaptivePaddedAverage's padding): the goal then bounds
+   the pause tail, not its mean. *)
+let pause_padding = 3.0
+
+let default_config ~heap_bytes ~young_bytes ~survivor_ratio ~tenuring_threshold
+    ~pause_goal_ms ~gc_time_ratio =
   {
     goals = { pause_goal_ms; gc_time_ratio };
     limits = P.default_limits ~heap_bytes;
     initial_young_bytes = young_bytes;
     initial_survivor_ratio = survivor_ratio;
     initial_tenuring_threshold = tenuring_threshold;
-    avg_weight = 25;
-    increment_frac = 0.20;
-    decrement_frac = 0.05;
-    pause_padding = 3.0;
   }
 
 type state = {
@@ -82,22 +87,22 @@ let young_adjustment st =
      limit cycle whose pause tail overshoots the goal by the grow step,
      while the padded estimate keeps the tail itself inside the goal. *)
   let padded_pause =
-    P.Avg.padded st.avg_minor_pause ~padding:st.cfg.pause_padding
+    P.Avg.padded st.avg_minor_pause ~padding:pause_padding
   in
   let goal = st.cfg.goals.pause_goal_ms in
   let cost_goal = 1.0 /. (1.0 +. float_of_int st.cfg.goals.gc_time_ratio) in
   let scale f = int_of_float (float_of_int st.cur_young *. f) in
   if padded_pause > goal then
-    Some (scale (1.0 -. (st.cfg.decrement_frac *. 4.0)))
+    Some (scale (1.0 -. (decrement_frac *. 4.0)))
   else if gc_cost st > cost_goal then
     (* Grow for throughput only while the projected pause (one grow step
        lengthens pauses roughly proportionally) stays inside the goal;
        otherwise hold — the workload cannot meet both goals and the
        pause goal has priority. *)
-    if padded_pause *. (1.0 +. st.cfg.increment_frac) <= goal then
-      Some (scale (1.0 +. st.cfg.increment_frac))
+    if padded_pause *. (1.0 +. increment_frac) <= goal then
+      Some (scale (1.0 +. increment_frac))
     else None
-  else Some (scale (1.0 -. st.cfg.decrement_frac))
+  else Some (scale (1.0 -. decrement_frac))
 
 let on_minor st (obs : P.observation) =
   st.minors <- st.minors + 1;
@@ -213,10 +218,10 @@ let create cfg =
       cur_young = cfg.initial_young_bytes;
       cur_ratio = cfg.initial_survivor_ratio;
       cur_tenuring = cfg.initial_tenuring_threshold;
-      avg_minor_pause = P.Avg.create ~weight:cfg.avg_weight;
-      avg_major_pause = P.Avg.create ~weight:cfg.avg_weight;
-      avg_interval = P.Avg.create ~weight:cfg.avg_weight;
-      avg_promoted = P.Avg.create ~weight:cfg.avg_weight;
+      avg_minor_pause = P.Avg.create ~weight:avg_weight;
+      avg_major_pause = P.Avg.create ~weight:avg_weight;
+      avg_interval = P.Avg.create ~weight:avg_weight;
+      avg_promoted = P.Avg.create ~weight:avg_weight;
       overflow_streak = 0;
       calm_streak = 0;
       pending = None;

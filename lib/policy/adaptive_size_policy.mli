@@ -21,10 +21,13 @@
     (bigger survivor spaces).  A long calm streak raises the threshold
     back toward its configured value.
 
-    Grow steps are [increment_frac] (HotSpot grows the young generation
-    by ~20%); shrink steps are [decrement_frac] (HotSpot shrinks by the
-    increment divided by [AdaptiveSizeDecrementScaleFactor] = 4).  All
-    decisions pass through {!Policy.clamp_decision}. *)
+    Grow steps are 20% (HotSpot grows the young generation by ~20%);
+    shrink steps are 5% (HotSpot shrinks by the increment divided by
+    [AdaptiveSizeDecrementScaleFactor] = 4).  The decaying averages weigh
+    a new sample at 25% ([AdaptiveSizePolicyWeight]), and the pause goal
+    is compared against the average padded by three deviations
+    ([AdaptivePaddedAverage]), so the goal bounds the pause tail, not its
+    mean.  All decisions pass through {!Policy.clamp_decision}. *)
 
 type goals = {
   pause_goal_ms : float;
@@ -38,26 +41,15 @@ type config = {
   initial_young_bytes : int;
   initial_survivor_ratio : int;
   initial_tenuring_threshold : int;
-  avg_weight : int;
-      (** percent weight of a new sample in the decaying averages
-          (HotSpot's [AdaptiveSizePolicyWeight], default 25) *)
-  increment_frac : float;  (** grow step, default 0.20 *)
-  decrement_frac : float;  (** shrink step, default 0.05 *)
-  pause_padding : float;
-      (** deviations added to the decayed pause average when comparing
-          against the pause goal ([AdaptivePaddedAverage] padding,
-          default 3): the goal then bounds the pause tail, not its
-          mean *)
 }
 
 val default_config :
   heap_bytes:int ->
   young_bytes:int ->
-  ?survivor_ratio:int ->
-  ?tenuring_threshold:int ->
-  ?pause_goal_ms:float ->
-  ?gc_time_ratio:int ->
-  unit ->
+  survivor_ratio:int ->
+  tenuring_threshold:int ->
+  pause_goal_ms:float ->
+  gc_time_ratio:int ->
   config
 
 val create : config -> Policy.t

@@ -110,23 +110,6 @@ type stats = {
   gc_cost : float;
 }
 
-let empty_stats =
-  {
-    observations = 0;
-    decisions = 0;
-    grows = 0;
-    shrinks = 0;
-    tenuring_changes = 0;
-    ratio_changes = 0;
-    cur_young_bytes = 0;
-    cur_survivor_ratio = 0;
-    cur_tenuring_threshold = 0;
-    avg_minor_pause_ms = 0.0;
-    avg_major_pause_ms = 0.0;
-    avg_interval_ms = 0.0;
-    gc_cost = 0.0;
-  }
-
 type trajectory_point = {
   at_collection : int;
   young_bytes_now : int;
@@ -142,16 +125,6 @@ type t = {
   stats : unit -> stats;
   trajectory : unit -> trajectory_point list;
 }
-
-let disabled =
-  {
-    name = "fixed";
-    observe = (fun _ -> ());
-    decide = (fun () -> None);
-    applied = (fun _ -> ());
-    stats = (fun () -> empty_stats);
-    trajectory = (fun () -> []);
-  }
 
 module Avg = struct
   (* HotSpot's AdaptiveWeightedAverage: value' = value + w*(sample-value)
@@ -178,8 +151,6 @@ module Avg = struct
     a.dev <- a.dev +. (w *. (Float.abs (x -. a.value) -. a.dev))
 
   let value a = a.value
-
-  let deviation a = a.dev
 
   let padded a ~padding = a.value +. (padding *. a.dev)
 

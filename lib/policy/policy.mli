@@ -97,8 +97,6 @@ type stats = {
   gc_cost : float;  (** decayed pause / (pause + interval) *)
 }
 
-val empty_stats : stats
-
 type trajectory_point = {
   at_collection : int;  (** minor-collection ordinal, 1-based *)
   young_bytes_now : int;  (** young capacity when the pause was observed *)
@@ -121,10 +119,6 @@ type t = {
       (** convergence trajectory, one point per minor collection *)
 }
 
-val disabled : t
-(** The fixed-size "policy": observes nothing, never decides.  Running
-    with this attached is byte-identical to running with no policy. *)
-
 (** Decaying weighted average, after HotSpot's [AdaptiveWeightedAverage]:
     new samples get [weight] (a percentage); earlier samples decay
     geometrically.  While fewer than [100/weight] samples have arrived the
@@ -139,10 +133,6 @@ module Avg : sig
   val update : avg -> float -> unit
 
   val value : avg -> float
-
-  val deviation : avg -> float
-  (** Decaying average of the absolute deviation from the running
-      average, updated with the same weight. *)
 
   val padded : avg -> padding:float -> float
   (** [value + padding * deviation] — HotSpot's [AdaptivePaddedAverage],

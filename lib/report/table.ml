@@ -64,23 +64,6 @@ let render t =
     t.rows;
   Buffer.contents buf
 
-let quote s =
-  if String.contains s ',' || String.contains s '"' then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let to_csv t =
-  let buf = Buffer.create 256 in
-  let emit cells =
-    Buffer.add_string buf (String.concat "," (List.map quote cells));
-    Buffer.add_char buf '\n'
-  in
-  emit (List.map fst t.columns);
-  Vec.iter
-    (function Separator -> () | Cells cells -> emit cells)
-    t.rows;
-  Buffer.contents buf
-
 let cell_f ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
 
 let cell_pct x =

@@ -15,9 +15,6 @@ val render : t -> string
 (** Monospace rendering with a header rule, suitable for terminals and
     EXPERIMENTS.md code blocks. *)
 
-val to_csv : t -> string
-(** The same data as comma-separated values (quoting commas). *)
-
 val cell_f : ?decimals:int -> float -> string
 (** Float formatting helper ([decimals] defaults to 2). *)
 

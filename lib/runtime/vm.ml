@@ -22,6 +22,9 @@ type thread = {
   mutable quantum_bytes : int;
 }
 
+(* Per-thread TLAB size (256 KB): one refill per this many bytes. *)
+let tlab_bytes = 256 * 1024
+
 (* A death-queue payload packs the dying root's owner and its object id
    into one immediate: [id lsl owner_bits lor owner], where [owner] is 0
    for a global root and [tid + 1] for a thread root.  An [int Heapq.t]
@@ -90,11 +93,8 @@ let create ?telemetry machine config ~seed =
   t
 
 let machine t = t.machine
-let clock t = t.clock
 let events t = t.events
 let collector t = t.collector
-let config t = t.config
-let telemetry t = t.ctx.Gc_ctx.telemetry
 let policy t = t.ctx.Gc_ctx.policy
 let now_s t = Clock.now_s t.clock
 let allocated_bytes t = t.allocated
@@ -218,7 +218,7 @@ let step t ~dt_us f =
           +. Machine.alloc_overhead_us t.machine ~tlab:t.config.Gc_config.tlab
                ~threads:!n_live ~allocations:th.quantum_allocs
                ~bytes:th.quantum_bytes
-               ~tlab_bytes:t.config.Gc_config.tlab_bytes)
+               ~tlab_bytes)
     t.threads;
   let alloc_overhead =
     if !n_live = 0 then 0.0

@@ -40,15 +40,8 @@ val create :
     {!Gcperf_telemetry.Telemetry.default_enabled}. *)
 
 val machine : t -> Gcperf_machine.Machine.t
-val clock : t -> Gcperf_sim.Clock.t
 val events : t -> Gcperf_sim.Gc_event.t
 val collector : t -> Gcperf_gc.Collector.t
-val config : t -> Gcperf_gc.Gc_config.t
-
-val telemetry : t -> Gcperf_telemetry.Telemetry.t
-(** The registry pauses and per-quantum gauges are recorded into.  When
-    enabled, every {!step} samples heap/young/old occupancy, the
-    allocation rate and cumulative promoted bytes. *)
 
 val policy : t -> Gcperf_policy.Policy.t option
 (** The ergonomics policy attached by the collector registry when the

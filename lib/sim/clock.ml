@@ -11,5 +11,3 @@ let advance_us t d =
   t.now <- t.now +. d
 
 let advance_s t d = advance_us t (d *. 1e6)
-
-let reset t = t.now <- 0.0

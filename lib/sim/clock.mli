@@ -16,5 +16,3 @@ val advance_us : t -> float -> unit
 (** [advance_us t d] moves time forward by [d >= 0] microseconds. *)
 
 val advance_s : t -> float -> unit
-
-val reset : t -> unit

@@ -126,12 +126,6 @@ let record t ~start_us ~duration_us ~kind ~collector ~reason ~young_before
   t.len <- i + 1;
   if is_full kind then t.full_count <- t.full_count + 1
 
-let record_event t e =
-  record t ~start_us:e.start_us ~duration_us:e.duration_us ~kind:e.kind
-    ~collector:e.collector ~reason:e.reason ~young_before:e.young_before
-    ~young_after:e.young_after ~old_before:e.old_before
-    ~old_after:e.old_after ~promoted:e.promoted
-
 let nth t i =
   {
     start_us = t.start_usv.(i);
@@ -152,23 +146,14 @@ let count t = t.len
 
 let count_full t = t.full_count
 
+(* All pause durations, in seconds, chronological. *)
 let pauses_s t = Array.init t.len (fun i -> t.duration_usv.(i) /. 1e6)
 
-let total_pause_s t = Array.fold_left ( +. ) 0.0 (pauses_s t)
-
 let max_pause_s t = Array.fold_left Float.max 0.0 (pauses_s t)
-
-let avg_pause_s t =
-  let n = count t in
-  if n = 0 then 0.0 else total_pause_s t /. float_of_int n
 
 let intervals t =
   Array.init t.len (fun i ->
       (t.start_usv.(i) /. 1e6, (t.start_usv.(i) +. t.duration_usv.(i)) /. 1e6))
-
-let clear t =
-  t.len <- 0;
-  t.full_count <- 0
 
 let pp_event ppf e =
   Format.fprintf ppf

@@ -53,9 +53,6 @@ val record :
   unit
 (** Appends one pause without boxing an {!event}. *)
 
-val record_event : t -> event -> unit
-(** {!record} from an already-built record (tests, replay). *)
-
 val events : t -> event list
 (** Events in chronological order. *)
 
@@ -63,21 +60,11 @@ val count : t -> int
 
 val count_full : t -> int
 
-val pauses_s : t -> float array
-(** All pause durations, in seconds, chronological. *)
-
-val total_pause_s : t -> float
-
 val max_pause_s : t -> float
-(** 0 when the log is empty. *)
-
-val avg_pause_s : t -> float
 (** 0 when the log is empty. *)
 
 val intervals : t -> (float * float) array
 (** [(start_s, end_s)] of every stop-the-world pause, chronological;
     this is what the YCSB client simulation overlays on request arrivals. *)
-
-val clear : t -> unit
 
 val pp_event : Format.formatter -> event -> unit

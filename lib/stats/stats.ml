@@ -184,20 +184,3 @@ let top_k_by f k xs =
       Array.to_list (Array.map (fun (_, _, x) -> x) kept)
     end
   end
-
-let cumsum xs =
-  let acc = ref 0.0 in
-  Array.map
-    (fun x ->
-      acc := !acc +. x;
-      !acc)
-    xs
-
-let describe xs =
-  let n = Array.length xs in
-  if n = 0 then "n=0"
-  else begin
-    let lo, hi = min_max xs in
-    Printf.sprintf "n=%d mean=%.4g sd=%.4g min=%.4g med=%.4g max=%.4g" n
-      (mean xs) (stddev xs) lo (median xs) hi
-  end

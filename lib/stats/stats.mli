@@ -11,8 +11,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Population variance (the study compares runs of a fixed, known size). *)
 
-val stddev : float array -> float
-
 val rsd : float array -> float
 (** Relative standard deviation in percent: [100 * stddev / mean].
     0 when the mean is 0. *)
@@ -76,8 +74,3 @@ val top_k_by : ('a -> float) -> int -> 'a list -> 'a list
 (** [top_k_by f k xs] keeps the [k] elements with the largest [f] value
     (the paper plots only the highest 10000 latency points), preserving
     the original relative order of the survivors. *)
-
-val cumsum : float array -> float array
-
-val describe : float array -> string
-(** One-line summary (n/mean/sd/min/median/max) for logs and debugging. *)

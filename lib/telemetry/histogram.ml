@@ -138,15 +138,3 @@ let merge_into ~into src =
     into.count <- into.count + src.count;
     into.sum <- into.sum +. src.sum
   end
-
-let iter_buckets t f =
-  Array.iteri
-    (fun idx c ->
-      if c > 0 then begin
-        let lo, hi = bounds_of_index idx in
-        f
-          ~lo:(float_of_int lo /. units_per_one)
-          ~hi:(float_of_int hi /. units_per_one)
-          ~count:c
-      end)
-    t.counts

@@ -45,9 +45,4 @@ val merge_into : into:t -> t -> unit
 (** Add every bucket (and the exact count/sum/min/max) of the second
     histogram into [into].  The source is unchanged. *)
 
-val iter_buckets : t -> (lo:float -> hi:float -> count:int -> unit) -> unit
-(** Iterate the non-empty buckets in increasing value order.  [lo]
-    (inclusive) and [hi] (exclusive) are the bucket bounds in the input
-    unit. *)
-
 val clear : t -> unit

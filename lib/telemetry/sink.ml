@@ -1,3 +1,4 @@
+(* The summary grid. *)
 let percentile_points = [ 50.0; 90.0; 99.0; 99.9 ]
 
 let percentile_fields h =

@@ -5,9 +5,6 @@
     time-to-safepoint summary — the [gcperf trace] format), flat CSV
     (spans or gauge series), and a single JSON percentile summary. *)
 
-val percentile_points : float list
-(** The summary grid: 50, 90, 99, 99.9. *)
-
 val summary_json : Telemetry.t -> string
 (** One JSON object: per-pause-kind count/mean/p50/p90/p99/p99.9/max
     (µs) and the same for time-to-safepoint. *)

@@ -102,6 +102,7 @@ let to_json t =
        t.young_before t.young_after t.old_before t.old_after t.promoted);
   Buffer.contents buf
 
+(* Duration attributed to one sub-phase; 0 when absent. *)
 let sub_us t p =
   List.fold_left (fun acc (q, us) -> if q = p then acc +. us else acc) 0.0 t.sub
 

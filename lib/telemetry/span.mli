@@ -24,8 +24,6 @@ type phase =
   | Remap  (** pauseless remap flip: healing leftover forwarded refs *)
   | Fold  (** journaled-RC flip: applying folded journal deltas *)
 
-val phase_to_string : phase -> string
-
 val all_phases : phase list
 (** Every phase, in CSV column order ({!Plan}/{!Move} excluded: they are
     sub-phase attributions, not charged phases). *)
@@ -51,9 +49,6 @@ type t = {
 
 val phase_us : t -> phase -> float
 (** Duration charged to one phase; 0 when the span has no such phase. *)
-
-val sub_us : t -> phase -> float
-(** Duration attributed to one sub-phase; 0 when absent. *)
 
 val to_json : t -> string
 (** One-line JSON object (a JSON Lines record). *)

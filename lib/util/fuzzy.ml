@@ -19,7 +19,10 @@ let edit_distance a b =
     prev.(lb)
   end
 
-let suggest ?(max_suggestions = 3) ~candidates input =
+(* Candidates close to the input — small edit distance (at most half the
+   input length) or containing it as a substring — best first, at most
+   three.  Case-insensitive. *)
+let suggest ~candidates input =
   let input_l = String.lowercase_ascii input in
   let scored =
     List.filter_map
@@ -42,10 +45,10 @@ let suggest ?(max_suggestions = 3) ~candidates input =
       candidates
   in
   List.sort compare scored
-  |> List.filteri (fun i _ -> i < max_suggestions)
+  |> List.filteri (fun i _ -> i < 3)
   |> List.map snd
 
-let did_you_mean ?max_suggestions ~candidates input =
-  match suggest ?max_suggestions ~candidates input with
+let did_you_mean ~candidates input =
+  match suggest ~candidates input with
   | [] -> ""
   | s -> Printf.sprintf " (did you mean %s?)" (String.concat ", " s)

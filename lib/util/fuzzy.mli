@@ -1,15 +1,5 @@
 (** "Did you mean ...?" suggestions for CLI error messages. *)
 
-val edit_distance : string -> string -> int
-(** Levenshtein distance (insert/delete/substitute, unit costs). *)
-
-val suggest :
-  ?max_suggestions:int -> candidates:string list -> string -> string list
-(** Candidates close to the input — small edit distance (at most half the
-    input length) or containing it as a substring — best first, capped at
-    [max_suggestions] (default 3).  Case-insensitive. *)
-
-val did_you_mean :
-  ?max_suggestions:int -> candidates:string list -> string -> string
-(** [" (did you mean a, b?)"] ready to append to an error message, or
-    [""] when nothing is close. *)
+val did_you_mean : candidates:string list -> string -> string
+(** [" (did you mean a, b?)"] (at most three candidates) ready to append
+    to an error message, or [""] when nothing is close. *)

@@ -94,19 +94,6 @@ let pop q =
     top
   end
 
-let pop_until q limit =
-  let rec loop acc =
-    match min_key q with
-    | Some k when k <= limit -> (
-        match pop q with
-        | Some (key, payload) -> loop ((key, payload) :: acc)
-        | None -> acc)
-    | _ -> acc
-  in
-  List.rev (loop [])
-
-let clear q = q.len <- 0
-
 let iter f q =
   for i = 0 to q.len - 1 do
     f q.keys.(i) q.vals.(i)

@@ -38,12 +38,6 @@ val min_key : 'a t -> int option
 val pop : 'a t -> (int * 'a) option
 (** Removes and returns the minimum entry. *)
 
-val pop_until : 'a t -> int -> (int * 'a) list
-(** [pop_until q limit] pops every entry with [key <= limit], in key
-    order. *)
-
-val clear : 'a t -> unit
-
 val iter : (int -> 'a -> unit) -> 'a t -> unit
 (** Iterates in array (layout) order: the root first, then each level
     left to right. *)

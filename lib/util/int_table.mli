@@ -27,8 +27,6 @@ val replace : t -> int -> unit
 val remove : t -> int -> unit
 (** Removes the most recently added occurrence, like [Hashtbl.remove]. *)
 
-val mem : t -> int -> bool
-
 val iter : (int -> unit) -> t -> unit
 (** Iterates in [Hashtbl.iter] order.  The table must not be modified
     during iteration. *)

@@ -43,7 +43,6 @@ val swap_remove : t -> int -> int
 val iter : (int -> unit) -> t -> unit
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 val exists : (int -> bool) -> t -> bool
-val to_array : t -> int array
 val to_list : t -> int list
 val of_list : int list -> t
 val filter_in_place : (int -> bool) -> t -> unit

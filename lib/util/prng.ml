@@ -51,10 +51,6 @@ let int t n =
   (* Modulo bias is negligible for simulation ranges (n << 2^62). *)
   nonneg t mod n
 
-let int_in t lo hi =
-  assert (lo <= hi);
-  lo + int t (hi - lo + 1)
-
 let[@inline] unit_float t =
   (* 53 random bits into [0,1). *)
   let x = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
@@ -69,25 +65,9 @@ let chance t p =
   else if p >= 1.0 then true
   else unit_float t < p
 
-let choose t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let exponential t mean =
   let u = 1.0 -. unit_float t in
   -. mean *. log u
-
-let pareto t ~shape ~scale =
-  let u = 1.0 -. unit_float t in
-  scale /. (u ** (1.0 /. shape))
 
 let gaussian t ~mean ~stddev =
   let u1 = 1.0 -. unit_float t and u2 = unit_float t in

@@ -24,10 +24,6 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)].  Requires [n > 0]. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive.
-    Requires [lo <= hi]. *)
-
 val unit_float : t -> float
 (** [unit_float t] is uniform in [\[0, 1)], 53 bits of precision.
     Consumes one 64-bit draw; [float t 1.0] is the same value from the
@@ -42,17 +38,8 @@ val bool : t -> bool
 val chance : t -> float -> bool
 (** [chance t p] is [true] with probability [p] (clamped to [\[0,1\]]). *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
 val exponential : t -> float -> float
 (** [exponential t mean] samples Exp with the given mean. *)
-
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto variate with minimum [scale]; heavy-tailed for [shape <= 2]. *)
 
 val lognormal : t -> mu:float -> sigma:float -> float
 (** Log-normal variate; [mu]/[sigma] are parameters of the underlying

@@ -63,21 +63,12 @@ let iter f v =
     f v.data.(i)
   done
 
-let iteri f v =
-  for i = 0 to v.len - 1 do
-    f i v.data.(i)
-  done
-
 let fold f acc v =
   let acc = ref acc in
   for i = 0 to v.len - 1 do
     acc := f !acc v.data.(i)
   done;
   !acc
-
-let exists p v =
-  let rec loop i = i < v.len && (p v.data.(i) || loop (i + 1)) in
-  loop 0
 
 let to_array v = Array.sub v.data 0 v.len
 
@@ -87,14 +78,3 @@ let of_list l =
   let v = create () in
   List.iter (push v) l;
   v
-
-let filter_in_place p v =
-  let j = ref 0 in
-  for i = 0 to v.len - 1 do
-    let x = v.data.(i) in
-    if p x then begin
-      v.data.(!j) <- x;
-      incr j
-    end
-  done;
-  v.len <- !j

@@ -39,17 +39,10 @@ val swap_remove : 'a t -> int -> 'a
 
 val iter : ('a -> unit) -> 'a t -> unit
 
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-
-val exists : ('a -> bool) -> 'a t -> bool
 
 val to_array : 'a t -> 'a array
 
 val to_list : 'a t -> 'a list
 
 val of_list : 'a list -> 'a t
-
-val filter_in_place : ('a -> bool) -> 'a t -> unit
-(** Keeps only elements satisfying the predicate, preserving order. *)

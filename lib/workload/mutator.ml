@@ -84,8 +84,6 @@ let create vm profile ~seed =
   build_live_set t;
   t
 
-let vm t = t.vm
-let profile t = t.profile
 let thread_count t = Array.length t.threads
 let live_set_size t = Ivec.length t.live_set
 

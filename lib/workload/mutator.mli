@@ -21,10 +21,6 @@ val create : Gcperf_runtime.Vm.t -> Profile.t -> seed:int -> t
 (** Spawns the mutator threads and allocates the startup live set
     (which may itself trigger collections). *)
 
-val vm : t -> Gcperf_runtime.Vm.t
-
-val profile : t -> Profile.t
-
 val thread_count : t -> int
 
 val live_set_size : t -> int

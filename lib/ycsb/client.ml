@@ -118,17 +118,6 @@ let run w ~pauses ~db_timeline ~seed =
   done;
   Array.of_list (List.rev !points)
 
-let latency_histogram points ~kind =
-  let h = Histogram.create () in
-  Array.iter
-    (fun p -> if p.kind = kind then Histogram.record h p.latency_ms)
-    points;
-  h
-
-let latency_percentiles points ~kind =
-  let h = latency_histogram points ~kind in
-  List.map (fun p -> (p, Histogram.percentile h p)) [ 50.0; 90.0; 99.0; 99.9 ]
-
 let report points ~kind =
   let selected =
     Array.of_list

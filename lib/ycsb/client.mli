@@ -57,15 +57,5 @@ val run :
     stop-the-world [pauses] (seconds, as from {!Gcperf_sim.Gc_event.intervals})
     and database-size timeline.  Arrivals are Poisson. *)
 
-val latency_histogram :
-  point array -> kind:op_kind -> Gcperf_telemetry.Histogram.t
-(** Log-bucketed latency histogram (ms) for one operation type: the
-    telemetry view of the Tables 5-7 data.  Histograms from separate
-    client shards merge with {!Gcperf_telemetry.Histogram.merge_into}. *)
-
-val latency_percentiles : point array -> kind:op_kind -> (float * float) list
-(** [(p, latency_ms)] on the 50/90/99/99.9 grid, read from
-    {!latency_histogram}. *)
-
 val report : point array -> kind:op_kind -> Gcperf_stats.Stats.latency_report
 (** The Tables 5-7 statistics for one operation type. *)

@@ -16,11 +16,6 @@ module Resilience = struct
     | Off -> Gateway.unbounded
     | Paper_defaults -> Gateway.degraded
     | Custom (_, g) -> g
-
-  let to_string = function
-    | Off -> "off"
-    | Paper_defaults -> "paper-defaults"
-    | Custom _ -> "custom"
 end
 
 type source = {

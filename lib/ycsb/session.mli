@@ -28,8 +28,6 @@ module Resilience : sig
 
   val gateway : t -> Gcperf_kvstore.Gateway.config
   (** The server-admission config this level pairs with. *)
-
-  val to_string : t -> string
 end
 
 type source = {

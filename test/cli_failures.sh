@@ -63,6 +63,13 @@ check retired-trace-jobs 124 "unknown option" -- run table2 --trace-jobs 2
 check retired-gc-jobs 124 "unknown option" -- run table2 --gc-jobs 2
 check retired-quick 124 "unknown option" -- run table2 --quick
 
+# --jobs is bounded by OCaml's domain limit; both ends are rejected while
+# parsing, before any domain starts.
+check jobs-zero 124 "--jobs" "must be an integer in 1..128" \
+  -- run table2 --scope ci --jobs 0
+check jobs-over-limit 124 "--jobs" "must be an integer in 1..128" \
+  -- check-identity --jobs 129
+
 if [ "$failures" -ne 0 ]; then
   echo "$failures CLI failure-path check(s) failed" >&2
   exit 1

@@ -91,16 +91,9 @@ let test_validate () =
   (match Gc_config.validate base with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("default journal-rc config rejected: " ^ e));
-  (match
-     Gc_config.validate { base with Gc_config.journal_fold_jobs = 0 }
-   with
+  match Gc_config.validate { base with Gc_config.journal_fold_jobs = 0 } with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "fold jobs 0 must be rejected");
-  match
-    Gc_config.validate { base with Gc_config.journal_alloc_overhead = 1.5 }
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "alloc overhead 1.5 must be rejected"
+  | Ok _ -> Alcotest.fail "fold jobs 0 must be rejected"
 
 (* --- forwarding table / load barrier properties ----------------------- *)
 

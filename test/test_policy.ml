@@ -100,10 +100,11 @@ let obs ?(pause_class = Policy.Minor) ?(pause_ms = 10.0) ?(interval_ms = 1000.0)
     heap_capacity = 640 * mb;
   }
 
-let make_asp ?(pause_goal_ms = 50.0) ?(gc_time_ratio = 99) () =
+let make_asp () =
   Asp.create
     (Asp.default_config ~heap_bytes:(640 * mb) ~young_bytes:(100 * mb)
-       ~pause_goal_ms ~gc_time_ratio ())
+       ~survivor_ratio:8 ~tenuring_threshold:6 ~pause_goal_ms:50.0
+       ~gc_time_ratio:99)
 
 let test_asp_pause_goal_shrinks () =
   let p = make_asp () in

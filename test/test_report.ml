@@ -2,6 +2,13 @@
 
 module Table = Gcperf_report.Table
 module Chart = Gcperf_report.Chart
+module Artifact = Gcperf.Artifact
+
+let artifact ~columns rows =
+  Artifact.make ~name:"t" ~title:"t" ~params:[] ~columns ~rows
+    ~render_text:(fun () -> "")
+
+let csv ~columns rows = Artifact.render (artifact ~columns rows) `Csv
 
 let test_table_basic () =
   let t =
@@ -23,19 +30,33 @@ let test_table_width_mismatch () =
       Table.add_row t [ "x"; "y" ])
 
 let test_table_csv () =
-  let t =
-    Table.create ~columns:[ ("name", Table.Left); ("note", Table.Left) ]
-  in
-  Table.add_row t [ "a,b"; "plain" ];
-  let csv = Table.to_csv t in
-  Alcotest.(check string) "quotes commas" "name,note\n\"a,b\",plain\n" csv
+  Alcotest.(check string)
+    "quotes commas and quotes" "name,note\n\"a,b\",\"say \"\"hi\"\"\"\n"
+    (csv ~columns:[ "name"; "note" ]
+       [ [ Artifact.Text "a,b"; Artifact.Text "say \"hi\"" ] ])
 
-let test_table_separator_not_in_csv () =
-  let t = Table.create ~columns:[ ("x", Table.Left) ] in
-  Table.add_row t [ "1" ];
-  Table.add_separator t;
-  Table.add_row t [ "2" ];
-  Alcotest.(check string) "separators skipped" "x\n1\n2\n" (Table.to_csv t)
+let test_table_csv_separators () =
+  Alcotest.(check string)
+    "one line per row, typed cells" "x,n,f,b\n1,2,0.5,true\nz,-3,1e+06,false\n"
+    (csv ~columns:[ "x"; "n"; "f"; "b" ]
+       Artifact.
+         [
+           [ Text "1"; Int 2; Float 0.5; Bool true ];
+           [ Text "z"; Int (-3); Float 1e6; Bool false ];
+         ])
+
+let test_table_csv_newline () =
+  Alcotest.(check string)
+    "quotes a newline" "note\n\"two\nlines\"\n"
+    (csv ~columns:[ "note" ] [ [ Artifact.Text "two\nlines" ] ])
+
+let test_artifact_row_width () =
+  Alcotest.check_raises "row width checked"
+    (Invalid_argument "Artifact.make t: row 1 has 1 cells, expected 2")
+    (fun () ->
+      ignore
+        (artifact ~columns:[ "a"; "b" ]
+           Artifact.[ [ Int 1; Int 2 ]; [ Int 3 ] ]))
 
 let test_cells () =
   Alcotest.(check string) "float" "3.14" (Table.cell_f 3.14159);
@@ -108,9 +129,12 @@ let () =
           Alcotest.test_case "basic" `Quick test_table_basic;
           Alcotest.test_case "width mismatch" `Quick test_table_width_mismatch;
           Alcotest.test_case "csv quoting" `Quick test_table_csv;
-          Alcotest.test_case "csv separators" `Quick test_table_separator_not_in_csv;
+          Alcotest.test_case "csv separators" `Quick test_table_csv_separators;
+          Alcotest.test_case "csv newline" `Quick test_table_csv_newline;
           Alcotest.test_case "cell formatting" `Quick test_cells;
         ] );
+      ( "artifact",
+        [ Alcotest.test_case "row width" `Quick test_artifact_row_width ] );
       ( "chart",
         [
           Alcotest.test_case "scatter" `Quick test_scatter;

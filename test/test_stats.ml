@@ -49,11 +49,6 @@ let test_histogram () =
   Alcotest.(check int) "overflow" 1 h.Stats.overflow;
   Alcotest.(check int) "total" 6 h.Stats.total
 
-let test_cumsum () =
-  Alcotest.(check (array (Alcotest.float 1e-9)))
-    "cumsum" [| 1.0; 3.0; 6.0 |]
-    (Stats.cumsum [| 1.0; 2.0; 3.0 |])
-
 let test_top_k_by () =
   let xs = [ 5; 1; 9; 3; 9; 2 ] in
   Alcotest.(check (list int)) "top 3, order kept" [ 5; 9; 9 ]
@@ -137,7 +132,6 @@ let () =
           Alcotest.test_case "min/max/sum" `Quick test_min_max_sum;
           Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "histogram" `Quick test_histogram;
-          Alcotest.test_case "cumsum" `Quick test_cumsum;
           Alcotest.test_case "top_k_by" `Quick test_top_k_by;
         ] );
       ( "latency buckets",

@@ -36,13 +36,6 @@ let test_int_range () =
     Alcotest.(check bool) "in range" true (x >= 0 && x < 17)
   done
 
-let test_int_in_range () =
-  let p = Prng.create 4 in
-  for _ = 1 to 1000 do
-    let x = Prng.int_in p (-5) 5 in
-    Alcotest.(check bool) "in [lo,hi]" true (x >= -5 && x <= 5)
-  done
-
 let test_float_range () =
   let p = Prng.create 5 in
   for _ = 1 to 1000 do
@@ -63,14 +56,6 @@ let test_chance_rate () =
   done;
   let rate = float_of_int !hits /. 100_000.0 in
   Alcotest.(check bool) "about 30%" true (rate > 0.28 && rate < 0.32)
-
-let test_shuffle_permutation () =
-  let p = Prng.create 11 in
-  let a = Array.init 50 Fun.id in
-  Prng.shuffle p a;
-  let sorted = Array.copy a in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
 
 let test_exponential_mean () =
   let p = Prng.create 12 in
@@ -148,18 +133,12 @@ let test_vec_swap_remove () =
   Alcotest.(check int) "removed" 2 removed;
   Alcotest.(check (list int)) "last moved in" [ 1; 4; 3 ] (Vec.to_list v)
 
-let test_vec_filter_in_place () =
-  let v = Vec.of_list [ 1; 2; 3; 4; 5; 6 ] in
-  Vec.filter_in_place (fun x -> x mod 2 = 0) v;
-  Alcotest.(check (list int)) "evens, order kept" [ 2; 4; 6 ] (Vec.to_list v)
-
 let test_vec_fold_iter () =
   let v = Vec.of_list [ 1; 2; 3 ] in
   Alcotest.(check int) "fold sum" 6 (Vec.fold ( + ) 0 v);
   let acc = ref [] in
-  Vec.iteri (fun i x -> acc := (i, x) :: !acc) v;
-  Alcotest.(check (list (pair int int)))
-    "iteri" [ (0, 1); (1, 2); (2, 3) ] (List.rev !acc)
+  Vec.iter (fun x -> acc := x :: !acc) v;
+  Alcotest.(check (list int)) "iter" [ 1; 2; 3 ] (List.rev !acc)
 
 let test_vec_clear_retains () =
   let v = Vec.of_list [ 1; 2; 3 ] in
@@ -318,16 +297,6 @@ let test_heapq_ordering () =
   in
   drain ();
   Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ] (List.rev !out)
-
-let test_heapq_pop_until () =
-  let q = Heapq.create () in
-  List.iter (fun k -> Heapq.push q k (k * 10)) [ 3; 1; 7; 5 ];
-  let popped = Heapq.pop_until q 5 in
-  Alcotest.(check (list (pair int int)))
-    "pops keys <= 5 in order"
-    [ (1, 10); (3, 30); (5, 50) ]
-    popped;
-  Alcotest.(check int) "one left" 1 (Heapq.length q)
 
 let test_heapq_min_key () =
   let q = Heapq.create () in
@@ -505,11 +474,9 @@ let () =
           Alcotest.test_case "split independent" `Quick test_prng_split_independent;
           Alcotest.test_case "copy replays" `Quick test_prng_copy;
           Alcotest.test_case "int range" `Quick test_int_range;
-          Alcotest.test_case "int_in range" `Quick test_int_in_range;
           Alcotest.test_case "float range" `Quick test_float_range;
           Alcotest.test_case "chance extremes" `Quick test_chance_extremes;
           Alcotest.test_case "chance rate" `Quick test_chance_rate;
-          Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
           Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
           Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
           Alcotest.test_case "zipf bounds" `Quick test_zipf_bounds;
@@ -521,8 +488,7 @@ let () =
           Alcotest.test_case "push/pop" `Quick test_vec_push_pop;
           Alcotest.test_case "get/set" `Quick test_vec_get_set;
           Alcotest.test_case "swap_remove" `Quick test_vec_swap_remove;
-          Alcotest.test_case "filter_in_place" `Quick test_vec_filter_in_place;
-          Alcotest.test_case "fold/iteri" `Quick test_vec_fold_iter;
+          Alcotest.test_case "fold/iter" `Quick test_vec_fold_iter;
           Alcotest.test_case "clear retains capacity" `Quick test_vec_clear_retains;
           QCheck_alcotest.to_alcotest prop_vec_model;
         ] );
@@ -543,7 +509,6 @@ let () =
       ( "heapq",
         [
           Alcotest.test_case "ordering" `Quick test_heapq_ordering;
-          Alcotest.test_case "pop_until" `Quick test_heapq_pop_until;
           Alcotest.test_case "min_key" `Quick test_heapq_min_key;
           QCheck_alcotest.to_alcotest prop_heapq_sorted;
           QCheck_alcotest.to_alcotest prop_heapq_swap_layout;
