@@ -243,7 +243,7 @@ let start_request sess (req : req) t =
         sess.subops <- sess.subops + 1;
         let key = Prng.zipf sess.prng ~n:sess.c.keyspace ~theta:zipf_theta in
         let reps = Ring.replicas sess.ring ~key in
-        let q = min read_quorum (Array.length reps) in
+        let q = Int.min read_quorum (Array.length reps) in
         let sub =
           {
             parent = req;
@@ -269,8 +269,8 @@ let start_request sess (req : req) t =
       sess.subops <- sess.subops + 1;
       let key = Prng.zipf sess.prng ~n:sess.c.keyspace ~theta:zipf_theta in
       let reps = Ring.replicas sess.ring ~key in
-      let r = min sess.c.replication (Array.length reps) in
-      let w = min write_quorum r in
+      let r = Int.min sess.c.replication (Array.length reps) in
+      let w = Int.min write_quorum r in
       let sub =
         {
           parent = req;

@@ -69,8 +69,9 @@ let gateway t = t.gateway
 let record_hint t = t.hints <- t.hints + 1
 let hints t = t.hints
 
-(* Index of the last interval starting at or before [s]; -1 if none. *)
-let interval_before intervals s =
+(* The annotation makes the compares float compares: unannotated, this
+   top-level function would generalise and compare generically. *)
+let interval_before (intervals : (float * float) array) (s : float) =
   let n = Array.length intervals in
   let lo = ref (-1) and hi = ref (n - 1) in
   while !lo < !hi do

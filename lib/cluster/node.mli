@@ -59,6 +59,11 @@ val timeline : t -> timeline
 val injector : t -> Gcperf_fault.Injector.t
 val gateway : t -> Gcperf_kvstore.Gateway.t
 
+val interval_before : (float * float) array -> float -> int
+(** [interval_before intervals s]: the index of the last interval whose
+    start is at or before [s], or -1 if none.  [intervals] must be sorted
+    by start; among equal starts the last one wins. *)
+
 val paused_at : t -> float -> bool
 (** Is the node inside a stop-the-world interval at this time? *)
 

@@ -42,10 +42,13 @@ let create ~nodes ?(vnodes = 64) ~replication () =
   done;
   (* Ties (astronomically unlikely) break on node id, so the sorted
      order — and with it every placement — is total and reproducible. *)
-  Array.sort compare points;
+  Array.sort
+    (fun (h1, n1) (h2, n2) ->
+      if h1 <> h2 then Int.compare h1 h2 else Int.compare n1 n2)
+    points;
   {
     nodes;
-    replication = min replication nodes;
+    replication = Int.min replication nodes;
     hashes = Array.map fst points;
     owners = Array.map snd points;
   }

@@ -127,7 +127,7 @@ let create ctx (config : Gc_config.t) =
     st.phase <-
       Sweeping
         {
-          total_bytes = float_of_int (max 1 heap.Gh.old_used);
+          total_bytes = float_of_int (Int.max 1 heap.Gh.old_used);
           remaining_bytes = float_of_int heap.Gh.old_used;
           victims;
           cursor = 0;
@@ -147,7 +147,7 @@ let create ctx (config : Gc_config.t) =
     (* Sweeping into free lists leaves holes: a slice of the reclaimed
        space is unusable until a compacting full collection. *)
     let garbage_ratio =
-      float_of_int garbage_bytes /. float_of_int (max 1 heap.Gh.old_cap)
+      float_of_int garbage_bytes /. float_of_int (Int.max 1 heap.Gh.old_cap)
     in
     st.fragmentation <-
       Float.min 0.45 (st.fragmentation +. 0.02 +. (0.06 *. garbage_ratio));
@@ -157,7 +157,8 @@ let create ctx (config : Gc_config.t) =
     match st.phase with
     | Idle ->
         let occupancy =
-          float_of_int heap.Gh.old_used /. float_of_int (max 1 heap.Gh.old_cap)
+          float_of_int heap.Gh.old_used
+          /. float_of_int (Int.max 1 heap.Gh.old_cap)
         in
         if occupancy > initiating_occupancy then
           initial_mark ()
@@ -228,7 +229,7 @@ let create ctx (config : Gc_config.t) =
         let target =
           int_of_float (Float.max 0.0 (progress *. float_of_int total))
         in
-        let target = min target total in
+        let target = Int.min target total in
         while sw.cursor < target do
           let id = Vec.get sw.victims sw.cursor in
           if Os.is_old store id then begin

@@ -1,6 +1,7 @@
 module Telemetry = Gcperf_telemetry.Telemetry
 module Span = Gcperf_telemetry.Span
 module Policy = Gcperf_policy.Policy
+module Metrics = Gcperf_telemetry.Metrics
 
 exception Out_of_memory of string
 
@@ -18,6 +19,13 @@ type t = {
   mutable heap_capacity : unit -> int;
   scratch_obs : Policy.observation;
       (* reused per pause; policies copy what they keep during observe *)
+  pause_counters : pause_counters;
+}
+
+and pause_counters = {
+  pauses : Metrics.handle;
+  pause_us_total : Metrics.handle;
+  promoted_bytes_total : Metrics.handle;
 }
 
 let create ?telemetry machine clock events =
@@ -37,6 +45,13 @@ let create ?telemetry machine clock events =
     young_capacity = (fun () -> 0);
     heap_capacity = (fun () -> 0);
     scratch_obs = Policy.scratch_observation ();
+    pause_counters =
+      (let m = Telemetry.metrics telemetry in
+       {
+         pauses = Metrics.handle m "gc.pauses";
+         pause_us_total = Metrics.handle m "gc.pause_us_total";
+         promoted_bytes_total = Metrics.handle m "gc.promoted_bytes_total";
+       });
   }
 
 let stw_begin_us t =
@@ -70,10 +85,10 @@ let record_pause ?sub t ~collector ~kind ~reason ~phases ~duration_us
         old_after;
         promoted;
       };
-    Telemetry.incr t.telemetry "gc.pauses" 1.0;
-    Telemetry.incr t.telemetry "gc.pause_us_total" duration_us;
-    Telemetry.incr t.telemetry "gc.promoted_bytes_total"
-      (float_of_int promoted)
+    let c = t.pause_counters in
+    Metrics.bump c.pauses 1.0;
+    Metrics.bump c.pause_us_total duration_us;
+    Metrics.bump c.promoted_bytes_total (float_of_int promoted)
   end;
   (* Ergonomics hook: every stop-the-world pause, from all six collectors,
      funnels through here, so one observation call covers them all.  With

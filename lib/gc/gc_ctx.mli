@@ -39,7 +39,11 @@ type t = {
   scratch_obs : Gcperf_policy.Policy.observation;
       (** observation record reused by {!record_pause} for every pause;
           policies copy what they keep during [observe] *)
+  pause_counters : pause_counters;
 }
+
+and pause_counters
+(** The telemetry counters {!record_pause} bumps, interned at creation. *)
 
 val create :
   ?telemetry:Gcperf_telemetry.Telemetry.t ->

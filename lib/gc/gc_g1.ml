@@ -33,7 +33,7 @@ let create ctx (config : Gc_config.t) =
     Rh.create store ~heap_bytes:config.Gc_config.heap_bytes ()
   in
   rheap.Rh.young_target_bytes <-
-    max rheap.Rh.region_size config.Gc_config.young_bytes;
+    Int.max rheap.Rh.region_size config.Gc_config.young_bytes;
   (* Mutable so the adaptive sizing policy can promote earlier/later. *)
   let tenuring = ref config.Gc_config.tenuring_threshold in
   let st =
@@ -238,7 +238,7 @@ let create ctx (config : Gc_config.t) =
                  the column writes are deferred to the relocation
                  kernel, the packing decisions stay sequential. *)
               Os.plan_push_region store id ~region:r.Rh.idx
-                ~age:(max (Os.age store id) !tenuring);
+                ~age:(Int.max (Os.age store id) !tenuring);
               Rh.add_used rheap r size;
               Vec.push r.Rh.objects id
           | _ -> (
@@ -285,7 +285,7 @@ let create ctx (config : Gc_config.t) =
           1.3
           *. Machine.phase_us m ~rate:cost.Machine.compact_rate
                ~workers:full_workers
-               ~bytes:(max old_before !moved_bytes) );
+               ~bytes:(Int.max old_before !moved_bytes) );
       ]
     in
     let duration = List.fold_left (fun acc (_, us) -> acc +. us) 0.0 phases in
@@ -368,8 +368,10 @@ let create ctx (config : Gc_config.t) =
                 < 0.95 *. float_of_int r.Rh.used)
       |> List.sort (fun a b ->
              compare
-               (float_of_int a.Rh.live_bytes /. float_of_int (max 1 a.Rh.used))
-               (float_of_int b.Rh.live_bytes /. float_of_int (max 1 b.Rh.used)))
+               (float_of_int a.Rh.live_bytes
+               /. float_of_int (Int.max 1 a.Rh.used))
+               (float_of_int b.Rh.live_bytes
+               /. float_of_int (Int.max 1 b.Rh.used)))
       |> List.map (fun r -> r.Rh.idx)
     in
     (* Cap the mixed backlog like HotSpot (G1MixedGCCountTarget spreads
@@ -381,7 +383,7 @@ let create ctx (config : Gc_config.t) =
         (Span.Safepoint, Gc_ctx.stw_begin_us ctx);
         (Span.Fixed, cost.Machine.gc_fixed_us);
         ( Span.Region_overhead,
-          region_fixed_us *. float_of_int (max 1 !released) );
+          region_fixed_us *. float_of_int (Int.max 1 !released) );
       ]
     in
     let cleanup_duration =
@@ -399,8 +401,8 @@ let create ctx (config : Gc_config.t) =
       | l ->
           (* HotSpot spreads candidates over several mixed collections and
              bounds the old regions added to a single collection set. *)
-          let cap = max 1 (Array.length rheap.Rh.regions / 16) in
-          let n = min cap (max 1 (List.length l / 4)) in
+          let cap = Int.max 1 (Array.length rheap.Rh.regions / 16) in
+          let n = Int.min cap (Int.max 1 (List.length l / 4)) in
           List.filteri (fun i _ -> i < n) l
     in
     if Array.length !collected_scratch <> Array.length rheap.Rh.regions then
@@ -441,7 +443,7 @@ let create ctx (config : Gc_config.t) =
        target; anything beyond it is promoted rather than failing the
        evacuation. *)
     let survivor_budget =
-      max rheap.Rh.region_size (rheap.Rh.young_target_bytes / 8)
+      Int.max rheap.Rh.region_size (rheap.Rh.young_target_bytes / 8)
     in
     Vec.iter
       (fun id ->
@@ -499,7 +501,7 @@ let create ctx (config : Gc_config.t) =
                      compares an age with the tenuring threshold (at
                      most 15), so saturating changes none of them. *)
                   Os.plan_push_region store id ~region:r.Rh.idx
-                    ~age:(min Os.max_age (Os.age store id + age_bump));
+                    ~age:(Int.min Os.max_age (Os.age store id + age_bump));
                   Rh.add_used rheap r size;
                   Vec.push r.Rh.objects id
               | _ -> (
@@ -635,7 +637,7 @@ let create ctx (config : Gc_config.t) =
     else begin
       (* G1ReservePercent: keep a slice of the heap free for evacuation;
          collect early rather than risk an evacuation failure. *)
-      let reserve = max 4 (Array.length rheap.Rh.regions / 10) in
+      let reserve = Int.max 4 (Array.length rheap.Rh.regions / 10) in
       if st.eden_bytes + size > rheap.Rh.young_target_bytes then
         young_gc "eden target reached"
       else if

@@ -91,7 +91,7 @@ let create ctx (config : Gc_config.t) =
   in
   let ensure id =
     if id >= Array.length st.rc then begin
-      let cap = max 1024 (max (id + 1) (2 * Array.length st.rc)) in
+      let cap = Int.max 1024 (Int.max (id + 1) (2 * Array.length st.rc)) in
       let ext col =
         let nd = Array.make cap 0 in
         Array.blit col 0 nd 0 (Array.length col);
@@ -321,7 +321,7 @@ let create ctx (config : Gc_config.t) =
             ~bytes:st.used );
         ( Span.Sweep,
           Machine.phase_us m ~rate:cost.Machine.sweep_rate ~workers
-            ~bytes:(max 0 freed) );
+            ~bytes:(Int.max 0 freed) );
         (Span.Fixed, cost.Machine.gc_fixed_us);
       ]
     in

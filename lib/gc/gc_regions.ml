@@ -46,7 +46,7 @@ let create ctx (config : Gc_config.t) =
     Rh.create store ~heap_bytes:config.Gc_config.heap_bytes ()
   in
   rheap.Rh.young_target_bytes <-
-    max rheap.Rh.region_size config.Gc_config.young_bytes;
+    Int.max rheap.Rh.region_size config.Gc_config.young_bytes;
   let tenuring = ref config.Gc_config.tenuring_threshold in
   let st = { phase = Idle } in
   let young_used () = Rh.used_young rheap in
@@ -102,7 +102,7 @@ let create ctx (config : Gc_config.t) =
     | Marking _ | Relocating _ -> ()
     | Idle ->
         let used = float_of_int (Rh.heap_used rheap) in
-        let reserve = max 4 (Array.length rheap.Rh.regions / 20) in
+        let reserve = Int.max 4 (Array.length rheap.Rh.regions / 20) in
         if used > Gc_g1.ihop *. float_of_int rheap.Rh.heap_bytes
         then start_mark "occupancy threshold crossed"
         else if
@@ -155,7 +155,7 @@ let create ctx (config : Gc_config.t) =
        otherwise strands across regions that never qualify, and
        back-to-back cycles reclaim nothing while the mutator burns the
        remaining headroom into an allocation stall. *)
-    let reserve = max 4 (Array.length rheap.Rh.regions / 20) in
+    let reserve = Int.max 4 (Array.length rheap.Rh.regions / 20) in
     let threshold =
       if Rh.free_regions rheap < 3 * reserve then 1
       else
@@ -175,7 +175,7 @@ let create ctx (config : Gc_config.t) =
              and gb = b.Rh.used - b.Rh.live_bytes in
              if ga <> gb then compare gb ga else compare a.Rh.idx b.Rh.idx)
     in
-    let budget_regions = max 0 (Rh.free_regions rheap - 4) in
+    let budget_regions = Int.max 0 (Rh.free_regions rheap - 4) in
     let cset = cset_scratch in
     Vec.clear cset;
     let dest_bytes = ref 0 in
@@ -185,7 +185,7 @@ let create ctx (config : Gc_config.t) =
        region.  Budgeting against that bound keeps the free-region
        supply ahead of the plan even when the pressure-adaptive bar
        admits the whole heap as candidates. *)
-    let half = max 1 (rheap.Rh.region_size / 2) in
+    let half = Int.max 1 (rheap.Rh.region_size / 2) in
     List.iter
       (fun r ->
         let need = (!dest_bytes + r.Rh.live_bytes + half - 1) / half in

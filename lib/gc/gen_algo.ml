@@ -65,7 +65,7 @@ let collect_young ctx (heap : Gh.t) ~params ~collector ~reason =
   let n_marked = Vec.length marked in
   for i = 0 to n_marked - 1 do
     let id = Vec.unsafe_get marked i in
-    let age = min max_age (Os.age store id + 1) in
+    let age = Int.min max_age (Os.age store id + 1) in
     bytes_by_age.(age) <- bytes_by_age.(age) + Os.size store id
   done;
   let target = heap.Gh.survivor_cap / 2 in
@@ -77,7 +77,7 @@ let collect_young ctx (heap : Gh.t) ~params ~collector ~reason =
         if acc > target then age else scan (age + 1) acc
       end
     in
-    max 1 (min max_age (scan 1 0))
+    Int.max 1 (Int.min max_age (scan 1 0))
   in
   (* Placement: survivors young enough (and fitting the to-space) stay in
      the survivor space; the rest is promoted.  HotSpot promotes on both
@@ -316,7 +316,7 @@ let collect_full ctx (heap : Gh.t) ~workers ~collector ~reason =
      takes minutes even with live data far smaller. *)
   let compact_us =
     Machine.phase_us m ~rate:m.Machine.cost.Machine.compact_rate ~workers
-      ~bytes:(max old_before (!live_old + !promoted))
+      ~bytes:(Int.max old_before (!live_old + !promoted))
   in
   let duration =
     0.0 +. safepoint_us +. root_scan_us +. fixed_us +. mark_us +. sweep_us

@@ -79,7 +79,7 @@ let old_free t = t.old_cap - t.old_used
    capacity, or the request is rounded up/refused.  Callers (the adaptive
    sizing policy) only invoke this at safepoints, between collections. *)
 let resize_young t ~young_bytes ~survivor_ratio =
-  let ratio = max 1 survivor_ratio in
+  let ratio = Int.max 1 survivor_ratio in
   (* Smallest young size whose survivor and eden halves still cover the
      current occupancy: survivor_cap = y/(ratio+2) >= survivor_used and
      eden_cap = y - 2*survivor_cap >= eden_used. *)
@@ -88,8 +88,8 @@ let resize_young t ~young_bytes ~survivor_ratio =
     (* eden_cap >= y * ratio/(ratio+2) - 2, so this bound is sufficient *)
     ((t.eden_used + 2) * (ratio + 2) / ratio) + 1
   in
-  let y = max young_bytes (max min_for_survivor min_for_eden) in
-  let y = min y (t.heap_bytes - t.old_used) in
+  let y = Int.max young_bytes (Int.max min_for_survivor min_for_eden) in
+  let y = Int.min y (t.heap_bytes - t.old_used) in
   let survivor_cap = y / (ratio + 2) in
   let eden_cap = y - (2 * survivor_cap) in
   if

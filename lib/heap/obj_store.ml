@@ -263,7 +263,7 @@ let set_default_gc_domains (_ : int) = ()
 let[@inline never] rebuild_edges t need =
   let live = t.edges_len - t.edges_garbage in
   let target = live + need in
-  let ncap = max 64 (max (Array.length t.edges) (target * 2)) in
+  let ncap = Int.max 64 (Int.max (Array.length t.edges) (target * 2)) in
   let src = t.edges in
   let dst =
     if Array.length t.edges_spare >= ncap then t.edges_spare
@@ -412,7 +412,7 @@ let iter_live t f =
   done
 
 let live_ids t =
-  let acc = Ivec.create ~capacity:(max 1 t.live_n) () in
+  let acc = Ivec.create ~capacity:(Int.max 1 t.live_n) () in
   iter_live t (fun id -> Ivec.push acc id);
   acc
 
@@ -577,7 +577,7 @@ let sweep_dead t v =
    table in O(1), a read heals by clearing the low bit. *)
 
 let[@inline never] grow_fwd t =
-  let cap = max 64 (Array.length t.sizev) in
+  let cap = Int.max 64 (Array.length t.sizev) in
   let nd = Array.make cap 0 in
   Array.blit t.fwd_v 0 nd 0 (Array.length t.fwd_v);
   t.fwd_v <- nd

@@ -84,8 +84,8 @@ let mb = 1024 * 1024
 let create store ~heap_bytes ?(target_regions = 1024) () =
   if heap_bytes <= 0 then invalid_arg "Region_heap.create: empty heap";
   let size = heap_bytes / target_regions in
-  let region_size = max mb (min (32 * mb) size) in
-  let n = max 8 (heap_bytes / region_size) in
+  let region_size = Int.max mb (Int.min (32 * mb) size) in
+  let n = Int.max 8 (heap_bytes / region_size) in
   let regions =
     Array.init n (fun idx ->
         {
@@ -124,9 +124,9 @@ let create store ~heap_bytes ?(target_regions = 1024) () =
    headroom.  Returns the target actually in effect. *)
 let set_young_target t ~bytes =
   let n = Array.length t.regions in
-  let reserve = max 2 (n / 10) in
+  let reserve = Int.max 2 (n / 10) in
   let max_target = (n - reserve) * t.region_size in
-  let clamped = max t.region_size (min bytes max_target) in
+  let clamped = Int.max t.region_size (Int.min bytes max_target) in
   t.young_target_bytes <- clamped;
   clamped
 
@@ -233,7 +233,7 @@ let alloc_humongous t ~size =
       for i = start to start + needed - 1 do
         let r = t.regions.(i) in
         set_kind t r Humongous;
-        let chunk = min !remaining t.region_size in
+        let chunk = Int.min !remaining t.region_size in
         add_used t r (chunk - r.used);
         r.live_bytes <- chunk;
         remaining := !remaining - chunk
@@ -315,7 +315,7 @@ let check_invariants t =
                 remaining := 0
               end
               else begin
-                let chunk = min !remaining t.region_size in
+                let chunk = Int.min !remaining t.region_size in
                 actual.(!idx) <- actual.(!idx) + chunk;
                 remaining := !remaining - chunk;
                 incr idx

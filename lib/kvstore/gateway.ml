@@ -47,7 +47,7 @@ let us s = int_of_float (s *. 1e6)
 
 let create config ~pauses =
   let slots = Heapq.create () in
-  for _ = 1 to max 1 config.servers do
+  for _ = 1 to Int.max 1 config.servers do
     Heapq.push slots 0 ()
   done;
   {

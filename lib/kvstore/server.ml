@@ -76,7 +76,7 @@ let fresh_index ?(old = false) t =
 
 let create vm config ~seed =
   let threads =
-    Array.init (max 1 config.service_threads) (fun _ -> Vm.spawn_thread vm)
+    Array.init (Int.max 1 config.service_threads) (fun _ -> Vm.spawn_thread vm)
   in
   let t =
     {
@@ -238,7 +238,7 @@ let replay_commitlog t ~target_bytes =
   while t.memtable < target_bytes do
     Vm.step t.vm ~dt_us:quantum_us (fun th ->
         if th.Vm.tid = t.threads.(0).Vm.tid then
-          for _ = 1 to max 1 per_quantum do
+          for _ = 1 to Int.max 1 per_quantum do
             if t.memtable < target_bytes then begin
               t.op_count <- t.op_count + 1;
               let key = t.next_key in

@@ -59,7 +59,7 @@ type t = {
 (* The raw speedup law, shared by [create] (which caches the two worker
    counts every pause uses) and [parallel_speedup] (the general entry). *)
 let speedup_raw topology (cost : cost_model) n =
-  let n = max 1 n in
+  let n = Int.max 1 n in
   let sigma = cost.sync_sigma in
   let base = float_of_int n /. (1.0 +. (sigma *. float_of_int (n - 1))) in
   let per_node = topology.cores_per_numa_node in
@@ -77,10 +77,12 @@ let create ?gc_threads ?conc_gc_threads topology cost =
   (* JVM defaults: ParallelGCThreads ~ 5/8 of cores on large machines,
      ConcGCThreads ~ a quarter of that. *)
   let gc_threads =
-    match gc_threads with Some n -> n | None -> max 1 (cores * 5 / 8)
+    match gc_threads with Some n -> n | None -> Int.max 1 (cores * 5 / 8)
   in
   let conc_gc_threads =
-    match conc_gc_threads with Some n -> n | None -> max 1 ((gc_threads + 3) / 4)
+    match conc_gc_threads with
+    | Some n -> n
+    | None -> Int.max 1 ((gc_threads + 3) / 4)
   in
   {
     topology;
@@ -124,7 +126,7 @@ let phase_us t ~rate ~workers ~bytes =
 let alloc_overhead_us t ~tlab ~threads ~allocations ~bytes ~tlab_bytes =
   if tlab then begin
     (* One refill (shared bump + fence) every [tlab_bytes] bytes. *)
-    let refills = float_of_int bytes /. float_of_int (max 1 tlab_bytes) in
+    let refills = float_of_int bytes /. float_of_int (Int.max 1 tlab_bytes) in
     refills *. t.cost.tlab_refill_us
   end
   else begin
@@ -132,7 +134,8 @@ let alloc_overhead_us t ~tlab ~threads ~allocations ~bytes ~tlab_bytes =
        proportional to the number of concurrently allocating threads. *)
     let per_alloc =
       t.cost.shared_alloc_us
-      +. (t.cost.contention_us_per_thread *. float_of_int (max 0 (threads - 1)))
+      +. (t.cost.contention_us_per_thread
+          *. float_of_int (Int.max 0 (threads - 1)))
     in
     float_of_int allocations *. per_alloc
   end

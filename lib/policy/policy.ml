@@ -64,22 +64,22 @@ let mb = 1024 * 1024
 
 let default_limits ~heap_bytes =
   {
-    min_young_bytes = max mb (heap_bytes / 64);
-    max_young_bytes = max mb (heap_bytes * 3 / 5);
+    min_young_bytes = Int.max mb (heap_bytes / 64);
+    max_young_bytes = Int.max mb (heap_bytes * 3 / 5);
     min_survivor_ratio = 1;
     max_survivor_ratio = 32;
     max_tenuring_threshold = 15;
     max_step_frac = 0.25;
   }
 
-let clamp lo hi v = max lo (min hi v)
+let clamp lo hi v = Int.max lo (Int.min hi v)
 
 let clamp_decision limits ~current_young d =
   let young_bytes =
     Option.map
       (fun y ->
         let step = int_of_float (float_of_int current_young *. limits.max_step_frac) in
-        let step = max 1 step in
+        let step = Int.max 1 step in
         let y = clamp (current_young - step) (current_young + step) y in
         clamp limits.min_young_bytes limits.max_young_bytes y)
       d.young_bytes

@@ -58,6 +58,16 @@ type t = {
   deaths : int Heapq.t;
   prng : Prng.t;
   mutable allocated : int;
+  step_counters : step_counters;
+}
+
+(* The telemetry counters [step] bumps, interned at creation. *)
+and step_counters = {
+  allocated_bytes : Metrics.handle;
+  mutator_raw_us : Metrics.handle;
+  alloc_tax_us : Metrics.handle;
+  barrier_tax_us : Metrics.handle;
+  steal_tax_us : Metrics.handle;
 }
 
 type lifetime = [ `Bytes of int | `Permanent ]
@@ -81,6 +91,15 @@ let create ?telemetry machine config ~seed =
       deaths = Heapq.create ();
       prng = Prng.create seed;
       allocated = 0;
+      step_counters =
+        (let m = Telemetry.metrics ctx.Gc_ctx.telemetry in
+         {
+           allocated_bytes = Metrics.handle m "vm.allocated_bytes";
+           mutator_raw_us = Metrics.handle m Cost.mutator_raw_us;
+           alloc_tax_us = Metrics.handle m Cost.alloc_tax_us;
+           barrier_tax_us = Metrics.handle m Cost.barrier_tax_us;
+           steal_tax_us = Metrics.handle m Cost.steal_tax_us;
+         });
     }
   in
   ctx.Gc_ctx.mutator_threads <- 0;
@@ -120,7 +139,7 @@ let kill_thread t th =
   if th.live then begin
     th.live <- false;
     Int_table.reset th.roots;
-    t.ctx.Gc_ctx.mutator_threads <- max 0 (t.ctx.Gc_ctx.mutator_threads - 1)
+    t.ctx.Gc_ctx.mutator_threads <- Int.max 0 (t.ctx.Gc_ctx.mutator_threads - 1)
   end
 
 let threads t =
@@ -131,13 +150,14 @@ let[@inline] register_thread_death t tid id lifetime =
   match lifetime with
   | `Permanent -> ()
   | `Bytes b ->
-      Heapq.push t.deaths (t.allocated + max 1 b)
+      Heapq.push t.deaths (t.allocated + Int.max 1 b)
         ((id lsl owner_bits) lor (tid + 1))
 
 let[@inline] register_global_death t id lifetime =
   match lifetime with
   | `Permanent -> ()
-  | `Bytes b -> Heapq.push t.deaths (t.allocated + max 1 b) (id lsl owner_bits)
+  | `Bytes b ->
+      Heapq.push t.deaths (t.allocated + Int.max 1 b) (id lsl owner_bits)
 
 let[@inline] alloc t th ~size ~lifetime =
   let id = t.alloc_fn ~size in
@@ -244,7 +264,8 @@ let step t ~dt_us f =
         (fun acc th -> if th.live then acc + th.quantum_bytes else acc)
         0 t.threads
     in
-    Telemetry.incr tel "vm.allocated_bytes" (float_of_int q_bytes);
+    let c = t.step_counters in
+    Metrics.bump c.allocated_bytes (float_of_int q_bytes);
     (* Distillation accounting (Cost, DESIGN.md §18): split the dilation
        the clock just charged — dt·(factor−1) — into the collector's own
        (barrier, steal) attribution.  Pure bookkeeping on the already-
@@ -254,10 +275,10 @@ let step t ~dt_us f =
     let tax_total_us = dt_us *. (factor -. 1.0) in
     let steal_us = Float.min tax_total_us (dt_us *. barrier_f *. (steal_f -. 1.0)) in
     let barrier_us = Float.max 0.0 (tax_total_us -. steal_us) in
-    Telemetry.incr tel Cost.mutator_raw_us dt_us;
-    Telemetry.incr tel Cost.alloc_tax_us alloc_overhead;
-    Telemetry.incr tel Cost.barrier_tax_us barrier_us;
-    Telemetry.incr tel Cost.steal_tax_us steal_us;
+    Metrics.bump c.mutator_raw_us dt_us;
+    Metrics.bump c.alloc_tax_us alloc_overhead;
+    Metrics.bump c.barrier_tax_us barrier_us;
+    Metrics.bump c.steal_tax_us steal_us;
     Telemetry.sample tel "heap.used_bytes" ~t_us
       (float_of_int (t.collector.Collector.heap_used ()));
     Telemetry.sample tel "heap.young_bytes" ~t_us

@@ -73,7 +73,7 @@ let bounds_of_index idx =
 let ensure t idx =
   let n = Array.length t.counts in
   if idx >= n then begin
-    let n' = Stdlib.max (idx + 1) (2 * n) in
+    let n' = Int.max (idx + 1) (2 * n) in
     let counts = Array.make n' 0 in
     Array.blit t.counts 0 counts 0 n;
     t.counts <- counts
@@ -103,7 +103,7 @@ let percentile t p =
   else begin
     let target =
       let r = int_of_float (ceil (p /. 100.0 *. float_of_int t.count)) in
-      Stdlib.max 1 r
+      Int.max 1 r
     in
     let n = Array.length t.counts in
     let rec find idx acc =

@@ -1,37 +1,83 @@
 module Vec = Gcperf_util.Vec
 
+(* Counters live in slots numbered in registration order: [names.(i)]
+   and its unboxed value [values.(i)] for [i < n].  [epoch] counts
+   [clear]s, so a {!handle} knows when its cached slot has gone stale. *)
 type t = {
-  counters : (string, float ref) Hashtbl.t;
-  mutable counter_order : string list;  (* reverse registration order *)
+  slots : (string, int) Hashtbl.t;
+  mutable names : string array;
+  mutable values : float array;
+  mutable n : int;
+  mutable epoch : int;
   gauges : (string, (float * float) Vec.t) Hashtbl.t;
   mutable gauge_order : string list;
 }
 
 let create () =
   {
-    counters = Hashtbl.create 16;
-    counter_order = [];
+    slots = Hashtbl.create 16;
+    names = [||];
+    values = [||];
+    n = 0;
+    epoch = 0;
     gauges = Hashtbl.create 16;
     gauge_order = [];
   }
 
 let clear t =
-  Hashtbl.reset t.counters;
-  t.counter_order <- [];
+  Hashtbl.reset t.slots;
+  t.n <- 0;
+  t.epoch <- t.epoch + 1;
   Hashtbl.reset t.gauges;
   t.gauge_order <- []
 
+(* A new counter's value is its first [by] itself, not [0.0 +. by]: the
+   two differ when [by] is [-0.0]. *)
 let incr t name by =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r +. by
+  match Hashtbl.find_opt t.slots name with
+  | Some i -> t.values.(i) <- t.values.(i) +. by
   | None ->
-      Hashtbl.add t.counters name (ref by);
-      t.counter_order <- name :: t.counter_order
+      let i = t.n in
+      if i = Array.length t.values then begin
+        let cap = Int.max 8 (2 * i) in
+        let names = Array.make cap "" and values = Array.make cap 0.0 in
+        Array.blit t.names 0 names 0 i;
+        Array.blit t.values 0 values 0 i;
+        t.names <- names;
+        t.values <- values
+      end;
+      t.names.(i) <- name;
+      t.values.(i) <- by;
+      t.n <- i + 1;
+      Hashtbl.add t.slots name i
 
 let counter t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0.0
+  match Hashtbl.find_opt t.slots name with
+  | Some i -> t.values.(i)
+  | None -> 0.0
 
-let counter_names t = List.rev t.counter_order
+let counter_names t = List.init t.n (fun i -> t.names.(i))
+
+(* A handle finds its slot by name at its first bump after creation or
+   after a [clear]: that bump is the one which registers the name, as
+   [incr] would. *)
+type handle = {
+  owner : t;
+  name : string;
+  mutable slot : int;
+  mutable epoch : int;
+}
+
+let handle t name = { owner = t; name; slot = 0; epoch = -1 }
+
+let bump h by =
+  let t = h.owner in
+  if h.epoch = t.epoch then t.values.(h.slot) <- t.values.(h.slot) +. by
+  else begin
+    incr t h.name by;
+    h.slot <- Hashtbl.find t.slots h.name;
+    h.epoch <- t.epoch
+  end
 
 let sample t name ~t_us v =
   let series =

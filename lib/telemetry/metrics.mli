@@ -13,6 +13,17 @@ val create : unit -> t
 val incr : t -> string -> float -> unit
 (** Add to a counter (created at 0 on first use). *)
 
+type handle
+(** A counter interned once, so that a bump is one array write instead
+    of a hash of its name. *)
+
+val handle : t -> string -> handle
+(** Names the counter without registering it: it is registered by its
+    first {!bump}, exactly as by its first {!incr}. *)
+
+val bump : handle -> float -> unit
+(** [bump (handle t name) by] is [incr t name by]. *)
+
 val counter : t -> string -> float
 (** Current counter value; 0 for an unknown name. *)
 

@@ -8,7 +8,8 @@ let mask_of i = 1 lsl (i land 31)
 type t = { mutable words : int array }
 
 let create ?(capacity = 256) () =
-  { words = Array.make (max 1 ((capacity + bits_per_word - 1) / bits_per_word)) 0 }
+  let n = (capacity + bits_per_word - 1) / bits_per_word in
+  { words = Array.make (Int.max 1 n) 0 }
 
 let check i = if i < 0 then invalid_arg "Bitset: negative index"
 
@@ -21,7 +22,7 @@ let mem t i =
 
 let grow t needed_words =
   let cap = Array.length t.words in
-  let ncap = ref (max 1 cap) in
+  let ncap = ref (Int.max 1 cap) in
   while !ncap < needed_words do
     ncap := !ncap * 2
   done;

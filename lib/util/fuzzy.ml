@@ -12,7 +12,9 @@ let edit_distance a b =
       for j = 1 to lb do
         let cost = if a.[i - 1] = b.[j - 1] then 0 else 1 in
         cur.(j) <-
-          min (min (cur.(j - 1) + 1) (prev.(j) + 1)) (prev.(j - 1) + cost)
+          Int.min
+            (Int.min (cur.(j - 1) + 1) (prev.(j) + 1))
+            (prev.(j - 1) + cost)
       done;
       Array.blit cur 0 prev 0 (lb + 1)
     done;
@@ -31,7 +33,7 @@ let suggest ~candidates input =
         let d = edit_distance input_l cl in
         (* Accept near-misses and prefix/substring matches ("tab" for
            "table2"); reject anything further than half the input away. *)
-        let near = d <= max 1 (String.length input_l / 2) in
+        let near = d <= Int.max 1 (String.length input_l / 2) in
         let contains =
           String.length input_l >= 2
           &&
@@ -44,7 +46,12 @@ let suggest ~candidates input =
         if near || contains then Some (d, c) else None)
       candidates
   in
-  List.sort compare scored
+  (* Distance, then name: the order a generic [compare] on the pairs
+     gives, spelled out so no generic-compare call is linked in. *)
+  List.sort
+    (fun (d1, c1) (d2, c2) ->
+      if d1 <> d2 then Int.compare d1 d2 else String.compare c1 c2)
+    scored
   |> List.filteri (fun i _ -> i < 3)
   |> List.map snd
 

@@ -56,8 +56,10 @@ let push q key payload =
   Array.unsafe_set vals !hole payload
 
 (* Places [key, payload] by moving a hole down from the root of a heap of
-   [n] elements. *)
-let sift_down keys vals n key payload =
+   [n] elements.  [keys] and [key] are annotated: unannotated, this
+   top-level function would generalise them to ['a] and every key
+   comparison would be a generic-compare C call. *)
+let sift_down (keys : int array) vals n (key : int) payload =
   let hole = ref 0 in
   let continue = ref true in
   while !continue do

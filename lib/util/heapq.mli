@@ -3,7 +3,8 @@
     Used for the object death queue (keyed by cumulative allocated bytes)
     and for the discrete-event schedulers of [Coordinator], [Resilient]
     and [Gateway] (keyed by virtual time in microseconds).  Priorities fit
-    comfortably in OCaml's 63-bit [int].
+    comfortably in OCaml's 63-bit [int], and keys are compared as
+    unboxed [int]s, never through the generic comparison.
 
     {b Tie-order contract.}  The heap is an array-backed binary heap with
     the layout of the textbook swap heap: a push sifts up while the new

@@ -169,8 +169,9 @@ let add t k =
   if t.size > t.resize_at then resize t
 
 (* Top-level, fully-applied scan: a local [let rec] capturing the bucket
-   would allocate its closure on every call. *)
-let rec scan_from keys blen k i =
+   would allocate its closure on every call.  The annotation keeps the
+   key test an inline [int] compare rather than a generic one. *)
+let rec scan_from (keys : int array) blen (k : int) i =
   if i >= blen then -1
   else if Array.unsafe_get keys i = k then i
   else scan_from keys blen k (i + 1)

@@ -8,7 +8,7 @@ let create ?(capacity = 8) () =
   ignore capacity;
   { data = [||]; len = 0; dummy = None }
 
-let make n x = { data = Array.make (max n 1) x; len = n; dummy = Some x }
+let make n x = { data = Array.make (Int.max n 1) x; len = n; dummy = Some x }
 
 let[@inline] length v = v.len
 

@@ -15,6 +15,11 @@ type t = {
   pending : int array;  (* per-thread sampled-but-unallocated size; 0 = none *)
   budget : float array;  (* per-thread allocation budget carry-over *)
   batch : (int * int) Vec.t;  (* (thread slot, id): iteration-lifetime roots *)
+  slot_of_tid : int array;  (* a VM thread id's slot in [threads]; -1 if none *)
+  (* The size sampler's constants, fixed by the profile. *)
+  size_mu : float;
+  size_lo : float;
+  size_hi : float;
   mutable iteration : int;
 }
 
@@ -35,13 +40,8 @@ let sample_size t prng =
   let { Profile.mean_bytes; sigma } = t.profile.Profile.size in
   if sigma <= 0.0 then mean_bytes
   else begin
-    (* Log-normal with the requested mean: mu = ln(mean) - sigma^2/2. *)
-    let mu = log (float_of_int mean_bytes) -. (sigma *. sigma /. 2.0) in
-    let s = Prng.lognormal prng ~mu ~sigma in
-    (* Clamp to keep clusters within a sane band. *)
-    let lo = float_of_int mean_bytes /. 8.0
-    and hi = float_of_int mean_bytes *. 8.0 in
-    int_of_float (Float.max lo (Float.min hi s))
+    let s = Prng.lognormal prng ~mu:t.size_mu ~sigma in
+    int_of_float (Float.max t.size_lo (Float.min t.size_hi s))
   end
 
 let build_live_set t =
@@ -67,6 +67,12 @@ let create vm profile ~seed =
       ~hw_threads:(Machine.cores (Vm.machine vm))
   in
   let threads = Array.init n (fun _ -> Vm.spawn_thread vm) in
+  let slot_of_tid =
+    let last = Array.fold_left (fun m th -> Int.max m th.Vm.tid) (-1) threads in
+    Array.make (last + 1) (-1)
+  in
+  Array.iteri (fun i th -> slot_of_tid.(th.Vm.tid) <- i) threads;
+  let { Profile.mean_bytes; sigma } = profile.Profile.size in
   let t =
     {
       vm;
@@ -78,6 +84,12 @@ let create vm profile ~seed =
       pending = Array.make n 0;
       budget = Array.make n 0.0;
       batch = Vec.create ();
+      slot_of_tid;
+      (* Log-normal with the requested mean: mu = ln(mean) - sigma^2/2,
+         clamped to keep clusters within a sane band. *)
+      size_mu = log (float_of_int mean_bytes) -. (sigma *. sigma /. 2.0);
+      size_lo = float_of_int mean_bytes /. 8.0;
+      size_hi = float_of_int mean_bytes *. 8.0;
       iteration = 0;
     }
   in
@@ -145,7 +157,7 @@ let sample_lifetime t =
 let allocate_one t slot th size =
   match sample_lifetime t with
   | `Dies b ->
-      let id = Vm.alloc t.vm th ~size ~lifetime:(`Bytes (max 1 b)) in
+      let id = Vm.alloc t.vm th ~size ~lifetime:(`Bytes (Int.max 1 b)) in
       remember_recent t slot id;
       link_new_object t slot id
   | `Iteration ->
@@ -189,6 +201,11 @@ let thread_quantum t slot th per_thread_bytes =
 
 let quanta_per_iteration = 160
 
+(* [th]'s slot, or -1 for a VM thread this mutator did not spawn. *)
+let slot_of t th =
+  let tid = th.Vm.tid in
+  if tid < Array.length t.slot_of_tid then t.slot_of_tid.(tid) else -1
+
 let pause_stats_since events n0 =
   let all = Gc_event.events events in
   let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl in
@@ -220,16 +237,13 @@ let run_iteration t =
   let alloc_before = Vm.allocated_bytes t.vm in
   let boundary =
     if p.Profile.sawtooth <= 0 then max_int
-    else max 1 (total_alloc / p.Profile.sawtooth)
+    else Int.max 1 (total_alloc / p.Profile.sawtooth)
   in
   let next_boundary = ref boundary in
-  let slot_of = Hashtbl.create n in
-  Array.iteri (fun i th -> Hashtbl.replace slot_of th.Vm.tid i) t.threads;
   for _q = 1 to quanta_per_iteration do
     Vm.step t.vm ~dt_us (fun th ->
-        match Hashtbl.find_opt slot_of th.Vm.tid with
-        | Some slot -> thread_quantum t slot th per_quantum_thread
-        | None -> ());
+        let slot = slot_of t th in
+        if slot >= 0 then thread_quantum t slot th per_quantum_thread);
     let done_bytes = Vm.allocated_bytes t.vm - alloc_before in
     if done_bytes >= !next_boundary && p.Profile.sawtooth > 0 then begin
       drop_batch t;
@@ -256,12 +270,9 @@ let run_seconds t seconds =
   let per_quantum_thread =
     rate_bytes_per_s *. (dt_us /. 1e6) /. float_of_int n
   in
-  let slot_of = Hashtbl.create n in
-  Array.iteri (fun i th -> Hashtbl.replace slot_of th.Vm.tid i) t.threads;
   let stop = Vm.now_s t.vm +. seconds in
   while Vm.now_s t.vm < stop do
     Vm.step t.vm ~dt_us (fun th ->
-        match Hashtbl.find_opt slot_of th.Vm.tid with
-        | Some slot -> thread_quantum t slot th per_quantum_thread
-        | None -> ())
+        let slot = slot_of t th in
+        if slot >= 0 then thread_quantum t slot th per_quantum_thread)
   done

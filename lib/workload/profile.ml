@@ -29,7 +29,7 @@ let threads_for t ~hw_threads =
   match t.threading with
   | Single -> 1
   | Per_hw_thread -> hw_threads
-  | Fixed n -> max 1 n
+  | Fixed n -> Int.max 1 n
 
 let validate t =
   let l = t.lifetime in

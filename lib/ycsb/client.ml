@@ -37,8 +37,9 @@ let paper_workload =
   }
 
 (* Database size at time [t]: the last sample at or before [t], found by
-   binary search for the largest index whose timestamp is <= t. *)
-let db_bytes_at timeline t =
+   binary search for the largest index whose timestamp is <= t.  The
+   annotation keeps the timestamp compares float compares. *)
+let db_bytes_at (timeline : (float * int) array) (t : float) =
   let n = Array.length timeline in
   if n = 0 || t < fst timeline.(0) then 0
   else begin

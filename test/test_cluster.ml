@@ -78,6 +78,38 @@ let test_successor_skips_avoided () =
   Alcotest.(check bool) "all avoided -> none" true
     (Ring.successor ring ~key ~avoid:(fun _ -> true) = None)
 
+(* --- interval searches ---------------------------------------------- *)
+
+(* Sorted timestamps on a grid of whole seconds, so most of them tie, and
+   probes on half-second steps, so a probe often equals a timestamp
+   exactly.  Both binary searches must agree with the obvious scan: the
+   last index whose timestamp is at or before the probe. *)
+let prop_interval_searches =
+  QCheck.Test.make ~name:"interval searches equal a linear scan" ~count:500
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 30) (int_range 0 10))
+        (list_of_size Gen.(1 -- 10) (int_range (-2) 22)))
+    (fun (raw, probes) ->
+      let starts =
+        List.sort Int.compare raw |> List.map float_of_int |> Array.of_list
+      in
+      let intervals = Array.map (fun s -> (s, s +. 0.25)) starts in
+      let db_timeline = Array.mapi (fun i s -> (s, i + 1)) starts in
+      let scan t =
+        let last = ref (-1) in
+        Array.iteri (fun i s -> if s <= t then last := i) starts;
+        !last
+      in
+      List.for_all
+        (fun p ->
+          let t = float_of_int p /. 2.0 in
+          let i = scan t in
+          Node.interval_before intervals t = i
+          && Client.db_bytes_at db_timeline t
+             = if i < 0 then 0 else snd db_timeline.(i))
+        probes)
+
 (* --- coordinator on synthetic timelines ----------------------------- *)
 
 let timeline ?(intervals = [||]) ?(duration = 20.0) () =
@@ -228,6 +260,7 @@ let () =
           Alcotest.test_case "successor skips avoided" `Quick
             test_successor_skips_avoided;
         ] );
+      ("node", [ QCheck_alcotest.to_alcotest prop_interval_searches ]);
       ( "coordinator",
         [
           Alcotest.test_case "healthy ring all ok" `Quick

@@ -186,6 +186,36 @@ let test_metrics_sampled () =
       Alcotest.(check bool) "gauge sample sane" true (t_us >= 0.0 && v >= 0.0))
     series
 
+(* Interned handles against by-name [incr] on a twin registry: random
+   bumps (some of -0.0, the one float whose first bump and [0.0 +. by]
+   differ), interleaved with [clear], must leave the same counters in
+   the same registration order with bit-identical values. *)
+let prop_handles_equal_incr =
+  let names = [| "a"; "b"; "c" |] in
+  QCheck.Test.make ~name:"handle bumps equal incr" ~count:300
+    QCheck.(
+      list_of_size Gen.(0 -- 60)
+        (option (pair (int_range 0 2) (oneofl [ -0.0; 0.5; 1.0; 3.25 ]))))
+    (fun ops ->
+      let m = Metrics.create () and twin = Metrics.create () in
+      let handles = Array.map (Metrics.handle m) names in
+      let snapshot t =
+        List.map
+          (fun name -> (name, Int64.bits_of_float (Metrics.counter t name)))
+          (Metrics.counter_names t)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Some (i, by) ->
+              Metrics.bump handles.(i) by;
+              Metrics.incr twin names.(i) by
+          | None ->
+              Metrics.clear m;
+              Metrics.clear twin);
+          snapshot m = snapshot twin)
+        ops)
+
 let test_disabled_registry_records_nothing () =
   let telemetry = Telemetry.disabled () in
   let bench = Option.get (Suite.find "xalan") in
@@ -282,6 +312,7 @@ let () =
           Alcotest.test_case "disabled registry" `Quick
             test_disabled_registry_records_nothing;
         ] );
+      ("metrics", [ QCheck_alcotest.to_alcotest prop_handles_equal_incr ]);
       ("sinks", [ Alcotest.test_case "jsonl / csv / summary" `Quick test_sinks ]);
       ( "non-perturbation",
         [

@@ -368,11 +368,11 @@ module Swap_heap = struct
 end
 
 (* Random interleavings of push ([Some key]) and pop ([None]) with keys
-   from a four-value range, so most keys tie; payloads are the push
-   index, so every entry is distinguishable.  After each operation the
-   popped entry and the layout seen by [iter] must match the model. *)
-let prop_heapq_swap_layout =
-  QCheck.Test.make ~name:"heapq layout equals the swap heap" ~count:500
+   from a four-value range, so most keys tie; payloads are made from the
+   push index, so every entry is distinguishable.  After each operation
+   the popped entry and the layout seen by [iter] must match the model. *)
+let heapq_swap_layout ~name payload_of =
+  QCheck.Test.make ~name ~count:500
     QCheck.(list_of_size Gen.(0 -- 400) (option (int_range 0 3)))
     (fun ops ->
       let q = Heapq.create () and model = Vec.create () in
@@ -391,8 +391,8 @@ let prop_heapq_swap_layout =
         (fun i op ->
           (match op with
           | Some key ->
-              Heapq.push q key i;
-              Swap_heap.push model key i
+              Heapq.push q key (payload_of i);
+              Swap_heap.push model key (payload_of i)
           | None -> if Heapq.pop q <> Swap_heap.pop model then same := false);
           if layout () <> model_layout () then same := false)
         ops;
@@ -405,6 +405,19 @@ let prop_heapq_swap_layout =
       in
       drain ();
       !same && Heapq.is_empty q)
+
+let prop_heapq_swap_layout =
+  heapq_swap_layout ~name:"heapq layout equals the swap heap" Fun.id
+
+(* Boxed variant payloads, the shape of the [Coordinator] and
+   [Resilient] event types: the sift moves pointers, not immediates. *)
+type event = Arrive of int | Reply of { id : int; at_s : float }
+
+let prop_heapq_swap_layout_boxed =
+  heapq_swap_layout ~name:"heapq layout equals the swap heap, boxed payloads"
+    (fun i ->
+      if i mod 2 = 0 then Arrive i
+      else Reply { id = i; at_s = float_of_int i /. 3.0 })
 
 (* --- Bitset --------------------------------------------------------- *)
 
@@ -512,6 +525,7 @@ let () =
           Alcotest.test_case "min_key" `Quick test_heapq_min_key;
           QCheck_alcotest.to_alcotest prop_heapq_sorted;
           QCheck_alcotest.to_alcotest prop_heapq_swap_layout;
+          QCheck_alcotest.to_alcotest prop_heapq_swap_layout_boxed;
         ] );
       ( "bitset",
         [
