@@ -33,7 +33,7 @@ module Vm = Gcperf_runtime.Vm
 module Machine = Gcperf_machine.Machine
 module Gc_config = Gcperf_gc.Gc_config
 module Telemetry = Gcperf_telemetry.Telemetry
-module Span = Gcperf_telemetry.Span
+module Gc_event = Gcperf_sim.Gc_event
 module Cost = Gcperf_telemetry.Cost
 module Distill = Gcperf_distill.Distill
 
@@ -250,41 +250,35 @@ let micro_tests =
              let id = Vm.alloc vm th ~size:(512 * 1024) ~lifetime:`Permanent in
              Vm.drop_root vm th id
            done;
-           (* Bound the span list so long quotas measure recording, not
-              the memory of an unbounded trace. *)
+           (* Bound the gauge series so long quotas measure recording,
+              not the memory of an unbounded trace. *)
            incr calls;
            if !calls land 0x3FF = 0 then Telemetry.clear telemetry));
-    Test.make ~name:"record-span"
-      (* Raw cost of one span record: append + two histogram folds +
-         three counter bumps, the per-pause telemetry tax. *)
-      (let telemetry = Telemetry.create ~enabled:true () in
-       let span =
-         {
-           Span.collector = "G1GC";
-           kind = "young";
-           cause = "eden target reached";
-           start_us = 1.0e6;
-           duration_us = 12345.6;
-           phases =
-             [
-               (Span.Safepoint, 800.0);
-               (Span.Root_scan, 900.0);
-               (Span.Fixed, 900.0);
-               (Span.Copy, 9745.6);
-             ];
-           sub = [ (Span.Plan, 1218.2); (Span.Move, 8527.4) ];
-           young_before = 64 * mb;
-           young_after = 4 * mb;
-           old_before = 16 * mb;
-           old_after = 17 * mb;
-           promoted = mb;
-         }
-       in
+    Test.make ~name:"record-pause"
+      (* Raw cost of logging one pause: six charged phases, a plan/move
+         split and the event row — the per-pause write every collection
+         pays, telemetry on or off. *)
+      (let log = ref (Gc_event.create ()) in
        let calls = ref 0 in
        Staged.stage (fun () ->
-           Telemetry.record_span telemetry span;
+           let l = !log in
+           Gc_event.phase l Gc_event.Safepoint 800.0;
+           Gc_event.phase l Gc_event.Root_scan 900.0;
+           Gc_event.phase l Gc_event.Fixed 900.0;
+           Gc_event.phase l Gc_event.Card_scan 0.0;
+           Gc_event.phase l Gc_event.Copy 9745.6;
+           Gc_event.phase l Gc_event.Promote 0.0;
+           Gc_event.sub l Gc_event.Plan 1218.2;
+           Gc_event.sub l Gc_event.Move 8527.4;
+           ignore
+             (Gc_event.record l ~start_us:1.0e6 ~kind:Gc_event.Young
+                ~collector:"G1GC" ~reason:"eden target reached"
+                ~young_before:(64 * mb) ~young_after:(4 * mb)
+                ~old_before:(16 * mb) ~old_after:(17 * mb) ~promoted:mb);
+           (* Bound the log so long quotas measure recording, not the
+              memory of an unbounded trace. *)
            incr calls;
-           if !calls land 0xFFFF = 0 then Telemetry.clear telemetry));
+           if !calls land 0xFFFF = 0 then log := Gc_event.create ()));
     Test.make ~name:"full-gc-serial"
       (let vm, th = vm_for Gc_config.Serial in
        let _keep =
@@ -441,7 +435,7 @@ let fault_tests =
              (Resilient.run w ~profile:Profile.storm
                 ~resilience:Resilient.paper_defaults
                 ~gateway:Gateway.degraded ~pauses:fault_pauses
-                ~db_timeline:[||] ~seed:5 ())));
+                ~db_timeline:[||] ~seed:5)));
   ]
 
 (* --- cluster ring ------------------------------------------------------ *)
@@ -640,39 +634,26 @@ let distill_tests =
   [
     Test.make ~name:"cost-extract"
       (* Distilling one recorded run: four counter reads plus a per-phase
-         sweep over the span list (256 spans here — a small-heap ci cell's
-         order of magnitude). *)
+         sweep over the pause log (256 pauses here — a small-heap ci
+         cell's order of magnitude). *)
       (let telemetry = Telemetry.create ~enabled:true () in
-       let span =
-         {
-           Span.collector = "G1GC";
-           kind = "young";
-           cause = "eden target reached";
-           start_us = 1.0e6;
-           duration_us = 12345.6;
-           phases =
-             [
-               (Span.Safepoint, 800.0);
-               (Span.Root_scan, 900.0);
-               (Span.Fixed, 900.0);
-               (Span.Copy, 9745.6);
-             ];
-           sub = [];
-           young_before = 64 * mb;
-           young_after = 4 * mb;
-           old_before = 16 * mb;
-           old_after = 17 * mb;
-           promoted = mb;
-         }
-       in
+       let log = Gc_event.create () in
        for _ = 1 to 256 do
-         Telemetry.record_span telemetry span
+         Gc_event.phase log Gc_event.Safepoint 800.0;
+         Gc_event.phase log Gc_event.Root_scan 900.0;
+         Gc_event.phase log Gc_event.Fixed 900.0;
+         Gc_event.phase log Gc_event.Copy 9745.6;
+         ignore
+           (Gc_event.record log ~start_us:1.0e6 ~kind:Gc_event.Young
+              ~collector:"G1GC" ~reason:"eden target reached"
+              ~young_before:(64 * mb) ~young_after:(4 * mb)
+              ~old_before:(16 * mb) ~old_after:(17 * mb) ~promoted:mb)
        done;
        Telemetry.incr telemetry Cost.mutator_raw_us 3.5e7;
        Telemetry.incr telemetry Cost.alloc_tax_us 1.2e5;
        Telemetry.incr telemetry Cost.barrier_tax_us 2.3e5;
        Telemetry.incr telemetry Cost.steal_tax_us 1.4e5;
-       Staged.stage (fun () -> ignore (Distill.of_run telemetry)));
+       Staged.stage (fun () -> ignore (Distill.of_run telemetry log)));
     Test.make ~name:"step-tax"
       (* The per-quantum accounting the distillation adds to [Vm.step]
          when telemetry is on, under the collector whose barrier tax it

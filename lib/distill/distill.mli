@@ -4,8 +4,9 @@
     collection cost, honest allocation tax retained — and reports the
     real collector's distilled cost [(t_real − t_ideal)/t_ideal]
     decomposed into stop-the-world, concurrent-steal and mutator-tax
-    shares.  Pure: all inputs come from the telemetry registry the run
-    recorded into; nothing here touches the simulation. *)
+    shares.  Pure: all inputs come from the telemetry registry and the
+    pause log the run recorded into; nothing here touches the
+    simulation. *)
 
 type components = {
   raw_us : float;  (** raw mutator timeline, collector costs struck out *)
@@ -13,9 +14,9 @@ type components = {
   stw_us : float;  (** total stop-the-world pause time *)
   steal_us : float;  (** core-stealing dilation by concurrent workers *)
   tax_us : float;  (** barrier/journal/backpressure mutator tax *)
-  phases : (Gcperf_telemetry.Span.phase * float) list;
-      (** per-phase breakdown of [stw_us], {!Gcperf_telemetry.Span.all_phases}
-          order *)
+  phases : (Gcperf_sim.Gc_event.phase * float) list;
+      (** per-phase breakdown of [stw_us], in
+          {!Gcperf_sim.Gc_event.all_phases} order *)
 }
 
 type cost = {
@@ -35,5 +36,6 @@ val distill : components -> cost
     distilled cost is always non-negative and exactly 0 for a zero-cost
     (ideal) collector. *)
 
-val of_run : Gcperf_telemetry.Telemetry.t -> cost
-(** [distill (of_telemetry t)]. *)
+val of_run : Gcperf_telemetry.Telemetry.t -> Gcperf_sim.Gc_event.t -> cost
+(** [of_run t log] distils the run that counted into [t] and logged its
+    pauses in [log]. *)

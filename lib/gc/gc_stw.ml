@@ -56,13 +56,12 @@ let create ctx (config : Gc_config.t) =
     }
   in
   let full reason =
-    ignore
-      (Gen_algo.collect_full ctx heap ~workers:plan.full_workers ~collector:name
-         ~reason)
+    Gen_algo.collect_full ctx heap ~workers:plan.full_workers ~collector:name
+      ~reason
   in
   let minor reason =
     match Gen_algo.collect_young ctx heap ~params ~collector:name ~reason with
-    | _outcome -> ()
+    | () -> ()
     | exception Gen_algo.Promotion_failure -> full "promotion failure"
   in
   (* Eden-full handling, out of line: the eden fast path in [alloc] is
@@ -142,7 +141,7 @@ let create ctx (config : Gc_config.t) =
     heap_capacity = (fun () -> heap.Gh.heap_bytes);
     young_used = (fun () -> Gh.young_used heap);
     old_used = (fun () -> heap.Gh.old_used);
-    apply_policy = Policy_hooks.gen_heap_hook ctx heap ~collector:name;
+    apply_policy = Policy_hooks.gen_heap_hook ctx heap;
     store;
     check_invariants = (fun () -> Gh.check_invariants heap);
   }

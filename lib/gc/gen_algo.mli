@@ -30,12 +30,6 @@ type young_params = {
           its fragmentation model here *)
 }
 
-type young_outcome = {
-  promoted_bytes : int;
-  survivor_bytes : int;  (** bytes kept in the to-survivor space *)
-  freed_bytes : int;
-}
-
 exception Promotion_failure
 (** The survivors do not fit in the old generation; the caller must fall
     back to a full collection.  The heap is left untouched. *)
@@ -46,14 +40,8 @@ val collect_young :
   params:young_params ->
   collector:string ->
   reason:string ->
-  young_outcome
+  unit
 (** @raise Promotion_failure as described above. *)
-
-type full_outcome = {
-  live_bytes : int;
-  full_freed_bytes : int;
-  duration_us : float;
-}
 
 val collect_full :
   Gc_ctx.t ->
@@ -61,7 +49,7 @@ val collect_full :
   workers:int ->
   collector:string ->
   reason:string ->
-  full_outcome
+  unit
 (** Mark-compact of both generations: live young objects are evacuated
     into the old generation (overflow stays young), dead objects are
     reclaimed, the old generation is compacted.

@@ -2,38 +2,17 @@ module Gh = Gcperf_heap.Gen_heap
 module Rh = Gcperf_heap.Region_heap
 module Policy = Gcperf_policy.Policy
 module Telemetry = Gcperf_telemetry.Telemetry
-module Span = Gcperf_telemetry.Span
 
-(* A resize is observable but free: it is recorded as a zero-duration
-   span (the boundary move is bookkeeping, not work) and never touches
-   the clock, so telemetry on/off cannot perturb results. *)
-let record_resize ctx ~collector ~young_before ~young_after ~old_before
-    ~old_after =
-  let tel = ctx.Gc_ctx.telemetry in
-  if Telemetry.enabled tel then begin
-    Telemetry.record_span tel
-      {
-        Span.collector;
-        kind = "resize";
-        cause = "adaptive sizing policy";
-        start_us = Gcperf_sim.Clock.now_us ctx.Gc_ctx.clock;
-        duration_us = 0.0;
-        phases = [];
-        sub = [];
-        young_before;
-        young_after;
-        old_before;
-        old_after;
-        promoted = 0;
-      };
-    Telemetry.incr tel "policy.resizes" 1.0
-  end
+(* A resize is observable but free: the boundary move is bookkeeping, not
+   work, so it only bumps a counter and never touches the clock or the
+   pause log; the applied sizes are in the policy's trajectory. *)
+let count_resize ctx = Telemetry.incr ctx.Gc_ctx.telemetry "policy.resizes" 1.0
 
 let install_gen_capacity ctx (heap : Gh.t) =
   ctx.Gc_ctx.young_capacity <- (fun () -> heap.Gh.young_bytes);
   ctx.Gc_ctx.heap_capacity <- (fun () -> heap.Gh.heap_bytes)
 
-let gen_heap_hook ctx (heap : Gh.t) ~collector () =
+let gen_heap_hook ctx (heap : Gh.t) () =
   match ctx.Gc_ctx.policy with
   | None -> ()
   | Some p -> (
@@ -41,7 +20,6 @@ let gen_heap_hook ctx (heap : Gh.t) ~collector () =
       | None -> ()
       | Some d ->
           let young_before = heap.Gh.young_bytes in
-          let old_before = heap.Gh.old_cap in
           (match d.Policy.tenuring_threshold with
           | Some t -> heap.Gh.tenuring_threshold <- t
           | None -> ());
@@ -66,16 +44,13 @@ let gen_heap_hook ctx (heap : Gh.t) ~collector () =
               Policy.young_bytes = Some applied_young;
               survivor_ratio = Some applied_ratio;
             };
-          if applied_young <> young_before then
-            record_resize ctx ~collector ~young_before
-              ~young_after:applied_young ~old_before
-              ~old_after:heap.Gh.old_cap)
+          if applied_young <> young_before then count_resize ctx)
 
 let install_region_capacity ctx (rheap : Rh.t) =
   ctx.Gc_ctx.young_capacity <- (fun () -> rheap.Rh.young_target_bytes);
   ctx.Gc_ctx.heap_capacity <- (fun () -> rheap.Rh.heap_bytes)
 
-let region_heap_hook ctx (rheap : Rh.t) ~collector ~tenuring () =
+let region_heap_hook ctx (rheap : Rh.t) ~tenuring () =
   match ctx.Gc_ctx.policy with
   | None -> ()
   | Some p -> (
@@ -107,6 +82,4 @@ let region_heap_hook ctx (rheap : Rh.t) ~collector ~tenuring () =
                   ((applied_young + rheap.Rh.region_size - 1)
                   / rheap.Rh.region_size);
             };
-          if applied_young <> young_before then
-            record_resize ctx ~collector ~young_before
-              ~young_after:applied_young ~old_before:0 ~old_after:0)
+          if applied_young <> young_before then count_resize ctx)

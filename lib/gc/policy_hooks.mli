@@ -8,24 +8,23 @@
 
 val install_gen_capacity : Gc_ctx.t -> Gcperf_heap.Gen_heap.t -> unit
 
-val gen_heap_hook :
-  Gc_ctx.t -> Gcperf_heap.Gen_heap.t -> collector:string -> unit -> unit
+val gen_heap_hook : Gc_ctx.t -> Gcperf_heap.Gen_heap.t -> unit -> unit
 (** [apply_policy] for generational collectors: resizes the young
     generation / survivor split via {!Gcperf_heap.Gen_heap.resize_young}
     (which re-clamps against occupancy), updates the tenuring threshold,
-    reports the applied values back to the policy, and records a
-    zero-duration "resize" telemetry span when the boundary moved. *)
+    reports the applied values back to the policy, and bumps the
+    [policy.resizes] telemetry counter when the boundary moved. *)
 
 val install_region_capacity : Gc_ctx.t -> Gcperf_heap.Region_heap.t -> unit
 
 val region_heap_hook :
   Gc_ctx.t ->
   Gcperf_heap.Region_heap.t ->
-  collector:string ->
   tenuring:int ref ->
   unit ->
   unit
 (** [apply_policy] for G1: maps decisions onto the young target
     ([region_target] wins over [young_bytes] when both are present) via
-    {!Gcperf_heap.Region_heap.set_young_target}, and updates the
-    collector's tenuring threshold reference. *)
+    {!Gcperf_heap.Region_heap.set_young_target}, updates the
+    collector's tenuring threshold reference, and bumps
+    [policy.resizes] when the young target moved. *)

@@ -79,6 +79,19 @@ let bump h by =
     h.epoch <- t.epoch
   end
 
+(* A handle may also learn its slot from a read, once some other writer
+   has registered the name. *)
+let value h =
+  let t = h.owner in
+  if h.epoch <> t.epoch then begin
+    match Hashtbl.find_opt t.slots h.name with
+    | Some i ->
+        h.slot <- i;
+        h.epoch <- t.epoch
+    | None -> ()
+  end;
+  if h.epoch = t.epoch then t.values.(h.slot) else 0.0
+
 let sample t name ~t_us v =
   let series =
     match Hashtbl.find_opt t.gauges name with
@@ -98,23 +111,23 @@ let series t name =
 
 let series_names t = List.rev t.gauge_order
 
-let merge_into ~into src =
-  List.iter
-    (fun name -> incr into name (counter src name))
-    (counter_names src);
-  List.iter
-    (fun name ->
-      match Hashtbl.find_opt src.gauges name with
-      | None -> ()
-      | Some s ->
-          let dst =
-            match Hashtbl.find_opt into.gauges name with
-            | Some dst -> dst
-            | None ->
-                let dst = Vec.create () in
-                Hashtbl.add into.gauges name dst;
-                into.gauge_order <- name :: into.gauge_order;
-                dst
-          in
-          Vec.iter (fun p -> Vec.push dst p) s)
-    (series_names src)
+(* A gauge handle caches its series, found (or registered) by its first
+   [observe] after creation or after a [clear]. *)
+type gauge = {
+  g_owner : t;
+  g_name : string;
+  mutable points : (float * float) Vec.t;
+  mutable g_epoch : int;
+}
+
+let gauge t name =
+  { g_owner = t; g_name = name; points = Vec.create (); g_epoch = -1 }
+
+let observe g ~t_us v =
+  let t = g.g_owner in
+  if g.g_epoch = t.epoch then Vec.push g.points (t_us, v)
+  else begin
+    sample t g.g_name ~t_us v;
+    g.points <- Hashtbl.find t.gauges g.g_name;
+    g.g_epoch <- t.epoch
+  end

@@ -24,6 +24,9 @@ val handle : t -> string -> handle
 val bump : handle -> float -> unit
 (** [bump (handle t name) by] is [incr t name by]. *)
 
+val value : handle -> float
+(** [value (handle t name)] is [counter t name]. *)
+
 val counter : t -> string -> float
 (** Current counter value; 0 for an unknown name. *)
 
@@ -39,8 +42,15 @@ val series : t -> string -> (float * float) array
 val series_names : t -> string list
 (** In registration order. *)
 
-val merge_into : into:t -> t -> unit
-(** Adds [src]'s counters into [into] and appends its gauge series;
-    names new to [into] keep [src]'s registration order. *)
+type gauge
+(** A gauge interned once, so that a sample is one push instead of a
+    hash of its name. *)
+
+val gauge : t -> string -> gauge
+(** Names the gauge without registering it: it is registered by its
+    first {!observe}, exactly as by its first {!sample}. *)
+
+val observe : gauge -> t_us:float -> float -> unit
+(** [observe (gauge t name) ~t_us v] is [sample t name ~t_us v]. *)
 
 val clear : t -> unit

@@ -1,13 +1,4 @@
-module Vec = Gcperf_util.Vec
-
-type t = {
-  enabled : bool;
-  spans : Span.t Vec.t;
-  by_kind : (string, Histogram.t) Hashtbl.t;
-  mutable kind_order : string list;  (* reverse first-seen order *)
-  safepoint : Histogram.t;
-  metrics : Metrics.t;
-}
+type t = { enabled : bool; metrics : Metrics.t }
 
 (* The process-wide default is read from every domain that creates a VM
    (experiment cells run under Gcperf_exec.Pool), so it is an atomic; it
@@ -20,14 +11,7 @@ let create ?enabled () =
   let enabled =
     match enabled with Some b -> b | None -> Atomic.get default
   in
-  {
-    enabled;
-    spans = Vec.create ();
-    by_kind = Hashtbl.create 8;
-    kind_order = [];
-    safepoint = Histogram.create ();
-    metrics = Metrics.create ();
-  }
+  { enabled; metrics = Metrics.create () }
 
 (* Eager, not lazy: a racy [Lazy.force] from two domains raises
    [CamlinternalLazy.Undefined], and the disabled registry is cheap. *)
@@ -36,59 +20,7 @@ let disabled () = disabled_instance
 
 let enabled t = t.enabled
 
-let record_span t (span : Span.t) =
-  if t.enabled then begin
-    Vec.push t.spans span;
-    let hist =
-      match Hashtbl.find_opt t.by_kind span.Span.kind with
-      | Some h -> h
-      | None ->
-          let h = Histogram.create () in
-          Hashtbl.add t.by_kind span.Span.kind h;
-          t.kind_order <- span.Span.kind :: t.kind_order;
-          h
-    in
-    Histogram.record hist span.Span.duration_us;
-    let ttsp = Span.phase_us span Span.Safepoint in
-    if ttsp > 0.0 then Histogram.record t.safepoint ttsp
-  end
-
 let incr t name by = if t.enabled then Metrics.incr t.metrics name by
 
-let sample t name ~t_us v =
-  if t.enabled then Metrics.sample t.metrics name ~t_us v
-
-let spans t = Vec.to_list t.spans
-let span_count t = Vec.length t.spans
-let kinds t = List.rev t.kind_order
-let pause_histogram t kind = Hashtbl.find_opt t.by_kind kind
-let safepoint_histogram t = t.safepoint
 let metrics t = t.metrics
-
-let merge_into ~into src =
-  Vec.iter (fun span -> Vec.push into.spans span) src.spans;
-  List.iter
-    (fun kind ->
-      match Hashtbl.find_opt src.by_kind kind with
-      | None -> ()
-      | Some h ->
-          let dst =
-            match Hashtbl.find_opt into.by_kind kind with
-            | Some dst -> dst
-            | None ->
-                let dst = Histogram.create () in
-                Hashtbl.add into.by_kind kind dst;
-                into.kind_order <- kind :: into.kind_order;
-                dst
-          in
-          Histogram.merge_into ~into:dst h)
-    (List.rev src.kind_order);
-  Histogram.merge_into ~into:into.safepoint src.safepoint;
-  Metrics.merge_into ~into:into.metrics src.metrics
-
-let clear t =
-  Vec.clear t.spans;
-  Hashtbl.reset t.by_kind;
-  t.kind_order <- [];
-  Histogram.clear t.safepoint;
-  Metrics.clear t.metrics
+let clear t = Metrics.clear t.metrics

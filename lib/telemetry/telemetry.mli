@@ -1,12 +1,13 @@
 (** The in-memory telemetry registry.
 
-    One [Telemetry.t] rides along with each simulated VM: collectors
-    record a {!Span.t} per pause (routed through
-    [Gcperf_gc.Gc_ctx.record_pause]), the runtime samples gauges once
-    per quantum, and consumers — experiments, the CLI [trace]
-    subcommand, the kvstore/YCSB analysis — read spans, per-pause-kind
-    duration histograms, the time-to-safepoint histogram and the metric
-    series back out.
+    One [Telemetry.t] rides along with each simulated VM: the runtime
+    samples gauges once per quantum and bumps counters (the pause
+    totals in [Gcperf_gc.Gc_ctx.record_pause], the distillation taxes in
+    [Vm.step]), and consumers — experiments, the CLI [trace]
+    subcommand — read the metric series back out.  Pauses and their
+    phases are not kept here: they live in the VM's
+    {!Gcperf_sim.Gc_event} log whether telemetry is on or off, and
+    {!Sink} renders traces and their histograms from that log.
 
     {b Non-perturbation invariant}: telemetry only observes.  Recording
     never advances the virtual clock, draws from a PRNG or touches the
@@ -17,8 +18,7 @@
     overhead budget.
 
     [default_enabled] is the process-wide default used when a VM is
-    created without an explicit registry — the CLI [trace] subcommand
-    flips it on; experiments leave it off. *)
+    created without an explicit registry — experiments leave it off. *)
 
 type t
 
@@ -35,39 +35,12 @@ val disabled : unit -> t
 
 val enabled : t -> bool
 
-val record_span : t -> Span.t -> unit
-(** Appends the span, folds its duration into the per-kind histogram and
-    its safepoint phase into the TTSP histogram.  No-op when disabled. *)
-
 val incr : t -> string -> float -> unit
 (** Counter bump (no-op when disabled). *)
 
-val sample : t -> string -> t_us:float -> float -> unit
-(** Gauge sample (no-op when disabled). *)
-
-val spans : t -> Span.t list
-(** Chronological. *)
-
-val span_count : t -> int
-
-val kinds : t -> string list
-(** Pause kinds seen so far, in first-seen order. *)
-
-val pause_histogram : t -> string -> Histogram.t option
-(** Duration histogram (µs) for one pause kind. *)
-
-val safepoint_histogram : t -> Histogram.t
-(** Time-to-safepoint across all pauses, µs. *)
-
 val metrics : t -> Metrics.t
-
-val merge_into : into:t -> t -> unit
-(** Folds one registry into another: spans are appended in [src] order,
-    per-kind and safepoint histograms are merged bucket-wise, counters
-    are added and gauge series concatenated.  New pause kinds and metric
-    names keep [src]'s first-seen order.  Merging happens regardless of
-    either registry's [enabled] flag — it is an explicit operation used
-    to combine the per-worker sinks of a parallel campaign in
-    deterministic cell order (DESIGN.md §9). *)
+(** The counters and gauge series.  Writers that bypass {!incr} (the
+    interned handles of {!Metrics}) check {!enabled} themselves. *)
 
 val clear : t -> unit
+(** Drops every counter and gauge series. *)

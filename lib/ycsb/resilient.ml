@@ -3,9 +3,7 @@ module Vec = Gcperf_util.Vec
 module Heapq = Gcperf_util.Heapq
 module Injector = Gcperf_fault.Injector
 module Gateway = Gcperf_kvstore.Gateway
-module Telemetry = Gcperf_telemetry.Telemetry
 module Histogram = Gcperf_telemetry.Histogram
-module Span = Gcperf_telemetry.Span
 
 type resilience = {
   timeout_ms : float;
@@ -88,8 +86,6 @@ type session = {
   inj : Injector.t;
   gw : Gateway.t;
   prng : Prng.t;
-  telemetry : Telemetry.t;
-  collector : string;
   heap : ev Heapq.t;
   latencies : Histogram.t;  (* successful requests, ms *)
   mutable attempts : int;
@@ -104,26 +100,6 @@ type session = {
 }
 
 let us s = int_of_float (s *. 1e6)
-
-let span sess ~at_s ~dur_ms ~kind ~cause =
-  if Telemetry.enabled sess.telemetry then
-    Telemetry.record_span sess.telemetry
-      {
-        Span.collector = sess.collector;
-        kind;
-        cause;
-        start_us = at_s *. 1e6;
-        duration_us = dur_ms *. 1e3;
-        phases = [];
-        sub = [];
-        young_before = 0;
-        young_after = 0;
-        old_before = 0;
-        old_after = 0;
-        promoted = 0;
-      }
-
-let kind_name = function Client.Read -> "read" | Client.Update -> "update"
 
 (* Base service time: the same model as Client.run — reads step up with
    the database size, updates are flat log appends — with the same
@@ -159,19 +135,13 @@ let attempt sess ~db_timeline (req : req) t =
   match fault with
   | Injector.Error ->
       sess.errors <- sess.errors + 1;
-      span sess ~at_s:t ~dur_ms:reject_cost_ms ~kind:(kind_name req.kind)
-        ~cause:"error";
       Failed (t +. (reject_cost_ms /. 1e3), "error")
   | Injector.Pass | Injector.Delay _ | Injector.Drop -> (
       let service = service_ms sess ~db_timeline req t in
       match Gateway.offer sess.gw ~now_s:t ~service_ms:service with
       | Gateway.Shed ->
-          span sess ~at_s:t ~dur_ms:reject_cost_ms ~kind:(kind_name req.kind)
-            ~cause:"shed";
           Failed (t +. (reject_cost_ms /. 1e3), "shed")
       | Gateway.Fast_rejected ->
-          span sess ~at_s:t ~dur_ms:reject_cost_ms ~kind:(kind_name req.kind)
-            ~cause:"shed";
           Failed (t +. (reject_cost_ms /. 1e3), "fast-reject")
       | Gateway.Served { wait_ms = _; finish_s } -> (
           let extra_ms =
@@ -186,15 +156,9 @@ let attempt sess ~db_timeline (req : req) t =
               sess.drops <- sess.drops + 1;
               if Float.is_finite sess.r.timeout_ms then begin
                 sess.timeouts <- sess.timeouts + 1;
-                span sess ~at_s:t ~dur_ms:sess.r.timeout_ms
-                  ~kind:(kind_name req.kind) ~cause:"timeout";
                 Failed (t +. (sess.r.timeout_ms /. 1e3), "timeout")
               end
-              else begin
-                span sess ~at_s:t ~dur_ms:0.0 ~kind:(kind_name req.kind)
-                  ~cause:"drop";
-                Failed (t, "drop")
-              end
+              else Failed (t, "drop")
           | _ ->
               let lat_ms = (resp_s -. t) *. 1e3 in
               if
@@ -202,8 +166,6 @@ let attempt sess ~db_timeline (req : req) t =
                 && lat_ms > sess.r.timeout_ms
               then begin
                 sess.timeouts <- sess.timeouts + 1;
-                span sess ~at_s:t ~dur_ms:sess.r.timeout_ms
-                  ~kind:(kind_name req.kind) ~cause:"timeout";
                 Failed (t +. (sess.r.timeout_ms /. 1e3), "timeout")
               end
               else Success resp_s))
@@ -214,11 +176,7 @@ let finalize_success sess (req : req) ~complete_s ~hedge_won =
   sess.ok <- sess.ok + 1;
   let lat_ms = (complete_s -. req.arrival_s) *. 1e3 in
   Histogram.record sess.latencies lat_ms;
-  if hedge_won then begin
-    sess.hedge_wins <- sess.hedge_wins + 1;
-    span sess ~at_s:req.arrival_s ~dur_ms:lat_ms ~kind:(kind_name req.kind)
-      ~cause:"hedge-win"
-  end
+  if hedge_won then sess.hedge_wins <- sess.hedge_wins + 1
 
 let finalize_failure sess (req : req) = begin
   req.done_ <- true;
@@ -245,8 +203,6 @@ let maybe_retry sess (req : req) ~used ~fail_s ~cause =
       backoff_ms
       *. (1.0 +. (sess.r.backoff_jitter *. Prng.float sess.prng 1.0))
     in
-    span sess ~at_s:fail_s ~dur_ms:backoff_ms ~kind:(kind_name req.kind)
-      ~cause:"retry";
     Heapq.push sess.heap
       (us (fail_s +. (backoff_ms /. 1e3)))
       (Attempt (req, used + 1))
@@ -309,11 +265,7 @@ let process sess ~db_timeline ev t =
             assert false
       end
 
-let run w ~profile ~resilience ~gateway ?telemetry ?(collector = "server")
-    ~pauses ~db_timeline ~seed () =
-  let telemetry =
-    match telemetry with Some t -> t | None -> Telemetry.disabled ()
-  in
+let run w ~profile ~resilience ~gateway ~pauses ~db_timeline ~seed =
   let sess =
     {
       w;
@@ -321,8 +273,6 @@ let run w ~profile ~resilience ~gateway ?telemetry ?(collector = "server")
       inj = Injector.create ~profile ~seed:(seed + 1) ~pauses;
       gw = Gateway.create gateway ~pauses;
       prng = Prng.create seed;
-      telemetry;
-      collector;
       heap = Heapq.create ();
       latencies = Histogram.create ();
       attempts = 0;
@@ -374,14 +324,6 @@ let run w ~profile ~resilience ~gateway ?telemetry ?(collector = "server")
         drain ()
   in
   drain ();
-  let count name n = Telemetry.incr telemetry name (float_of_int n) in
-  count "faults.requests" requests;
-  count "faults.attempts" sess.attempts;
-  count "faults.retries" sess.retries;
-  count "faults.timeouts" sess.timeouts;
-  count "faults.sheds" (Gateway.sheds sess.gw);
-  count "faults.fast_rejects" (Gateway.fast_rejects sess.gw);
-  count "faults.hedge_wins" sess.hedge_wins;
   {
     profile = profile.Gcperf_fault.Profile.name;
     requests;

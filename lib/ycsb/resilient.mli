@@ -14,11 +14,8 @@
     clock: attempts are processed in time order from one event heap, the
     session PRNG is consumed in that order, and every collaborator is
     seeded from the cell seed — so a session is byte-reproducible and
-    independent of the worker count running it.
-
-    Client-visible events are recorded as telemetry spans with causes
-    ["timeout"], ["retry"], ["shed"], ["hedge-win"] (plus ["error"] and
-    ["drop"] for injected faults). *)
+    independent of the worker count running it.  What the client saw is
+    returned as a {!summary}. *)
 
 type resilience = {
   timeout_ms : float;  (** per-attempt timeout; [infinity] disables *)
@@ -67,13 +64,10 @@ val run :
   profile:Gcperf_fault.Profile.t ->
   resilience:resilience ->
   gateway:Gcperf_kvstore.Gateway.config ->
-  ?telemetry:Gcperf_telemetry.Telemetry.t ->
-  ?collector:string ->
   pauses:(float * float) array ->
   db_timeline:(float * int) array ->
   seed:int ->
-  unit ->
   summary
 (** Run one fault session.  [pauses] and [db_timeline] come from a
     server run ({!Gcperf_sim.Gc_event.intervals} /
-    [Server.db_size_timeline]); [collector] labels telemetry spans. *)
+    [Server.db_size_timeline]). *)

@@ -23,13 +23,12 @@ type source = {
   db_timeline : (float * int) array;
 }
 
-let run ?(resilience = Resilience.Off) ?(profile = Profile.none) ?telemetry
-    ?collector workload source ~seed =
+let run ?(resilience = Resilience.Off) ?(profile = Profile.none)
+    ?collector:_ workload source ~seed =
   Resilient.run workload ~profile
     ~resilience:(Resilience.client resilience)
     ~gateway:(Resilience.gateway resilience)
-    ?telemetry ?collector ~pauses:source.pauses
-    ~db_timeline:source.db_timeline ~seed ()
+    ~pauses:source.pauses ~db_timeline:source.db_timeline ~seed
 
 let points workload source ~seed =
   Client.run workload ~pauses:source.pauses ~db_timeline:source.db_timeline

@@ -42,7 +42,6 @@ type source = {
 val run :
   ?resilience:Resilience.t ->
   ?profile:Gcperf_fault.Profile.t ->
-  ?telemetry:Gcperf_telemetry.Telemetry.t ->
   ?collector:string ->
   Client.workload ->
   source ->
@@ -51,7 +50,9 @@ val run :
 (** One client session against one server: the unified entry point.
     [resilience] defaults to {!Resilience.Off}, [profile] to
     {!Gcperf_fault.Profile.none} — with both defaulted this is the
-    happy path expressed in the failure model's vocabulary. *)
+    happy path expressed in the failure model's vocabulary.
+    [collector] is ignored: it used to label per-request trace spans,
+    and is kept only for callers that still pass it. *)
 
 val points :
   Client.workload -> source -> seed:int -> Client.point array

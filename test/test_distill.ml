@@ -87,7 +87,7 @@ let test_zero_cost_collector () =
 let test_empty_run () =
   (* A run that never stepped distils to zero, not NaN (0/0). *)
   let t = Telemetry.create ~enabled:true () in
-  let cost = Distill.of_run t in
+  let cost = Distill.of_run t (Gcperf_sim.Gc_event.create ()) in
   Alcotest.(check (float 0.0)) "empty run: t_ideal 0" 0.0
     cost.Distill.t_ideal_us;
   Alcotest.(check (float 0.0)) "empty run: distilled 0" 0.0

@@ -5,9 +5,8 @@
 
 module Pool = Gcperf_exec.Pool
 module E = Gcperf.Experiments
-module Telemetry = Gcperf_telemetry.Telemetry
 module Sink = Gcperf_telemetry.Sink
-module Span = Gcperf_telemetry.Span
+module Gc_event = Gcperf_sim.Gc_event
 
 (* --- map_cells semantics ------------------------------------------- *)
 
@@ -141,47 +140,44 @@ let test_golden_files_match_registry () =
 
 (* --- deterministic telemetry merge --------------------------------- *)
 
-let span ~kind ~duration_us =
-  {
-    Span.collector = "G1GC";
-    kind;
-    cause = "test";
-    start_us = 0.0;
-    duration_us;
-    phases = [ (Span.Safepoint, 100.0); (Span.Copy, duration_us -. 100.0) ];
-    sub = [];
-    young_before = 64;
-    young_after = 4;
-    old_before = 16;
-    old_after = 17;
-    promoted = 1;
-  }
+(* One pause: safepoint then copy, the copy split into plan/move. *)
+let log_pause log ~kind ~duration_us =
+  Gc_event.phase log Gc_event.Safepoint 100.0;
+  Gc_event.phase log Gc_event.Copy (duration_us -. 100.0);
+  Gc_event.sub log Gc_event.Plan 10.0;
+  Gc_event.sub log Gc_event.Move (duration_us -. 110.0);
+  ignore
+    (Gc_event.record log ~start_us:0.0 ~kind ~collector:"G1GC" ~reason:"test"
+       ~young_before:64 ~young_after:4 ~old_before:16 ~old_after:17
+       ~promoted:1)
 
+let pause_lines jsonl =
+  List.filter
+    (fun l -> String.length l > 16 && String.sub l 0 16 = "{\"type\":\"pause\"")
+    (String.split_on_char '\n' jsonl)
+
+(* A parallel trace renders each run's log and merges the per-run
+   histograms in cell order; that must equal one log holding every
+   pause in the same order. *)
 let test_merge_matches_sequential () =
-  let spans =
-    [
-      span ~kind:"young" ~duration_us:1000.0;
-      span ~kind:"young" ~duration_us:2000.0;
-      span ~kind:"full" ~duration_us:9000.0;
-      span ~kind:"young" ~duration_us:3000.0;
-    ]
+  let pauses =
+    Gc_event.
+      [ (Young, 1000.0); (Young, 2000.0); (Full, 9000.0); (Young, 3000.0) ]
   in
-  (* Sequential reference: every span into one registry, in order. *)
-  let whole = Telemetry.create ~enabled:true () in
-  List.iter (Telemetry.record_span whole) spans;
-  (* Two per-worker sinks, merged back in cell order. *)
-  let w0 = Telemetry.create ~enabled:true () in
-  let w1 = Telemetry.create ~enabled:true () in
+  let whole = Gc_event.create () in
+  List.iter (fun (kind, d) -> log_pause whole ~kind ~duration_us:d) pauses;
+  let w0 = Gc_event.create () and w1 = Gc_event.create () in
   List.iteri
-    (fun i s -> Telemetry.record_span (if i < 2 then w0 else w1) s)
-    spans;
-  let merged = Telemetry.create ~enabled:true () in
-  Telemetry.merge_into ~into:merged w0;
-  Telemetry.merge_into ~into:merged w1;
+    (fun i (kind, d) ->
+      log_pause (if i < 2 then w0 else w1) ~kind ~duration_us:d)
+    pauses;
+  let merged = Sink.merged [ Sink.summarise w0; Sink.summarise w1 ] in
   Alcotest.(check string) "merged summary = sequential summary"
-    (Sink.summary_json whole) (Sink.summary_json merged);
-  Alcotest.(check string) "merged trace = sequential trace"
-    (Sink.trace_jsonl whole) (Sink.trace_jsonl merged)
+    (Sink.summary_json (Sink.summarise whole))
+    (Sink.summary_json merged);
+  Alcotest.(check (list string)) "merged trace = sequential trace"
+    (pause_lines (Sink.trace_jsonl whole))
+    (pause_lines (Sink.trace_jsonl w0) @ pause_lines (Sink.trace_jsonl w1))
 
 let () =
   Alcotest.run "exec"

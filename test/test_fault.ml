@@ -164,7 +164,7 @@ let session ?(profile = Profile.flaky_network) ?(resilient = true) ?(seed = 3)
   let gateway = if resilient then Gateway.degraded else Gateway.unbounded in
   Resilient.run workload ~profile ~resilience ~gateway
     ~pauses:[| (30.0, 32.0); (70.0, 71.0) |]
-    ~db_timeline:[||] ~seed ()
+    ~db_timeline:[||] ~seed
 
 let test_session_deterministic () =
   Alcotest.(check bool) "same seed, same summary" true
