@@ -75,7 +75,8 @@ let create ctx (config : Gc_config.t) =
        object left unmarked is condemned for the concurrent sweep.  The
        victims vector is reused across cycles (only one sweep runs at a
        time), and mark stamps go stale on their own at the next trace. *)
-    ignore (Gen_algo.trace_all ctx heap);
+    Gc_ctx.trace_all ctx store ~marked:heap.Gh.mark_list
+      ~stack:heap.Gh.trace_stack;
     let victims = victims_scratch in
     Vec.clear victims;
     let garbage = ref 0 in

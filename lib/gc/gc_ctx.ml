@@ -2,6 +2,8 @@ module Telemetry = Gcperf_telemetry.Telemetry
 module Gc_event = Gcperf_sim.Gc_event
 module Policy = Gcperf_policy.Policy
 module Metrics = Gcperf_telemetry.Metrics
+module Os = Gcperf_heap.Obj_store
+module Vec = Gcperf_util.Int_vec
 
 exception Out_of_memory of string
 
@@ -54,6 +56,20 @@ let create ?telemetry machine clock events =
        });
   }
 
+let trace_all t store ~marked ~stack =
+  Vec.clear marked;
+  Vec.clear stack;
+  Os.begin_trace store;
+  let push id =
+    if (not (Os.is_nowhere store id)) && not (Os.is_marked store id) then begin
+      Os.mark store id;
+      Vec.push marked id;
+      Vec.push stack id
+    end
+  in
+  t.iter_roots push;
+  Os.sequential_finish store ~pred:Os.Trace_live ~marked ~stack
+
 let stw_begin_us t =
   Gcperf_machine.Machine.time_to_safepoint t.machine
     ~mutator_threads:t.mutator_threads
@@ -66,9 +82,9 @@ let open_pause t ~fixed_us =
   Gc_event.phase t.events Gc_event.Fixed fixed_us
 
 (* The plan pass is one sequential walk over the moved set, an eighth of
-   the relocation charge in this cost model; the slab move carries the
-   rest.  Informational only: the split never feeds the duration (see
-   DESIGN.md §14). *)
+   the relocation charge in this cost model; the move carries the rest.
+   Informational only: the split never feeds the duration (see DESIGN.md
+   §14). *)
 let relocation t us =
   let plan = us /. 8.0 in
   Gc_event.sub t.events Gc_event.Plan plan;

@@ -56,6 +56,22 @@ val create :
     [telemetry] defaults to a fresh registry honouring
     {!Gcperf_telemetry.Telemetry.default_enabled}. *)
 
+val trace_all :
+  t ->
+  Gcperf_heap.Obj_store.t ->
+  marked:Gcperf_util.Int_vec.t ->
+  stack:Gcperf_util.Int_vec.t ->
+  unit
+(** The trace from the roots: marks every object reachable from
+    [t.iter_roots] under a fresh trace epoch
+    ({!Gcperf_heap.Obj_store.begin_trace}), leaving the marked ids in
+    discovery order in [marked] ([stack] is the work list; both are
+    cleared first).  Mark stamps stay queryable via
+    {!Gcperf_heap.Obj_store.is_marked} until the next trace.  Every
+    full-heap trace runs through here: the generational and region
+    mark-compacts, CMS's and G1's remarks, ConcurrentRegions' mark flip
+    and JournalRC's backup trace. *)
+
 val stw_begin_us : t -> float
 (** Cost of bringing all mutator threads to the safepoint. *)
 

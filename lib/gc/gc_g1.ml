@@ -24,14 +24,11 @@ let ihop = 0.45
    collection set, swapping region roles, updating free lists). *)
 let region_fixed_us = 120.0
 
-let create ctx (config : Gc_config.t) =
+let create_in ctx (config : Gc_config.t) (rheap : Rh.t) =
   let m = ctx.Gc_ctx.machine in
   let log = ctx.Gc_ctx.events in
   let cost = m.Machine.cost in
-  let store = Os.create () in
-  let rheap =
-    Rh.create store ~heap_bytes:config.Gc_config.heap_bytes ()
-  in
+  let store = rheap.Rh.store in
   rheap.Rh.young_target_bytes <-
     Int.max rheap.Rh.region_size config.Gc_config.young_bytes;
   (* Mutable so the adaptive sizing policy can promote earlier/later. *)
@@ -48,35 +45,16 @@ let create ctx (config : Gc_config.t) =
   let young_used () = Rh.used_young rheap in
   (* Per-collection scratch, hoisted so steady-state evacuation pauses
      allocate nothing in the host runtime.  Contents are only valid within
-     one collection; trace_all and trace_collection_set use disjoint mark
-     scratch because an evacuation failure runs a full trace while the
-     collection-set trace results are still in scope. *)
-  let g_marked = Vec.create () and g_stack = Vec.create () in
+     one collection.  The collection-set trace keeps its own mark scratch,
+     apart from the region heap's full-trace scratch, because an
+     evacuation failure runs a full trace while the collection-set trace
+     results are still in scope. *)
   let cs_marked = Vec.create () and cs_stack = Vec.create () in
   let ext_src = Vec.create () and ext_child = Vec.create () in
   let stale_scratch = Vec.create () in
   let surv_scratch = Vec.create () and prom_scratch = Vec.create () in
   let cset_scratch = Vec.create () in
   let collected_scratch = ref [||] in
-  (* Global trace over the region heap; returns marked ids (scratch, valid
-     until the next trace).  Marks are epoch stamps: no clearing pass. *)
-  let trace_all () =
-    let marked = g_marked and stack = g_stack in
-    Vec.clear marked;
-    Vec.clear stack;
-    Os.begin_trace store;
-    let push id =
-      if (not (Os.is_nowhere store id)) && not (Os.is_marked store id)
-      then begin
-        Os.mark store id;
-        Vec.push marked id;
-        Vec.push stack id
-      end
-    in
-    ctx.Gc_ctx.iter_roots push;
-    Os.sequential_finish store ~pred:Os.Trace_live ~marked ~stack;
-    marked
-  in
   (* Partial trace of the collection set: roots plus remembered sets.
      Dead or irrelevant remset entries are pruned as they are scanned,
      which is exactly the work a G1 evacuation pause pays for.  External
@@ -163,85 +141,19 @@ let create ctx (config : Gc_config.t) =
       if config.Gc_config.g1_parallel_full then m.Machine.gc_threads else 1
     in
     let young_before = young_used () and old_before = old_hum_used () in
-    let marked = trace_all () in
-    let live = Vec.fold (fun a id -> a + Os.size store id) 0 marked in
-    if live > rheap.Rh.heap_bytes then
-      raise
-        (Gc_ctx.Out_of_memory
-           (Printf.sprintf "G1: live data (%d) exceeds heap (%d)" live
-              rheap.Rh.heap_bytes));
-    (* Collect the live movable objects; free everything else. *)
-    let movable = Vec.create () in
-    let freed = ref 0 in
-    let dead_humongous = ref [] in
-    Array.iter
-      (fun r ->
-        Rh.compact_region_objects rheap r;
-        match r.Rh.kind with
-        | Rh.Humongous ->
-            if r.Rh.hum_len > 0 then
-              Vec.iter
-                (fun id ->
-                  if not (Os.is_marked store id) then
-                    dead_humongous := id :: !dead_humongous)
-                r.Rh.objects
-        | Rh.Eden | Rh.Survivor | Rh.Old_region ->
-            Vec.iter
-              (fun id ->
-                if Os.is_marked store id then Vec.push movable id
-                else begin
-                  let size = Os.size store id in
-                  freed := !freed + size;
-                  Rh.add_used rheap r (-size);
-                  Os.free store id
-                end)
-              r.Rh.objects
-        | Rh.Free -> ())
-      rheap.Rh.regions;
-    List.iter
-      (fun id ->
-        freed := !freed + Os.size store id;
-        Rh.release_humongous rheap id)
-      !dead_humongous;
-    (* Slide the movable objects into freshly packed old regions.  Epoch
-       mark stamps go stale at the next trace on their own. *)
+    let { Region_algo.live; freed; moved_bytes; moved_objects } =
+      Region_algo.mark_compact ctx rheap ~collector:"G1" ~min_age:!tenuring
+    in
+    (* Rebuild remembered sets exactly: cross-region references only.
+       Retiring emptied the eden, survivor and old regions' sets; a live
+       humongous region's set still holds sources that died or moved,
+       so it restarts empty too. *)
     Array.iter
       (fun r ->
         match r.Rh.kind with
-        | Rh.Eden | Rh.Survivor | Rh.Old_region -> Rh.retire_region rheap r
-        | Rh.Humongous | Rh.Free -> ())
+        | Rh.Humongous -> Hashtbl.reset r.Rh.remset
+        | Rh.Free | Rh.Eden | Rh.Survivor | Rh.Old_region -> ())
       rheap.Rh.regions;
-    let target = ref None in
-    let moved_bytes = ref 0 in
-    Os.plan_clear store;
-    Vec.iter
-      (fun id ->
-        let size = Os.size store id in
-        moved_bytes := !moved_bytes + size;
-        let rec place () =
-          match !target with
-          | Some r when r.Rh.used + size <= rheap.Rh.region_size ->
-              (* Everything that survives a full collection is old data;
-                 the column writes are deferred to the relocation
-                 kernel, the packing decisions stay sequential. *)
-              Os.plan_push_region store id ~region:r.Rh.idx
-                ~age:(Int.max (Os.age store id) !tenuring);
-              Rh.add_used rheap r size;
-              Vec.push r.Rh.objects id
-          | _ -> (
-              match Rh.take_free_region rheap Rh.Old_region with
-              | Some r ->
-                  target := Some r;
-                  place ()
-              | None ->
-                  raise
-                    (Gc_ctx.Out_of_memory
-                       "G1: no free region during full-GC compaction"))
-        in
-        place ())
-      movable;
-    let moved_objects = Os.finish_relocate store in
-    (* Rebuild remembered sets exactly: cross-region references only. *)
     Os.iter_live store (fun id ->
         let rp = Os.region_index store id in
         if rp >= 0 then
@@ -258,7 +170,7 @@ let create ctx (config : Gc_config.t) =
          ~bytes:live);
     Gc_event.phase log Gc_event.Sweep
       (Machine.phase_us m ~rate:cost.Machine.sweep_rate ~workers:full_workers
-         ~bytes:!freed);
+         ~bytes:freed);
     (* Region bookkeeping makes G1's serial compaction slower per byte
        than the generational collectors' sliding compaction. *)
     (* Sliding compaction touches the occupied old/humongous space, dead
@@ -267,14 +179,15 @@ let create ctx (config : Gc_config.t) =
       1.3
       *. Machine.phase_us m ~rate:cost.Machine.compact_rate
            ~workers:full_workers
-           ~bytes:(Int.max old_before !moved_bytes)
+           ~bytes:(Int.max old_before moved_bytes)
     in
     Gc_event.phase log Gc_event.Compact compact_us;
     if moved_objects > 0 then Gc_ctx.relocation ctx compact_us;
     record ~kind:Gc_event.Full ~reason ~young_before ~old_before ~promoted:0
   in
   let remark_and_cleanup () =
-    ignore (trace_all ());
+    Gc_ctx.trace_all ctx store ~marked:rheap.Rh.mark_list
+      ~stack:rheap.Rh.trace_stack;
     (* Liveness accounting per region. *)
     Array.iter
       (fun r ->
@@ -300,22 +213,15 @@ let create ctx (config : Gc_config.t) =
     (* Cleanup: instantly reclaim fully dead regions, pick mixed
        candidates garbage-first. *)
     let released = ref 0 in
-    let dead_humongous = ref [] in
     Array.iter
       (fun r ->
         match r.Rh.kind with
         | Rh.Old_region when r.Rh.live_bytes = 0 && r.Rh.used > 0 ->
             Rh.release_region rheap r;
             incr released
-        | Rh.Humongous when r.Rh.hum_len > 0 ->
-            Vec.iter
-              (fun id ->
-                if not (Os.is_marked store id) then
-                  dead_humongous := id :: !dead_humongous)
-              r.Rh.objects
         | Rh.Old_region | Rh.Humongous | Rh.Eden | Rh.Survivor | Rh.Free -> ())
       rheap.Rh.regions;
-    List.iter (fun id -> Rh.release_humongous rheap id) !dead_humongous;
+    ignore (Region_algo.release_dead_humongous rheap);
     let candidates =
       Array.to_list rheap.Rh.regions
       |> List.filter (fun r ->
@@ -342,6 +248,16 @@ let create ctx (config : Gc_config.t) =
     record ~kind:Gc_event.Cleanup ~reason:"concurrent cycle" ~young_before:y
       ~old_before:o ~promoted:0;
     st.phase <- Idle
+  in
+  (* The last rung of both humongous allocation ladders. *)
+  let humongous_after_full_gc ~size =
+    full_gc "humongous allocation failure";
+    match Rh.alloc_humongous rheap ~size with
+    | Some id -> id
+    | None ->
+        raise
+          (Gc_ctx.Out_of_memory
+             (Printf.sprintf "G1: cannot fit humongous %d bytes" size))
   in
   let rec young_gc reason =
     let mixed_now =
@@ -435,42 +351,31 @@ let create ctx (config : Gc_config.t) =
          read before any location column is written, so deferring the
          writes to the kernel observes exactly the same state the
          in-place loop did. *)
-      let plan_all v kind age_bump =
+      let plan_all v kind =
         let target = ref None in
         Vec.iter
           (fun id ->
             let size = Os.size store id in
             let src = Rh.region_of rheap id in
-            let rec place () =
-              match !target with
-              | Some r when r.Rh.used + size <= rheap.Rh.region_size ->
-                  Rh.add_used rheap src (-size);
-                  (* Mixed collections re-evacuate tenured objects, so
-                     ages grow without bound there.  Every decision
-                     compares an age with the tenuring threshold (at
-                     most 15), so saturating changes none of them. *)
-                  Os.plan_push_region store id ~region:r.Rh.idx
-                    ~age:(Int.min Os.max_age (Os.age store id + age_bump));
-                  Rh.add_used rheap r size;
-                  Vec.push r.Rh.objects id
-              | _ -> (
-                  match Rh.take_free_region rheap kind with
-                  | Some r ->
-                      target := Some r;
-                      place ()
-                  | None -> assert false (* pre-counted above *))
-            in
-            place ())
+            match Region_algo.place rheap target ~kind ~size with
+            | Some r ->
+                Rh.add_used rheap src (-size);
+                (* Mixed collections re-evacuate tenured objects, so ages
+                   grow without bound there.  Every decision compares an
+                   age with the tenuring threshold (at most 15), so
+                   saturating changes none of them. *)
+                Os.plan_push_region store id ~region:r.Rh.idx
+                  ~age:(Int.min Os.max_age (Os.age store id + 1));
+                Rh.add_used rheap r size;
+                Vec.push r.Rh.objects id
+            | None -> assert false (* pre-counted above *))
           v
       in
       Os.plan_clear store;
-      plan_all surv Rh.Survivor 1;
-      plan_all prom Rh.Old_region 1;
-      (* Phase B (move): apply the evacuation, slab-parallel when the
-         collection set moved enough objects. *)
-      let moved_objects =
-        Os.finish_relocate store
-      in
+      plan_all surv Rh.Survivor;
+      plan_all prom Rh.Old_region;
+      (* Phase B (move): apply the evacuation in one pass. *)
+      let moved_objects = Os.finish_relocate store in
       (* Remembered-set maintenance, kept precise: (a) every external
          source that pointed at a moved object is re-recorded against the
          object's new region (the pairs were captured during the remset
@@ -547,14 +452,7 @@ let create ctx (config : Gc_config.t) =
           young_gc "humongous allocation";
           match Rh.alloc_humongous rheap ~size with
           | Some id -> id
-          | None -> (
-              full_gc "humongous allocation failure";
-              match Rh.alloc_humongous rheap ~size with
-              | Some id -> id
-              | None ->
-                  raise
-                    (Gc_ctx.Out_of_memory
-                       (Printf.sprintf "G1: cannot fit humongous %d bytes" size))))
+          | None -> humongous_after_full_gc ~size)
     end
     else begin
       (* G1ReservePercent: keep a slice of the heap free for evacuation;
@@ -566,42 +464,46 @@ let create ctx (config : Gc_config.t) =
         Rh.free_regions rheap < reserve
         && st.eden_bytes > 4 * rheap.Rh.region_size
       then young_gc "low free regions (reserve)";
-      match Rh.alloc_young rheap ~size with
-      | Some id ->
-          st.eden_bytes <- st.eden_bytes + size;
-          id
-      | None -> (
-          young_gc "to-space exhausted";
-          match Rh.alloc_young rheap ~size with
-          | Some id ->
-              st.eden_bytes <- st.eden_bytes + size;
-              id
-          | None -> (
-              full_gc "allocation failure";
-              match Rh.alloc_young rheap ~size with
-              | Some id ->
-                  st.eden_bytes <- st.eden_bytes + size;
-                  id
-              | None ->
-                  raise
-                    (Gc_ctx.Out_of_memory
-                       (Printf.sprintf "G1: heap exhausted allocating %d bytes"
-                          size))))
+      let id =
+        match Rh.alloc_young rheap ~size with
+        | Some id -> id
+        | None -> (
+            young_gc "to-space exhausted";
+            match Rh.alloc_young rheap ~size with
+            | Some id -> id
+            | None -> (
+                full_gc "allocation failure";
+                match Rh.alloc_young rheap ~size with
+                | Some id -> id
+                | None ->
+                    raise
+                      (Gc_ctx.Out_of_memory
+                         (Printf.sprintf
+                            "G1: heap exhausted allocating %d bytes" size))))
+      in
+      st.eden_bytes <- st.eden_bytes + size;
+      id
     end
   in
   let old_alloc_region = ref (-1) in
+  (* Claims a fresh old region as the old allocation region and
+     allocates in it; [None] when no free region is left. *)
+  let old_in_fresh_region ~size =
+    match Rh.take_free_region rheap Rh.Old_region with
+    | Some r -> (
+        old_alloc_region := r.Rh.idx;
+        match Rh.alloc_in_region rheap r ~size with
+        | Some _ as id -> id
+        | None ->
+            raise
+              (Gc_ctx.Out_of_memory "G1: old allocation larger than a region"))
+    | None -> None
+  in
   let alloc_old ~size =
     if Rh.is_humongous rheap ~size then begin
       match Rh.alloc_humongous rheap ~size with
       | Some id -> id
-      | None -> (
-          full_gc "humongous allocation failure";
-          match Rh.alloc_humongous rheap ~size with
-          | Some id -> id
-          | None ->
-              raise
-                (Gc_ctx.Out_of_memory
-                   (Printf.sprintf "G1: cannot fit humongous %d bytes" size)))
+      | None -> humongous_after_full_gc ~size
     end
     else begin
       let try_current () =
@@ -616,28 +518,13 @@ let create ctx (config : Gc_config.t) =
       match try_current () with
       | Some id -> id
       | None -> (
-          match Rh.take_free_region rheap Rh.Old_region with
-          | Some r ->
-              old_alloc_region := r.Rh.idx;
-              (match Rh.alloc_in_region rheap r ~size with
-              | Some id -> id
-              | None ->
-                  raise
-                    (Gc_ctx.Out_of_memory
-                       "G1: old allocation larger than a region"))
+          match old_in_fresh_region ~size with
+          | Some id -> id
           | None -> (
               full_gc "old allocation failure";
-              match Rh.take_free_region rheap Rh.Old_region with
-              | Some r ->
-                  old_alloc_region := r.Rh.idx;
-                  (match Rh.alloc_in_region rheap r ~size with
-                  | Some id -> id
-                  | None ->
-                      raise
-                        (Gc_ctx.Out_of_memory
-                           "G1: old allocation larger than a region"))
-              | None ->
-                  raise (Gc_ctx.Out_of_memory "G1: no free region left")))
+              match old_in_fresh_region ~size with
+              | Some id -> id
+              | None -> raise (Gc_ctx.Out_of_memory "G1: no free region left")))
     end
   in
   let tick ~dt_us =
@@ -682,3 +569,7 @@ let create ctx (config : Gc_config.t) =
     store;
     check_invariants = (fun () -> Rh.check_invariants rheap);
   }
+
+let create ctx (config : Gc_config.t) =
+  create_in ctx config
+    (Rh.create (Os.create ()) ~heap_bytes:config.Gc_config.heap_bytes ())

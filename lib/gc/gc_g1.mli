@@ -26,3 +26,9 @@ val ihop : float
     ConcurrentRegions starts its cycles at the same occupancy. *)
 
 val create : Gc_ctx.t -> Gc_config.t -> Collector.t
+
+val create_in :
+  Gc_ctx.t -> Gc_config.t -> Gcperf_heap.Region_heap.t -> Collector.t
+(** {!create} over a region heap the caller built (and can inspect, e.g.
+    its remembered sets); {!create} uses a fresh one sized by the
+    configuration. *)

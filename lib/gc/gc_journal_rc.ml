@@ -185,29 +185,12 @@ let create ctx (config : Gc_config.t) =
   (* Trace scratch, hoisted. *)
   let g_marked = Vec.create () and g_stack = Vec.create () in
   let dead_scratch = Vec.create () in
-  let trace_all () =
-    let marked = g_marked and stack = g_stack in
-    Vec.clear marked;
-    Vec.clear stack;
-    Os.begin_trace store;
-    let push id =
-      if (not (Os.is_nowhere store id)) && not (Os.is_marked store id)
-      then begin
-        Os.mark store id;
-        Vec.push marked id;
-        Vec.push stack id
-      end
-    in
-    ctx.Gc_ctx.iter_roots push;
-    Os.sequential_finish store ~pred:Os.Trace_live ~marked ~stack;
-    marked
-  in
   (* The backup trace's flip: free everything unreached (cycles, stuck
      counts), recount every survivor's RC exactly from the live edges,
      and clear both journals — the recount subsumes every outstanding
      delta.  The pool restarts as exactly the zero-count live set. *)
   let trace_reclaim () =
-    ignore (trace_all ());
+    Gc_ctx.trace_all ctx store ~marked:g_marked ~stack:g_stack;
     Vec.clear dead_scratch;
     Os.iter_live store (fun id ->
         if not (Os.is_marked store id) then Vec.push dead_scratch id);

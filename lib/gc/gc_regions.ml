@@ -52,27 +52,7 @@ let create ctx (config : Gc_config.t) =
   let young_used () = Rh.used_young rheap in
   let old_hum_used () = Rh.used_old_hum rheap in
   let tel = ctx.Gc_ctx.telemetry in
-  (* Trace scratch, hoisted (see gc_g1.ml). *)
-  let g_marked = Vec.create () and g_stack = Vec.create () in
   let cset_scratch = Vec.create () in
-  let movable = Vec.create () in
-  let trace_all () =
-    let marked = g_marked and stack = g_stack in
-    Vec.clear marked;
-    Vec.clear stack;
-    Os.begin_trace store;
-    let push id =
-      if (not (Os.is_nowhere store id)) && not (Os.is_marked store id)
-      then begin
-        Os.mark store id;
-        Vec.push marked id;
-        Vec.push stack id
-      end
-    in
-    ctx.Gc_ctx.iter_roots push;
-    Os.sequential_finish store ~pred:Os.Trace_live ~marked ~stack;
-    marked
-  in
   let record ~kind ~reason ~young_before ~old_before ~promoted =
     Gc_ctx.record_pause ctx ~collector:name ~kind ~reason ~young_before
       ~young_after:(young_used ()) ~old_before ~old_after:(old_hum_used ())
@@ -104,8 +84,8 @@ let create ctx (config : Gc_config.t) =
      physically evacuate the relocation set.  The forwarding entries for
      moved objects become visible to mutators as the flip ends. *)
   let mark_flip () =
-    ignore (trace_all ());
-    let dead_humongous = ref [] in
+    Gc_ctx.trace_all ctx store ~marked:rheap.Rh.mark_list
+      ~stack:rheap.Rh.trace_stack;
     Array.iter
       (fun r ->
         match r.Rh.kind with
@@ -117,16 +97,9 @@ let create ctx (config : Gc_config.t) =
                 if Os.is_marked store id then live := !live + Os.size store id)
               r.Rh.objects;
             r.Rh.live_bytes <- !live
-        | Rh.Humongous ->
-            if r.Rh.hum_len > 0 then
-              Vec.iter
-                (fun id ->
-                  if not (Os.is_marked store id) then
-                    dead_humongous := id :: !dead_humongous)
-                r.Rh.objects
-        | Rh.Free -> ())
+        | Rh.Humongous | Rh.Free -> ())
       rheap.Rh.regions;
-    List.iter (fun id -> Rh.release_humongous rheap id) !dead_humongous;
+    ignore (Region_algo.release_dead_humongous rheap);
     Array.iter
       (fun r ->
         match r.Rh.kind with
@@ -183,8 +156,9 @@ let create ctx (config : Gc_config.t) =
           dest_bytes := !dest_bytes + r.Rh.live_bytes
         end)
       candidates;
-    (* Evacuate: sequential plan (region accounting), slab-parallel move,
+    (* Evacuate: sequential plan (region accounting), one-pass move,
        forwarding entry per moved object. *)
+    let movable = rheap.Rh.movable in
     Vec.clear movable;
     Vec.iter
       (fun idx ->
@@ -202,23 +176,15 @@ let create ctx (config : Gc_config.t) =
         let size = Os.size store id in
         moved_bytes := !moved_bytes + size;
         let src = Rh.region_of rheap id in
-        let rec place () =
-          match !target with
-          | Some r when r.Rh.used + size <= rheap.Rh.region_size ->
-              Rh.add_used rheap src (-size);
-              Os.plan_push_region store id ~region:r.Rh.idx
-                ~age:(Os.age store id);
-              Rh.add_used rheap r size;
-              Vec.push r.Rh.objects id;
-              Os.fwd_record store id
-          | _ -> (
-              match Rh.take_free_region rheap Rh.Old_region with
-              | Some r ->
-                  target := Some r;
-                  place ()
-              | None -> assert false (* capped by budget_regions above *))
-        in
-        place ())
+        match Region_algo.place rheap target ~kind:Rh.Old_region ~size with
+        | Some r ->
+            Rh.add_used rheap src (-size);
+            Os.plan_push_region store id ~region:r.Rh.idx
+              ~age:(Os.age store id);
+            Rh.add_used rheap r size;
+            Vec.push r.Rh.objects id;
+            Os.fwd_record store id
+        | None -> assert false (* capped by budget_regions above *))
       movable;
     ignore (Os.finish_relocate store);
     (* Release the sources (frees their unreached objects), newest pick
@@ -257,93 +223,22 @@ let create ctx (config : Gc_config.t) =
      full collection, it has a rare parallel one. *)
   let full_gc reason =
     let young_before = young_used () and old_before = old_hum_used () in
-    let marked = trace_all () in
-    let live = Vec.fold (fun a id -> a + Os.size store id) 0 marked in
-    if live > rheap.Rh.heap_bytes then
-      raise
-        (Gc_ctx.Out_of_memory
-           (Printf.sprintf "%s: live data (%d) exceeds heap (%d)" name live
-              rheap.Rh.heap_bytes));
-    Vec.clear movable;
-    let freed = ref 0 in
-    let dead_humongous = ref [] in
-    Array.iter
-      (fun r ->
-        Rh.compact_region_objects rheap r;
-        match r.Rh.kind with
-        | Rh.Humongous ->
-            if r.Rh.hum_len > 0 then
-              Vec.iter
-                (fun id ->
-                  if not (Os.is_marked store id) then
-                    dead_humongous := id :: !dead_humongous)
-                r.Rh.objects
-        | Rh.Eden | Rh.Survivor | Rh.Old_region ->
-            Vec.iter
-              (fun id ->
-                if Os.is_marked store id then Vec.push movable id
-                else begin
-                  let size = Os.size store id in
-                  freed := !freed + size;
-                  Rh.add_used rheap r (-size);
-                  Os.free store id
-                end)
-              r.Rh.objects
-        | Rh.Free -> ())
-      rheap.Rh.regions;
-    List.iter
-      (fun id ->
-        freed := !freed + Os.size store id;
-        Rh.release_humongous rheap id)
-      !dead_humongous;
-    Array.iter
-      (fun r ->
-        match r.Rh.kind with
-        | Rh.Eden | Rh.Survivor | Rh.Old_region -> Rh.retire_region rheap r
-        | Rh.Humongous | Rh.Free -> ())
-      rheap.Rh.regions;
-    let target = ref None in
-    let moved_bytes = ref 0 in
-    Os.plan_clear store;
+    let { Region_algo.live; freed; moved_bytes; moved_objects } =
+      Region_algo.mark_compact ctx rheap ~collector:name ~min_age:0
+    in
     (* Inside the stop-the-world window every stale reference is fixed
        before mutators resume: the forwarding table restarts empty. *)
     Os.fwd_begin store;
-    Vec.iter
-      (fun id ->
-        let size = Os.size store id in
-        moved_bytes := !moved_bytes + size;
-        let rec place () =
-          match !target with
-          | Some r when r.Rh.used + size <= rheap.Rh.region_size ->
-              Os.plan_push_region store id ~region:r.Rh.idx
-                ~age:(Os.age store id);
-              Rh.add_used rheap r size;
-              Vec.push r.Rh.objects id
-          | _ -> (
-              match Rh.take_free_region rheap Rh.Old_region with
-              | Some r ->
-                  target := Some r;
-                  place ()
-              | None ->
-                  raise
-                    (Gc_ctx.Out_of_memory
-                       (name ^ ": no free region during compaction")))
-        in
-        place ())
-      movable;
-    let moved_objects =
-      Os.finish_relocate store
-    in
     st.phase <- Idle;
     let workers = m.Machine.gc_threads in
     Gc_ctx.open_pause ctx ~fixed_us:cost.Machine.gc_fixed_us;
     Gc_event.phase log Gc_event.Mark
       (Machine.phase_us m ~rate:cost.Machine.mark_rate ~workers ~bytes:live);
     Gc_event.phase log Gc_event.Sweep
-      (Machine.phase_us m ~rate:cost.Machine.sweep_rate ~workers ~bytes:!freed);
+      (Machine.phase_us m ~rate:cost.Machine.sweep_rate ~workers ~bytes:freed);
     let compact_us =
       Machine.phase_us m ~rate:cost.Machine.compact_rate ~workers
-        ~bytes:!moved_bytes
+        ~bytes:moved_bytes
     in
     Gc_event.phase log Gc_event.Compact compact_us;
     if moved_objects > 0 then Gc_ctx.relocation ctx compact_us;

@@ -104,11 +104,10 @@ let collect_young ctx (heap : Gh.t) ~params ~collector ~reason =
   (* Plan the relocation: destinations were decided above in trace order,
      so record them (and the registry/accounting side effects, which are
      inherently ordered) sequentially; the column writes themselves are
-     the move phase, applied by the kernel — slab-parallel when enough
-     objects moved, byte-identical either way.  The promoted and dead
-     sets are disjoint (marked vs unmarked), so moving before the sweep
-     frees the same objects in the same [young_ids] order as sweeping
-     first would — and the sweep doubles as the young registry
+     the move phase, applied by the kernel in one pass.  The promoted
+     and dead sets are disjoint (marked vs unmarked), so moving before
+     the sweep frees the same objects in the same [young_ids] order as
+     sweeping first would — and the sweep doubles as the young registry
      compaction: one pass frees the unmarked, drops the promoted (now
      old) and keeps the survivors. *)
   Os.plan_clear store;
@@ -164,29 +163,11 @@ let collect_young ctx (heap : Gh.t) ~params ~collector ~reason =
     ~young_before ~young_after:(Gh.young_used heap) ~old_before
     ~old_after:heap.Gh.old_used ~promoted:!to_promote
 
-(* Full trace over both generations.  Returns the heap's scratch mark
-   list, valid until the next trace. *)
-let trace_all ctx (heap : Gh.t) =
-  let store = heap.Gh.store in
-  let marked = heap.Gh.mark_list and stack = heap.Gh.trace_stack in
-  Vec.clear marked;
-  Vec.clear stack;
-  Os.begin_trace store;
-  let push id =
-    if (not (Os.is_nowhere store id)) && not (Os.is_marked store id) then begin
-      Os.mark store id;
-      Vec.push marked id;
-      Vec.push stack id
-    end
-  in
-  ctx.Gc_ctx.iter_roots push;
-  Os.sequential_finish store ~pred:Os.Trace_live ~marked ~stack;
-  marked
-
 let collect_full ctx (heap : Gh.t) ~workers ~collector ~reason =
   let store = heap.Gh.store in
   let young_before = Gh.young_used heap and old_before = heap.Gh.old_used in
-  let marked = trace_all ctx heap in
+  let marked = heap.Gh.mark_list in
+  Gc_ctx.trace_all ctx store ~marked ~stack:heap.Gh.trace_stack;
   (* Direct indexed loops over the mark list here and below: these passes
      run inside every pause, and an indirect closure call per marked
      object is measurable on collection-bound workloads. *)

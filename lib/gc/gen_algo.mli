@@ -11,7 +11,10 @@
 
     Both genuinely trace the simulated object graph, so survival,
     promotion and reclamation are emergent, and both charge their phases
-    to the virtual clock through the machine cost model.
+    to the virtual clock through the machine cost model.  The full
+    collection traces through {!Gc_ctx.trace_all}, the one trace from
+    the roots every full-heap collection shares; {!Region_algo} is the
+    region-heap counterpart of this module (G1, ConcurrentRegions).
 
     The hot paths are incremental and allocation-free in steady state:
     marks are epoch stamps ({!Gcperf_heap.Obj_store.begin_trace}), work
@@ -54,11 +57,3 @@ val collect_full :
     into the old generation (overflow stays young), dead objects are
     reclaimed, the old generation is compacted.
     @raise Gc_ctx.Out_of_memory when live data exceeds the heap. *)
-
-val trace_all : Gc_ctx.t -> Gcperf_heap.Gen_heap.t -> Gcperf_util.Int_vec.t
-(** Marks every object reachable from the roots (both generations) under a
-    fresh trace epoch and returns the marked ids.  The returned vector is
-    the heap's scratch mark list, valid until the next trace; mark stamps
-    stay queryable via {!Gcperf_heap.Obj_store.is_marked} until the next
-    {!Gcperf_heap.Obj_store.begin_trace}.  Used by CMS's remark pause,
-    which needs an exact liveness snapshot. *)

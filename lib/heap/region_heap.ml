@@ -32,6 +32,9 @@ type t = {
   mutable young_target_bytes : int;
   mutable allocated_bytes : int;
   mutable promoted_bytes : int;
+  mark_list : Vec.t;
+  trace_stack : Vec.t;
+  movable : Vec.t;
 }
 
 (* [kind_eq] and the predicates below are pattern matches: [r.kind = k]
@@ -116,6 +119,9 @@ let create store ~heap_bytes ?(target_regions = 1024) () =
     young_target_bytes = region_size;
     allocated_bytes = 0;
     promoted_bytes = 0;
+    mark_list = Vec.create ();
+    trace_stack = Vec.create ();
+    movable = Vec.create ();
   }
 
 (* The young target is the adaptive knob G1 exposes: how many bytes of

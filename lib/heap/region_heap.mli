@@ -47,7 +47,15 @@ type t = {
           the adaptive sizing policy turns; owned by the G1 collector *)
   mutable allocated_bytes : int;
   mutable promoted_bytes : int;
+  mark_list : Gcperf_util.Int_vec.t;
+      (** scratch: ids marked by the current full-heap trace *)
+  trace_stack : Gcperf_util.Int_vec.t;  (** scratch: trace work list *)
+  movable : Gcperf_util.Int_vec.t;
+      (** scratch: marked objects a relocation is about to move *)
 }
+(** The scratch vectors let the region collectors run allocation-free in
+    steady state; their contents are only meaningful while a collection
+    is in progress. *)
 
 val create : Obj_store.t -> heap_bytes:int -> ?target_regions:int -> unit -> t
 (** Region size is [heap_bytes / target_regions] (default 1024 regions),

@@ -558,7 +558,9 @@ let test_epoch_marking_equivalence () =
     old;
   Gh.record_store heap ~parent:young.(3) ~child:young.(3) (* self cycle *);
   let trace_ids () =
-    List.sort compare (Vec.to_list (Gen_algo.trace_all ctx heap))
+    Gc_ctx.trace_all ctx store ~marked:heap.Gh.mark_list
+      ~stack:heap.Gh.trace_stack;
+    List.sort compare (Vec.to_list heap.Gh.mark_list)
   in
   let expected = naive_reachable ctx store in
   Alcotest.(check (list int)) "trace matches naive reachability" expected
@@ -629,6 +631,65 @@ let prop_random_program kind =
       List.for_all (fun id -> Vm.is_live vm id) !rooted
       && Result.is_ok (Vm.check_invariants vm))
 
+(* G1's full collection rebuilds the remembered sets: right after it,
+   each region's remset holds exactly the live objects in other regions
+   with a child in that region (the region counterpart of
+   [remset_exact]).  Young collections, old and humongous objects and
+   edges from objects that die in the full collection all feed the
+   remsets before it runs. *)
+let test_g1_remsets_exact_after_full_gc () =
+  let module Rh = Gcperf_heap.Region_heap in
+  let module Collector = Gcperf_gc.Collector in
+  let events = Gc_event.create () in
+  let ctx = Gc_ctx.create machine (Gcperf_sim.Clock.create ()) events in
+  let config = small_config Gc_config.G1 in
+  let store = Os.create () in
+  let rheap = Rh.create store ~heap_bytes:config.Gc_config.heap_bytes () in
+  let c = Gcperf_gc.Gc_g1.create_in ctx config rheap in
+  let roots : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  ctx.Gc_ctx.iter_roots <- (fun f -> Hashtbl.iter (fun id () -> f id) roots);
+  let rng = Random.State.make [| 17 |] in
+  let n = 3000 in
+  let objs = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    let id =
+      if i mod 97 = 0 then c.Collector.alloc ~size:(700 * 1024)
+      else if i mod 5 = 0 then c.Collector.alloc_old ~size:(8 * 1024)
+      else c.Collector.alloc ~size:(16 * 1024)
+    in
+    objs.(i) <- id;
+    if i mod 3 = 0 then Hashtbl.replace roots id ();
+    for _ = 1 to 2 do
+      let child = objs.(Random.State.int rng (i + 1)) in
+      if Os.is_live store child then c.Collector.write_ref ~parent:id ~child
+    done;
+    (* Unroot some objects now and then so the young collections and the
+       full collection below find dead sources. *)
+    if i mod 7 = 0 then Hashtbl.remove roots objs.(i / 2)
+  done;
+  Alcotest.(check bool) "young collections ran first" true
+    (Gc_event.count events > 1);
+  c.Collector.system_gc ();
+  let expected = Array.map (fun _ -> ref []) rheap.Rh.regions in
+  Os.iter_live store (fun id ->
+      let rp = Os.region_index store id in
+      let into = Hashtbl.create 4 in
+      Os.iter_refs store id (fun child ->
+          let rc = Os.region_index store child in
+          if rp >= 0 && rc >= 0 && rc <> rp then Hashtbl.replace into rc ());
+      Hashtbl.iter (fun rc () -> expected.(rc) := id :: !(expected.(rc))) into);
+  Array.iter
+    (fun r ->
+      let actual = Hashtbl.fold (fun id () acc -> id :: acc) r.Rh.remset [] in
+      Alcotest.(check (list int))
+        (Printf.sprintf "region %d remset" r.Rh.idx)
+        (List.sort compare !(expected.(r.Rh.idx)))
+        (List.sort compare actual))
+    rheap.Rh.regions;
+  match c.Collector.check_invariants () with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("invariant violation: " ^ e)
+
 let () =
   Alcotest.run "gc"
     [
@@ -658,6 +719,8 @@ let () =
             test_g1_young_collections_bounded;
           Alcotest.test_case "evacuation failure accounting" `Quick
             test_g1_evacuation_failure_accounting;
+          Alcotest.test_case "remsets exact after full gc" `Quick
+            test_g1_remsets_exact_after_full_gc;
         ] );
       ( "hot-path structures",
         [

@@ -227,6 +227,32 @@ let test_rooted_survive kind =
     keep;
   check_invariants vm
 
+(* A System.gc() that lands while ConcurrentRegions is relocating must
+   settle every pending forwarding entry inside its stop-the-world
+   window: none is left for a later remap flip, and rooted data stays
+   live. *)
+let test_system_gc_mid_relocation () =
+  let vm = Vm.create machine (small_config Gc_config.Concurrent_regions) ~seed:3 in
+  let th = Vm.spawn_thread vm in
+  let store = (Vm.collector vm).Gcperf_gc.Collector.store in
+  let keep = List.init 64 (fun _ -> Vm.alloc vm th ~size:4096 ~lifetime:`Permanent) in
+  let steps = ref 0 in
+  while Os.fwd_pending store = 0 && !steps < 50_000 do
+    let id = Vm.alloc vm th ~size:8192 ~lifetime:`Permanent in
+    if !steps mod 4 <> 0 then Vm.drop_root vm th id;
+    Vm.step vm ~dt_us:50.0 (fun _ -> ());
+    incr steps
+  done;
+  Alcotest.(check bool) "forwarding entries pending" true
+    (Os.fwd_pending store > 0);
+  Vm.system_gc vm;
+  Alcotest.(check int) "no forwarding entry left" 0 (Os.fwd_pending store);
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) "rooted object survives" true (Vm.is_live vm id))
+    keep;
+  check_invariants vm
+
 let test_garbage_reclaimed kind =
   let vm = Vm.create machine (small_config kind) ~seed:4 in
   let th = Vm.spawn_thread vm in
@@ -324,7 +350,12 @@ let () =
           Alcotest.test_case "journal entries round-trip" `Quick
             test_journal_round_trip;
         ] );
-      ("rooted-survive", concurrent_kind_cases test_rooted_survive);
+      ( "rooted-survive",
+        concurrent_kind_cases test_rooted_survive
+        @ [
+            Alcotest.test_case "ConcurrentRegions system.gc mid-relocation"
+              `Quick test_system_gc_mid_relocation;
+          ] );
       ("garbage-reclaimed", concurrent_kind_cases test_garbage_reclaimed);
       ("refs-keep-alive", concurrent_kind_cases test_refs_keep_alive);
       ("pause-classes", concurrent_kind_cases test_pause_classes);
