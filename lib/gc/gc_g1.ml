@@ -3,6 +3,7 @@ module Machine = Gcperf_machine.Machine
 module Gc_event = Gcperf_sim.Gc_event
 module Os = Gcperf_heap.Obj_store
 module Rh = Gcperf_heap.Region_heap
+module Int_table = Gcperf_util.Int_table
 
 type phase = Idle | Marking of { mutable remaining_bytes : float }
 
@@ -82,8 +83,8 @@ let create_in ctx (config : Gc_config.t) (rheap : Rh.t) =
         if collected.(r.Rh.idx) then begin
           let stale = stale_scratch in
           Vec.clear stale;
-          Hashtbl.iter
-            (fun src () ->
+          Int_table.iter
+            (fun src ->
               let sr = Os.region_index store src in
               if sr < 0 then Vec.push stale src
               else if collected.(sr) then
@@ -104,7 +105,7 @@ let create_in ctx (config : Gc_config.t) (rheap : Rh.t) =
                 if not !relevant then Vec.push stale src
               end)
             r.Rh.remset;
-          Vec.iter (fun s -> Hashtbl.remove r.Rh.remset s) stale
+          Vec.iter (fun s -> Int_table.remove r.Rh.remset s) stale
         end)
       rheap.Rh.regions;
     Os.sequential_finish store ~pred:(Os.Trace_regions collected) ~marked
@@ -144,23 +145,13 @@ let create_in ctx (config : Gc_config.t) (rheap : Rh.t) =
     let { Region_algo.live; freed; moved_bytes; moved_objects } =
       Region_algo.mark_compact ctx rheap ~collector:"G1" ~min_age:!tenuring
     in
-    (* Rebuild remembered sets exactly: cross-region references only.
-       Retiring emptied the eden, survivor and old regions' sets; a live
-       humongous region's set still holds sources that died or moved,
-       so it restarts empty too. *)
-    Array.iter
-      (fun r ->
-        match r.Rh.kind with
-        | Rh.Humongous -> Hashtbl.reset r.Rh.remset
-        | Rh.Free | Rh.Eden | Rh.Survivor | Rh.Old_region -> ())
-      rheap.Rh.regions;
+    (* Rebuild remembered sets exactly: retiring emptied the eden,
+       survivor and old regions' sets, and humongous sets are always
+       empty. *)
     Os.iter_live store (fun id ->
         let rp = Os.region_index store id in
         if rp >= 0 then
-          Os.iter_refs store id (fun child ->
-              let rc = Os.region_index store child in
-              if rc >= 0 && rp <> rc then
-                Hashtbl.replace rheap.Rh.regions.(rc).Rh.remset id ()));
+          Os.iter_refs store id (Rh.remember rheap ~src:id ~src_region:rp));
     st.eden_bytes <- 0;
     st.mixed_candidates <- [];
     st.phase <- Idle;
@@ -382,19 +373,15 @@ let create_in ctx (config : Gc_config.t) (rheap : Rh.t) =
          scan); (b) every moved object is re-recorded as a source for the
          regions its own references point into. *)
       for i = 0 to Vec.length ext_src - 1 do
-        let src = Vec.get ext_src i and child = Vec.get ext_child i in
-        let rs = Os.region_index store src
-        and rc = Os.region_index store child in
-        if rs >= 0 && rc >= 0 && rs <> rc then
-          Hashtbl.replace rheap.Rh.regions.(rc).Rh.remset src ()
+        let src = Vec.get ext_src i in
+        let rs = Os.region_index store src in
+        if rs >= 0 then
+          Rh.remember rheap ~src ~src_region:rs (Vec.get ext_child i)
       done;
       let update_moved id =
         let ro = Os.region_index store id in
         if ro >= 0 then
-          Os.iter_refs store id (fun child ->
-              let rc = Os.region_index store child in
-              if rc >= 0 && rc <> ro then
-                Hashtbl.replace rheap.Rh.regions.(rc).Rh.remset id ())
+          Os.iter_refs store id (Rh.remember rheap ~src:id ~src_region:ro)
       in
       Vec.iter update_moved surv;
       Vec.iter update_moved prom;

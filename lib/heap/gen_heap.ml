@@ -1,5 +1,5 @@
 module Vec = Gcperf_util.Int_vec
-module Bitset = Gcperf_util.Bitset
+module Int_table = Gcperf_util.Int_table
 
 type t = {
   store : Obj_store.t;
@@ -15,9 +15,7 @@ type t = {
   mutable tenuring_threshold : int;
   young_ids : Vec.t;
   old_ids : Vec.t;
-  dirty_ids : Vec.t;
-  dirty_bits : Bitset.t;
-  dirty_tbl : (int, unit) Hashtbl.t;
+  cards : Int_table.t;
   mutable allocated_bytes : int;
   mutable promoted_bytes : int;
   (* Per-collection scratch, hoisted so steady-state collections allocate
@@ -53,9 +51,7 @@ let create store ~heap_bytes ~young_bytes ?(survivor_ratio = 8)
     tenuring_threshold;
     young_ids = Vec.create ();
     old_ids = Vec.create ();
-    dirty_ids = Vec.create ();
-    dirty_bits = Bitset.create ();
-    dirty_tbl = Hashtbl.create 256;
+    cards = Int_table.create 256;
     allocated_bytes = 0;
     promoted_bytes = 0;
     mark_list = Vec.create ();
@@ -136,14 +132,11 @@ let alloc_old_direct t ~size =
 (* --- remembered set ---------------------------------------------------
 
    The dirty set tracks old objects that may hold references into the
-   young generation.  Membership is a compact id vector plus a bitset
-   (O(1) duplicate suppression on the write-barrier hot path), mirrored
-   by a hash table whose only job is iteration order: the simulator's
-   survivor-overflow decisions depend on the order card children enter a
-   trace, and that order has always been the hash table's bucket order.
-   Keeping the mirror reproduces historical results bit-for-bit; dropping
-   it in favour of first-dirtied vector order moves a handful of
-   tightly-sized configurations by a fraction of a percent.
+   young generation.  It is an [Int_table], the simulator's one
+   hash-order set: the survivor-overflow decisions depend on the order
+   card children enter a trace, and that order has always been a hash
+   table's bucket order, so the set iterates in [Hashtbl] order and
+   results stay bit-for-bit.
 
    Like a hardware card table, a card stays dirty until a collection
    cleans it: a mutator that overwrites its last young reference does not
@@ -154,24 +147,13 @@ let alloc_old_direct t ~size =
    [young_refs] counters; {!rebuild_cards} re-derives the set from the
    old registry after a full collection. *)
 
-let[@inline] entry_present t id = Obj_store.is_old t.store id
-
-let card_mark t id =
-  if not (Bitset.mem t.dirty_bits id) then begin
-    Bitset.set t.dirty_bits id;
-    Vec.push t.dirty_ids id;
-    Hashtbl.replace t.dirty_tbl id ()
-  end
+let card_mark t id = Int_table.replace t.cards id
 
 let iter_dirty t f =
-  (* the emptiness guard skips a full walk of the table's buckets in the
-     (common) collections with no dirty cards *)
-  if Hashtbl.length t.dirty_tbl > 0 then
-    Hashtbl.iter
-      (fun id () -> if Obj_store.is_old t.store id then f id)
-      t.dirty_tbl
+  Int_table.iter (fun id -> if Obj_store.is_old t.store id then f id) t.cards
 
-let card_is_dirty t id = Bitset.mem t.dirty_bits id && entry_present t id
+let card_is_dirty t id =
+  Int_table.mem t.cards id && Obj_store.is_old t.store id
 
 let dirty_count t =
   let n = ref 0 in
@@ -183,23 +165,13 @@ let dirty_count t =
    touching cards); a recycled id is scanned again whatever space it now
    occupies.  Remark has always charged card bytes that way. *)
 let dirty_live_bytes t =
-  Vec.fold
-    (fun acc id ->
-      if Obj_store.is_nowhere t.store id then acc
-      else acc + Obj_store.size t.store id)
-    0 t.dirty_ids
-
-let clear_cards t =
-  (* Emptiness guards: all three structures are no-ops to clear when the
-     set is empty, and entries only ever leave through this function, so
-     an empty mirror table is always at its initial bucket count (the
-     guarded [Hashtbl.reset] cannot be skipped in a state it would have
-     changed). *)
-  if Vec.length t.dirty_ids > 0 then begin
-    Vec.iter (fun id -> Bitset.clear t.dirty_bits id) t.dirty_ids;
-    Vec.clear t.dirty_ids
-  end;
-  if Hashtbl.length t.dirty_tbl > 0 then Hashtbl.reset t.dirty_tbl
+  let bytes = ref 0 in
+  Int_table.iter
+    (fun id ->
+      if not (Obj_store.is_nowhere t.store id) then
+        bytes := !bytes + Obj_store.size t.store id)
+    t.cards;
+  !bytes
 
 let[@inline] consider_card t id =
   if Obj_store.is_old t.store id then begin
@@ -210,15 +182,13 @@ let[@inline] consider_card t id =
 let refresh_cards t ~extra =
   (* Recheck in table order — the order re-insertion has always used. *)
   Vec.clear t.recheck_scratch;
-  if Hashtbl.length t.dirty_tbl > 0 then begin
-    Hashtbl.iter (fun id () -> Vec.push t.recheck_scratch id) t.dirty_tbl;
-    clear_cards t;
-    Vec.iter (fun id -> consider_card t id) t.recheck_scratch
-  end;
+  Int_table.iter (fun id -> Vec.push t.recheck_scratch id) t.cards;
+  Int_table.reset t.cards;
+  Vec.iter (fun id -> consider_card t id) t.recheck_scratch;
   Vec.iter (fun id -> consider_card t id) extra
 
 let rebuild_cards t =
-  clear_cards t;
+  Int_table.reset t.cards;
   (* Object sizes are positive, so zero young bytes means no young
      objects: every recount would find 0 young refs and mark nothing.
      Consumers never read the counters without recounting first, so the

@@ -8,8 +8,8 @@
 
     The remembered set is maintained incrementally: the store counts young
     targets per object ({!Obj_store.young_refs}, updated by the write
-    barrier), and membership is a compact id vector plus a bitset, with a
-    hash-table mirror providing the iteration order (see {!iter_dirty}).
+    barrier), and membership is one {!Gcperf_util.Int_table}, whose
+    [Hashtbl] order is the card-scan order (see {!iter_dirty}).
     Like a hardware card table, a card stays dirty until a collection
     cleans it; {!refresh_cards} restores exactness after every young
     collection from the counters, and {!rebuild_cards} re-derives the set
@@ -36,18 +36,14 @@ type t = {
       (** ids of objects allocated young; may contain stale entries, which
           collectors filter while walking *)
   old_ids : Gcperf_util.Int_vec.t;
-  dirty_ids : Gcperf_util.Int_vec.t;
-      (** remembered set: ids of old objects that may reference young ones,
-          in first-dirtied order; dead or no-longer-old entries are
-          filtered by {!iter_dirty}, entries without remaining young refs
-          stay dirty until the next {!refresh_cards} (card-table
-          semantics) *)
-  dirty_bits : Gcperf_util.Bitset.t;
-      (** membership bitset over [dirty_ids] (duplicate suppression) *)
-  dirty_tbl : (int, unit) Hashtbl.t;
-      (** mirror of the same membership; its bucket order is the
-          remembered-set iteration order (kept so simulated results stay
-          bit-for-bit with the original hash-table remembered set) *)
+  cards : Gcperf_util.Int_table.t;
+      (** remembered set: ids of old objects that may reference young
+          ones; dead or no-longer-old entries are filtered by
+          {!iter_dirty}, entries without remaining young refs stay dirty
+          until the next {!refresh_cards} (card-table semantics).  Its
+          [Hashtbl] order is the card-scan order, kept so simulated
+          results stay bit-for-bit with the original hash-table
+          remembered set *)
   mutable allocated_bytes : int;  (** cumulative bytes ever allocated *)
   mutable promoted_bytes : int;  (** cumulative bytes ever promoted *)
   mark_list : Gcperf_util.Int_vec.t;

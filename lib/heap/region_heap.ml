@@ -1,5 +1,6 @@
 module Vec = Gcperf_util.Int_vec
 module Bitset = Gcperf_util.Bitset
+module Int_table = Gcperf_util.Int_table
 
 type region_kind = Free | Eden | Survivor | Old_region | Humongous
 
@@ -8,7 +9,7 @@ type region = {
   mutable kind : region_kind;
   mutable used : int;
   objects : Vec.t;
-  remset : (int, unit) Hashtbl.t;
+  remset : Int_table.t;
   mutable live_bytes : int;
   mutable hum_len : int;
 }
@@ -96,7 +97,7 @@ let create store ~heap_bytes ?(target_regions = 1024) () =
           kind = Free;
           used = 0;
           objects = Vec.create ();
-          remset = Hashtbl.create 16;
+          remset = Int_table.create 16;
           live_bytes = 0;
           hum_len = 0;
         })
@@ -257,7 +258,6 @@ let release_humongous t id =
       for i = start to start + head.hum_len - 1 do
         let r = t.regions.(i) in
         Vec.clear r.objects;
-        Hashtbl.reset r.remset;
         set_kind t r Free;
         add_used t r (-r.used);
         r.live_bytes <- 0;
@@ -266,12 +266,21 @@ let release_humongous t id =
       Obj_store.free t.store id
   | _ -> invalid_arg "Region_heap.release_humongous: not region-allocated"
 
+(* Humongous regions are never in a collection set, so nothing reads
+   their remsets: they stay empty, and a region leaves the humongous
+   kind with nothing to reset. *)
+let remember t ~src ~src_region child =
+  let rc = Obj_store.region_index t.store child in
+  if rc >= 0 && rc <> src_region then
+    let r = t.regions.(rc) in
+    match r.kind with
+    | Humongous -> ()
+    | Free | Eden | Survivor | Old_region -> Int_table.replace r.remset src
+
 let record_store t ~parent ~child =
   Obj_store.add_ref t.store ~from:parent ~to_:child;
-  let rp = Obj_store.region_index t.store parent
-  and rc = Obj_store.region_index t.store child in
-  if rp >= 0 && rc >= 0 && rp <> rc then
-    Hashtbl.replace t.regions.(rc).remset parent ()
+  let rp = Obj_store.region_index t.store parent in
+  if rp >= 0 then remember t ~src:parent ~src_region:rp child
 
 let remove_store t ~parent ~child =
   Obj_store.remove_ref t.store ~from:parent ~to_:child
@@ -283,7 +292,7 @@ let compact_region_objects t r =
 
 let retire_region t r =
   Vec.clear r.objects;
-  Hashtbl.reset r.remset;
+  Int_table.reset r.remset;
   set_kind t r Free;
   add_used t r (-r.used);
   r.live_bytes <- 0;

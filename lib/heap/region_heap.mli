@@ -14,8 +14,9 @@ type region = {
   mutable used : int;
   objects : Gcperf_util.Int_vec.t;
       (** ids of objects in the region; may contain stale entries *)
-  remset : (int, unit) Hashtbl.t;
-      (** external object ids with references into this region *)
+  remset : Gcperf_util.Int_table.t;
+      (** external object ids with references into this region; empty
+          for humongous regions, which no collection set holds *)
   mutable live_bytes : int;
       (** liveness estimate from the last concurrent marking *)
   mutable hum_len : int;
@@ -114,8 +115,12 @@ val is_humongous : t -> size:int -> bool
 (** HotSpot rule: an object of more than half a region is humongous. *)
 
 val record_store : t -> parent:int -> child:int -> unit
-(** Write barrier: adds the reference and updates the target region's
-    remembered set when the edge crosses regions. *)
+(** Write barrier: adds the reference and {!remember}s the parent. *)
+
+val remember : t -> src:int -> src_region:int -> int -> unit
+(** [remember t ~src ~src_region child] adds [src], an object in region
+    [src_region], to the remembered set of [child]'s region when that is
+    another region and not a humongous one. *)
 
 val remove_store : t -> parent:int -> child:int -> unit
 

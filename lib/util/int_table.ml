@@ -4,36 +4,32 @@
    staying monomorphic and allocation-free on the add/remove fast path
    (no generic-hash C call, no [Cons] cell per binding).
 
-   Root sets iterate in hash-table order and that order feeds GC traces,
-   whose visit order decides survivor-overflow promotion splits in the
-   simulator: swapping in a structure with any other iteration order
-   changes simulated results.  Fidelity is enforced by the test suite,
-   which drives this module and [Hashtbl] through identical operation
-   sequences and compares iteration orders (see test_util.ml). *)
+   Root sets, dirty cards and G1's region remembered sets iterate in
+   hash-table order and that order feeds GC traces, whose visit order
+   decides survivor-overflow promotion splits in the simulator: swapping
+   in a structure with any other iteration order changes simulated
+   results.  Fidelity is enforced by the test suite, which drives this
+   module and [Hashtbl] through identical operation sequences and
+   compares iteration orders (see test_util.ml). *)
 
-type bucket = { mutable keys : int array; mutable blen : int }
+(* [buckets.(i)] holds bucket [i]'s keys in traversal order at indices
+   [1 .. n], with [n] at index 0.  A bucket that has never held a key is
+   the shared empty array, which is never written: the first insert
+   replaces it.  The bucket array itself is the empty array until the
+   first insert (and again after a [reset] of a grown table), so an
+   empty table is its record alone: a region heap holds one remembered
+   set per region, most of them empty.
 
+   [last_key]/[last_hash] memoise the most recent hash: a root is often
+   dropped right after it was added, and the (fidelity-mandated)
+   MurmurHash is the dominant cost of both operations. *)
 type t = {
-  mutable buckets : bucket array;
+  mutable buckets : int array array;
   mutable size : int;
-  (* Derived from [Array.length buckets], maintained on create/resize/
-     reset: the add/remove fast path reads these instead of re-deriving
-     them from the bucket array's header each call. *)
-  mutable mask : int;
-  mutable resize_at : int;
   initial_buckets : int;
-  (* Direct-mapped hash cache: the store recycles object ids through its
-     free list, so a root set sees the same few hundred keys over and
-     over — caching the (expensive, fidelity-mandated) MurmurHash per
-     key turns the add/remove fast path into a mask and two loads.  The
-     cache only memoises hash values, never bindings, so table semantics
-     are untouched.  [cache_keys] starts at [min_int] (never a real
-     key); a key equal to [min_int] just recomputes every time. *)
-  cache_keys : int array;
-  cache_vals : int array;
+  mutable last_key : int;
+  mutable last_hash : int;
 }
-
-let cache_size = 256
 
 (* [Hashtbl.hash] on an [int], reimplemented: MurmurHash3 mixing of the
    64-bit word folded to 32 bits, then the final avalanche, masked to 30
@@ -74,157 +70,167 @@ let rec power_2_above x n =
   else if x * 2 > Sys.max_array_length then x
   else power_2_above (x * 2) n
 
-let fresh_bucket _ = { keys = [||]; blen = 0 }
-
 let create n =
-  let nb = power_2_above 16 n in
   {
-    buckets = Array.init nb fresh_bucket;
+    buckets = [||];
     size = 0;
-    mask = nb - 1;
-    resize_at = nb lsl 1;
-    initial_buckets = nb;
-    cache_keys = Array.make cache_size min_int;
-    cache_vals = Array.make cache_size 0;
+    initial_buckets = power_2_above 16 n;
+    last_key = 0;
+    last_hash = hash_int 0;
   }
 
 let length t = t.size
 
-(* Buckets are stored in traversal order: index 0 is the chain head (the
-   most recent insertion), as [Hashtbl.add]'s prepend leaves it. *)
+let[@inline] count (keys : int array) =
+  if Array.length keys = 0 then 0 else Array.unsafe_get keys 0
 
-(* Shifts use manual loops, not [Array.blit]: buckets hold a handful of
-   keys and the blit's C call costs more than the moves themselves. *)
-let bucket_prepend b k =
-  let cap = Array.length b.keys in
-  if b.blen = cap then begin
-    let nk = Array.make (if cap = 0 then 4 else cap * 2) 0 in
-    for i = b.blen downto 1 do
-      Array.unsafe_set nk i (Array.unsafe_get b.keys (i - 1))
-    done;
-    Array.unsafe_set nk 0 k;
-    b.keys <- nk
-  end
+let[@inline] hash t k =
+  if k = t.last_key then t.last_hash
   else begin
-    (* blen < cap here, so every index below is in bounds. *)
-    let keys = b.keys in
-    for i = b.blen downto 1 do
-      Array.unsafe_set keys i (Array.unsafe_get keys (i - 1))
-    done;
-    Array.unsafe_set keys 0 k
-  end;
-  b.blen <- b.blen + 1
+    let h = hash_int k in
+    t.last_key <- k;
+    t.last_hash <- h;
+    h
+  end
 
-let bucket_append b k =
-  let cap = Array.length b.keys in
-  if b.blen = cap then begin
-    let nk = Array.make (if cap = 0 then 4 else cap * 2) 0 in
-    Array.blit b.keys 0 nk 0 b.blen;
-    b.keys <- nk
-  end;
-  b.keys.(b.blen) <- k;
-  b.blen <- b.blen + 1
+(* The bucket count is a power of two, so masking keeps every index in
+   bounds once the buckets exist (callers check); likewise the loops
+   below stay inside [1 .. count keys]. *)
+let[@inline] index t k = hash t k land (Array.length t.buckets - 1)
+
+(* [keys] itself when one more key fits, else a doubled array (at least
+   4 slots) installed in its place, into which the caller copies the
+   keys. *)
+let[@inline] room bs bi keys n =
+  if n + 1 < Array.length keys then keys
+  else begin
+    let nk = Array.make (Int.max 4 (2 * Array.length keys)) 0 in
+    Array.unsafe_set bs bi nk;
+    nk
+  end
+
+(* [Hashtbl.add] puts a binding at its chain's head.  Shifts use manual
+   loops, not [Array.blit]: buckets hold a handful of keys and the
+   blit's C call costs more than the moves themselves. *)
+let prepend bs bi k =
+  let keys = Array.unsafe_get bs bi in
+  let n = count keys in
+  let dst = room bs bi keys n in
+  for i = n downto 1 do
+    Array.unsafe_set dst (i + 1) (Array.unsafe_get keys i)
+  done;
+  Array.unsafe_set dst 1 k;
+  Array.unsafe_set dst 0 (n + 1)
 
 (* [Hashtbl]'s resize appends each binding to its new chain's tail while
    walking the old table in traversal order, so relative order survives a
    resize; appending here reproduces that. *)
+let append bs bi k =
+  let keys = Array.unsafe_get bs bi in
+  let n = count keys in
+  let dst = room bs bi keys n in
+  if dst != keys then
+    for i = 1 to n do
+      Array.unsafe_set dst i (Array.unsafe_get keys i)
+    done;
+  Array.unsafe_set dst (n + 1) k;
+  Array.unsafe_set dst 0 (n + 1)
+
 let resize t =
   let ob = t.buckets in
   let nsize = Array.length ob * 2 in
   if nsize < Sys.max_array_length then begin
-    let nb = Array.init nsize fresh_bucket in
+    let nb = Array.make nsize [||] in
     t.buckets <- nb;
-    let mask = nsize - 1 in
-    t.mask <- mask;
-    t.resize_at <- nsize lsl 1;
     Array.iter
-      (fun b ->
-        for i = 0 to b.blen - 1 do
-          let k = b.keys.(i) in
-          bucket_append nb.(hash_int k land mask) k
+      (fun keys ->
+        for i = 1 to count keys do
+          let k = Array.unsafe_get keys i in
+          append nb (hash_int k land (nsize - 1)) k
         done)
       ob
   end
 
-let[@inline] memo_hash_int t k =
-  let slot = k land (cache_size - 1) in
-  if Array.unsafe_get t.cache_keys slot = k then
-    Array.unsafe_get t.cache_vals slot
-  else begin
-    let h = hash_int k in
-    Array.unsafe_set t.cache_keys slot k;
-    Array.unsafe_set t.cache_vals slot h;
-    h
-  end
+let[@inline] materialise t =
+  if Array.length t.buckets = 0 then
+    t.buckets <- Array.make t.initial_buckets [||]
 
-let[@inline] index t k = memo_hash_int t k land t.mask
-
-(* [index] masks by the bucket count, so the lookup is always in
-   bounds; likewise scans below [blen] stay inside [keys]. *)
-let[@inline] bucket t k = Array.unsafe_get t.buckets (index t k)
+let insert t bi k =
+  prepend t.buckets bi k;
+  t.size <- t.size + 1;
+  if t.size > 2 * Array.length t.buckets then resize t
 
 let add t k =
-  bucket_prepend (bucket t k) k;
-  t.size <- t.size + 1;
-  if t.size > t.resize_at then resize t
+  materialise t;
+  insert t (index t k) k
 
 (* Top-level, fully-applied scan: a local [let rec] capturing the bucket
    would allocate its closure on every call.  The annotation keeps the
    key test an inline [int] compare rather than a generic one. *)
-let rec scan_from (keys : int array) blen (k : int) i =
-  if i >= blen then -1
+let rec scan_from (keys : int array) n (k : int) i =
+  if i > n then -1
   else if Array.unsafe_get keys i = k then i
-  else scan_from keys blen k (i + 1)
+  else scan_from keys n k (i + 1)
 
 let mem t k =
-  let b = bucket t k in
-  scan_from b.keys b.blen k 0 >= 0
+  t.size > 0
+  &&
+  let keys = Array.unsafe_get t.buckets (index t k) in
+  scan_from keys (count keys) k 1 > 0
 
 (* [Hashtbl.replace] of a present key rewrites its data cell in place —
    for a set that is a no-op — and otherwise inserts like [add]. *)
-let replace t k = if not (mem t k) then add t k
+let replace t k =
+  materialise t;
+  let bi = index t k in
+  let keys = Array.unsafe_get t.buckets bi in
+  if scan_from keys (count keys) k 1 < 0 then insert t bi k
 
 (* Head hit first, scan second: removal of the most recent insertion —
    the allocate/drop-root churn pattern — finds its key at the chain
    head, where [add]'s prepend put it. *)
 let remove t k =
-  let b = bucket t k in
-  let keys = b.keys and blen = b.blen in
-  let i =
-    if blen > 0 && Array.unsafe_get keys 0 = k then 0
-    else scan_from keys blen k 1
-  in
-  if i >= 0 then begin
-    let last = blen - 1 in
-    for j = i to last - 1 do
-      Array.unsafe_set keys j (Array.unsafe_get keys (j + 1))
-    done;
-    b.blen <- last;
-    t.size <- t.size - 1
+  if t.size > 0 then begin
+    let keys = Array.unsafe_get t.buckets (index t k) in
+    let n = count keys in
+    let i =
+      if n > 0 && Array.unsafe_get keys 1 = k then 1
+      else scan_from keys n k 2
+    in
+    if i > 0 then begin
+      for j = i to n - 1 do
+        Array.unsafe_set keys j (Array.unsafe_get keys (j + 1))
+      done;
+      Array.unsafe_set keys 0 (n - 1);
+      t.size <- t.size - 1
+    end
   end
 
 (* Direct nested loop, no [Array.iter]: root-set iteration seeds every
    trace, and the per-bucket closure invocation dominates on mostly-empty
    tables.  The size guard skips the bucket walk entirely for empty
-   tables (a fresh table still has its initial buckets to scan). *)
+   tables (one emptied by removals keeps all its buckets). *)
 let iter f t =
   if t.size > 0 then begin
     let bs = t.buckets in
     for bi = 0 to Array.length bs - 1 do
-      let b = Array.unsafe_get bs bi in
-      let keys = b.keys in
-      for i = 0 to b.blen - 1 do
+      let keys = Array.unsafe_get bs bi in
+      for i = 1 to count keys do
         f (Array.unsafe_get keys i)
       done
     done
   end
 
+(* At the initial bucket count the key arrays are kept and emptied (an
+   empty table's counts are already 0); a grown table drops its buckets,
+   as a fresh one has none. *)
 let reset t =
-  t.size <- 0;
-  if Array.length t.buckets = t.initial_buckets then
-    Array.iter (fun b -> b.blen <- 0) t.buckets
-  else begin
-    t.buckets <- Array.init t.initial_buckets fresh_bucket;
-    t.mask <- t.initial_buckets - 1;
-    t.resize_at <- t.initial_buckets lsl 1
+  let nb = Array.length t.buckets in
+  if nb = t.initial_buckets then begin
+    if t.size > 0 then
+      Array.iter
+        (fun keys -> if Array.length keys > 0 then Array.unsafe_set keys 0 0)
+        t.buckets
   end
+  else if nb > 0 then t.buckets <- [||];
+  t.size <- 0

@@ -609,12 +609,12 @@ let test_region_remset () =
   let rb = Rh.region_of r b in
   ignore s;
   Alcotest.(check bool) "cross-region remset entry" true
-    (Hashtbl.mem rb.Rh.remset a);
+    (Gcperf_util.Int_table.mem rb.Rh.remset a);
   (* Same-region stores do not pollute the remset. *)
   let c = Option.get (Rh.alloc_in_region r reg ~size:1000) in
   Rh.record_store r ~parent:b ~child:c;
   Alcotest.(check bool) "no same-region entry" false
-    (Hashtbl.mem rb.Rh.remset b)
+    (Gcperf_util.Int_table.mem rb.Rh.remset b)
 
 let test_region_release () =
   let s, r = make_region () in

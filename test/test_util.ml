@@ -247,27 +247,47 @@ let test_int_table_hash () =
 let prop_int_table_order =
   (* Iteration-order fidelity against a real [(int, unit) Hashtbl.t]:
      identical operation sequences must leave identical iteration orders
-     (which subsumes membership and size), across resizes and resets. *)
+     (which subsumes membership and size), across resizes and resets.
+     The creation sizes are the three the simulator uses (remsets 16,
+     root sets 64, cards 256); keys up to 5000 and up to 3000 operations
+     grow even a 256-bucket table through resizes.  Operation 4 is G1's
+     remset prune: collect keys during [iter], then remove them. *)
   QCheck.Test.make ~name:"int_table matches Hashtbl iteration order"
     ~count:200
-    QCheck.(list (pair (int_range 0 3) (int_range 0 300)))
-    (fun ops ->
-      let t = Itbl.create 16 in
-      let h : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+    QCheck.(
+      pair (oneofl [ 16; 64; 256 ])
+        (list_of_size (Gen.int_range 0 3000)
+           (pair (int_range 0 5) (int_range 0 5000))))
+    (fun (size, ops) ->
+      let t = Itbl.create size in
+      let h : (int, unit) Hashtbl.t = Hashtbl.create size in
+      let mem_agrees = ref true in
       List.iter
         (fun (op, k) ->
           match op with
           | 0 ->
               Itbl.add t k;
               Hashtbl.add h k ()
-          | 1 ->
+          | 1 | 5 ->
               Itbl.replace t k;
               Hashtbl.replace h k ()
           | 2 ->
               Itbl.remove t k;
               Hashtbl.remove h k
+          | 3 ->
+              if Itbl.mem t k <> Hashtbl.mem h k then mem_agrees := false
           | _ ->
-              if k < 15 then begin
+              if k mod 50 = 0 then begin
+                let stale iter =
+                  let acc = ref [] in
+                  iter (fun x -> if x mod 3 = 0 then acc := x :: !acc);
+                  !acc
+                in
+                List.iter (Itbl.remove t) (stale (fun f -> Itbl.iter f t));
+                List.iter (Hashtbl.remove h)
+                  (stale (fun f -> Hashtbl.iter (fun x () -> f x) h))
+              end
+              else if k < 3 then begin
                 (* occasional reset exercises the initial-buckets path *)
                 Itbl.reset t;
                 Hashtbl.reset h
@@ -278,9 +298,23 @@ let prop_int_table_order =
         tbl_iter (fun k -> acc := k :: !acc);
         List.rev !acc
       in
-      Itbl.length t = Hashtbl.length h
+      !mem_agrees
+      && Itbl.length t = Hashtbl.length h
       && order (fun f -> Itbl.iter f t)
          = order (fun f -> Hashtbl.iter (fun k () -> f k) h))
+
+let test_int_table_size () =
+  (* A region heap holds one remset per region, mostly empty: an empty
+     table must cost no more host words than the [Hashtbl] it stands in
+     for, at each creation size the simulator uses. *)
+  List.iter
+    (fun n ->
+      let words x = Obj.reachable_words (Obj.repr x) in
+      let itbl = words (Itbl.create n)
+      and htbl = words (Hashtbl.create n : (int, unit) Hashtbl.t) in
+      if itbl > htbl then
+        Alcotest.failf "create %d: %d words, Hashtbl %d" n itbl htbl)
+    [ 16; 64; 256 ]
 
 (* --- Heapq ---------------------------------------------------------- *)
 
@@ -518,6 +552,8 @@ let () =
           Alcotest.test_case "hash_int = Hashtbl.hash" `Quick
             test_int_table_hash;
           QCheck_alcotest.to_alcotest prop_int_table_order;
+          Alcotest.test_case "empty table no larger than Hashtbl" `Quick
+            test_int_table_size;
         ] );
       ( "heapq",
         [
