@@ -156,12 +156,14 @@ let run_cmd =
   let run id scope format jobs out =
     let scope = resolve_scope scope in
     let format = parse_format format in
-    match Gcperf.Experiments.artifact ~scope ?jobs id with
+    match Gcperf.Experiments.find id with
     | None ->
         Printf.eprintf "unknown experiment %S%s; try `gcperf list`\n" id
           (did_you_mean ~candidates:Gcperf.Experiments.all_names id);
         exit 1
-    | Some artifact -> emit out (Gcperf.Artifact.render artifact format)
+    | Some e ->
+        let artifact = Gcperf.Experiment.artifact ~scope ?jobs e in
+        emit out (Gcperf.Experiment.render e artifact format)
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -560,11 +562,8 @@ let all_cmd =
        the campaign memo, so the full sweep costs no duplicate work. *)
     List.iter
       (fun (e : Gcperf.Experiment.t) ->
-        match Gcperf.Experiment.artifact ~scope ?jobs e with
-        | Some artifact ->
-            Printf.printf "==== %s ====\n%s\n%!" e.id
-              (Gcperf.Artifact.to_text artifact)
-        | None -> assert false)
+        Printf.printf "==== %s ====\n%s\n%!" e.id
+          (e.text (Gcperf.Experiment.artifact ~scope ?jobs e)))
       Gcperf.Experiments.all
   in
   Cmd.v (Cmd.info "all" ~doc)
@@ -588,7 +587,10 @@ let check_identity_cmd =
     in
     List.iter
       (fun (e : Gcperf.Experiment.t) ->
-        match Gcperf.Experiment.check_golden ?jobs e with
+        match
+          Gcperf.Experiment.check_golden e
+            (Gcperf.Experiment.artifact ~scope:Gcperf.Scope.ci ?jobs e)
+        with
         | Ok () -> Printf.printf "ok %s\n%!" e.id
         | Error msg -> fail e.id msg)
       experiments;

@@ -6,27 +6,11 @@ module Gc_event = Gcperf_sim.Gc_event
 module Vm = Gcperf_runtime.Vm
 module Server = Gcperf_kvstore.Server
 module Table = Gcperf_report.Table
+module A = Artifact
 
-type g1_full_row = {
-  mode : string;
-  total_s : float;
-  max_full_pause_s : float;
-}
-
-type numa_row = { numa_factor : float; full_pause_s : float }
-
-type tenuring_row = {
-  threshold : int;
-  pauses : int;
-  avg_pause_s : float;
-  total_pause_s : float;
-}
-
-type result = {
-  g1_full : g1_full_row list;
-  numa : numa_row list;
-  tenuring : tenuring_row list;
-}
+(* One (section, config, metric, value) row. *)
+let row section config metric value =
+  A.[ Text section; Text config; Text metric; Float value ]
 
 let max_full events =
   List.fold_left
@@ -50,13 +34,12 @@ let ablate_g1_full ~scope ~jobs =
       Harness.run ~seed:Exp_common.seed ~iterations machine bench ~gc
         ~system_gc:true ()
     in
-    {
-      mode;
-      total_s = r.Harness.total_s;
-      max_full_pause_s = max_full r.Harness.events;
-    }
+    [
+      row "g1-full" mode "total_s" r.Harness.total_s;
+      row "g1-full" mode "max_full_pause_s" (max_full r.Harness.events);
+    ]
   in
-  Exp_common.Pool.map_list ~jobs one
+  List.concat @@ Exp_common.Pool.map_list ~jobs one
     [
       ("serial full GC (JDK8)", false);
       ("parallel full GC (ablation)", true);
@@ -92,7 +75,10 @@ let ablate_numa ~scope ~jobs =
        Server.run server ~duration_s:(hours *. 3600.0) ~ops_per_s:1500.0
          ~read_frac:0.5 ~insert_frac:0.3
      with Gcperf_gc.Gc_ctx.Out_of_memory _ -> ());
-    { numa_factor; full_pause_s = max_full (Gc_event.events (Vm.events vm)) }
+    row "numa"
+      (Printf.sprintf "%g" numa_factor)
+      "full_pause_s"
+      (max_full (Gc_event.events (Vm.events vm)))
   in
   Exp_common.Pool.map_list ~jobs one
     [ 3.2 (* the model's default *); 1.0 (* NUMA-oblivious ideal *) ]
@@ -103,7 +89,7 @@ let ablate_tenuring ~scope ~jobs =
   let bench = Option.get (Suite.find "h2") in
   let iterations = Scope.scaled scope 10 in
   let thresholds = [ 1; 3; 6; 12 ] in
-  Exp_common.Pool.map_list ~jobs
+  List.concat @@ Exp_common.Pool.map_list ~jobs
     (fun threshold ->
       let gc =
         (* A survivor space large enough (300 MB, adaptive target 150 MB,
@@ -127,23 +113,39 @@ let ablate_tenuring ~scope ~jobs =
           (fun acc e -> acc +. (e.Gc_event.duration_us /. 1e6))
           0.0 r.Harness.events
       in
-      {
-        threshold;
-        pauses;
-        avg_pause_s =
+      let config = string_of_int threshold in
+      [
+        row "tenuring" config "pauses" (float_of_int pauses);
+        row "tenuring" config "avg_pause_s"
           (if pauses = 0 then 0.0 else total /. float_of_int pauses);
-        total_pause_s = total;
-      })
+        row "tenuring" config "total_pause_s" total;
+      ])
     thresholds
 
-let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
-  {
-    g1_full = ablate_g1_full ~scope ~jobs;
-    numa = ablate_numa ~scope ~jobs;
-    tenuring = ablate_tenuring ~scope ~jobs;
-  }
+let run_scope (make : A.make) ~scope ?(jobs = Exp_common.default_jobs ()) () =
+  let g1_full = ablate_g1_full ~scope ~jobs in
+  let numa = ablate_numa ~scope ~jobs in
+  let tenuring = ablate_tenuring ~scope ~jobs in
+  make ~params:[]
+    ~columns:[ "section"; "config"; "metric"; "value" ]
+    ~rows:(g1_full @ numa @ tenuring)
 
-let render r =
+(* The configs of [section] in row order, each with its metric lookup. *)
+let section a name =
+  let rows = A.where a "section" name in
+  List.map
+    (fun config ->
+      let value metric =
+        A.float a "value"
+          (List.find
+             (fun r ->
+               A.text a "config" r = config && A.text a "metric" r = metric)
+             rows)
+      in
+      (config, value))
+    (A.distinct a "config" rows)
+
+let render a =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     "Ablation studies (design choices from DESIGN.md, removed one at a time)\n\n";
@@ -157,10 +159,12 @@ let render r =
         ]
   in
   List.iter
-    (fun row ->
+    (fun (mode, v) ->
       Table.add_row t1
-        [ row.mode; Table.cell_f row.total_s; Table.cell_f row.max_full_pause_s ])
-    r.g1_full;
+        [
+          mode; Table.cell_f (v "total_s"); Table.cell_f (v "max_full_pause_s");
+        ])
+    (section a "g1-full");
   Buffer.add_string buf "1. G1's single-threaded full collection (JDK8)\n";
   Buffer.add_string buf (Table.render t1);
   let t2 =
@@ -172,10 +176,13 @@ let render r =
         ]
   in
   List.iter
-    (fun row ->
+    (fun (factor, v) ->
       Table.add_row t2
-        [ Table.cell_f ~decimals:1 row.numa_factor; Table.cell_f row.full_pause_s ])
-    r.numa;
+        [
+          Table.cell_f ~decimals:1 (float_of_string factor);
+          Table.cell_f (v "full_pause_s");
+        ])
+    (section a "numa");
   Buffer.add_string buf "\n2. NUMA remote-access penalty\n";
   Buffer.add_string buf (Table.render t2);
   let t3 =
@@ -189,15 +196,15 @@ let render r =
         ]
   in
   List.iter
-    (fun row ->
+    (fun (threshold, v) ->
       Table.add_row t3
         [
-          string_of_int row.threshold;
-          string_of_int row.pauses;
-          Table.cell_f ~decimals:3 row.avg_pause_s;
-          Table.cell_f ~decimals:3 row.total_pause_s;
+          threshold;
+          string_of_int (int_of_float (v "pauses"));
+          Table.cell_f ~decimals:3 (v "avg_pause_s");
+          Table.cell_f ~decimals:3 (v "total_pause_s");
         ])
-    r.tenuring;
+    (section a "tenuring");
   Buffer.add_string buf "\n3. Tenuring threshold (h2, 4 GB heap, 3 GB young)\n";
   Buffer.add_string buf (Table.render t3);
   Buffer.contents buf

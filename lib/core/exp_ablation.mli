@@ -17,30 +17,10 @@
       1 promotes everything (old fills, long pauses), very high
       thresholds re-copy survivors forever. *)
 
-type g1_full_row = {
-  mode : string;  (** "serial (JDK8)" or "parallel (ablation)" *)
-  total_s : float;
-  max_full_pause_s : float;
-}
+val run_scope :
+  Artifact.make -> scope:Scope.t -> ?jobs:int -> unit -> Artifact.t
+(** One row per measured figure: [section] ("g1-full", "numa" or
+    "tenuring"), [config] (the full-GC mode, the NUMA factor as [%g] or
+    the tenuring threshold), [metric] and its [value]. *)
 
-type numa_row = {
-  numa_factor : float;
-  full_pause_s : float;  (** stressed-server full collection *)
-}
-
-type tenuring_row = {
-  threshold : int;
-  pauses : int;
-  avg_pause_s : float;
-  total_pause_s : float;
-}
-
-type result = {
-  g1_full : g1_full_row list;
-  numa : numa_row list;
-  tenuring : tenuring_row list;
-}
-
-val run_scope : scope:Scope.t -> ?jobs:int -> unit -> result
-
-val render : result -> string
+val render : Artifact.t -> string

@@ -7,22 +7,26 @@
     statistics (average, extremes, and the 0.5-1.5x / >2^n x bands with
     their GC correlation). *)
 
-type gc_experiment = {
-  gc : string;
-  points : Gcperf_ycsb.Client.point array;
-  server : Exp_server.server_run;
-  read_report : Gcperf_stats.Stats.latency_report;
-  update_report : Gcperf_stats.Stats.latency_report;
-}
+val run_scope :
+  fig5:Artifact.make ->
+  table567:Artifact.make ->
+  scope:Scope.t ->
+  ?jobs:int ->
+  unit ->
+  Artifact.t list
+(** Both artifacts from one campaign over ParallelOld, CMS and G1.
 
-type result = {
-  parallel_old : gc_experiment;
-  cms : gc_experiment;
-  g1 : gc_experiment;
-}
+    Figure 5 gives each collector a [row_kind] "run" row ([gc],
+    [points], [max_latency_ms], [gc_correlated_points]), then its plotted
+    points: the highest 10 000 latencies as "read" and "update" rows and
+    the server's pauses as "pause" rows (pause length in ms), each with
+    [time_s] and [latency_ms]; the other cells of each row are 0.
 
-val run_scope : scope:Scope.t -> ?jobs:int -> unit -> result
+    Tables 5-7 give one row per (collector, [op], [band]): the op's
+    [avg_ms], [min_ms] and [max_ms], the band's [pct_requests] and
+    [pct_gc], and the run's [points].  Each op's first band is
+    0.5x-1.5x AVG. *)
 
-val render_figure5 : result -> string
+val render_figure5 : Artifact.t -> string
 
-val render_tables567 : result -> string
+val render_tables567 : Artifact.t -> string

@@ -8,6 +8,7 @@ module Session = Gcperf_ycsb.Session
 module Gateway = Gcperf_kvstore.Gateway
 module Profile = Gcperf_fault.Profile
 module Table = Gcperf_report.Table
+module A = Artifact
 
 type cell = {
   gc : string;
@@ -201,7 +202,65 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
   run_grid ~scope ~jobs ~ring_sizes:(ring_sizes scope)
     ~fanouts:(fanouts scope) ()
 
-let render r =
+let to_artifact (make : A.make) r =
+  let module C = Coordinator in
+  make
+    ~params:
+      [
+        ("replication", string_of_int r.replication);
+        ("node_ooms", string_of_int r.node_ooms);
+      ]
+    ~columns:
+      [
+        "gc";
+        "ring";
+        "fanout";
+        "hedge";
+        "node_pause_pct";
+        "requests";
+        "ok";
+        "failed";
+        "sends";
+        "hedges";
+        "hedge_wins";
+        "hints";
+        "pause_intersection_pct";
+        "max_inflight";
+        "goodput_ops_s";
+        "p50_ms";
+        "p99_ms";
+        "p999_ms";
+        "max_ms";
+      ]
+    ~rows:
+      (List.map
+         (fun c ->
+           let m = c.summary in
+           A.
+             [
+               Text c.gc;
+               Int c.ring_size;
+               Int c.fanout;
+               Bool c.hedged;
+               Float c.node_pause_pct;
+               Int m.C.requests;
+               Int m.C.ok;
+               Int m.C.failed;
+               Int m.C.sends;
+               Int m.C.hedges;
+               Int m.C.hedge_wins;
+               Int m.C.hints;
+               Float m.C.pause_intersection_pct;
+               Int m.C.max_inflight;
+               Float m.C.goodput_ops_s;
+               Float m.C.p50_ms;
+               Float m.C.p99_ms;
+               Float m.C.p999_ms;
+               Float m.C.max_ms;
+             ])
+         r.cells)
+
+let render a =
   let t =
     Table.create
       ~columns:
@@ -220,40 +279,43 @@ let render r =
           ("hedge-win", Table.Right);
         ]
   in
-  let last = ref "" in
+  (* A rule between collectors. *)
+  let last = ref None in
   List.iter
-    (fun c ->
-      if c.gc <> !last then begin
-        if !last <> "" then Table.add_separator t;
-        last := c.gc
-      end;
-      let m = c.summary in
+    (fun row ->
+      let gc = A.text a "gc" row in
+      (match !last with
+      | Some g when g <> gc -> Table.add_separator t
+      | _ -> ());
+      last := Some gc;
+      let i column = string_of_int (A.int a column row) in
+      let f column = Table.cell_f (A.float a column row) in
       Table.add_row t
         [
-          c.gc;
-          string_of_int c.ring_size;
-          string_of_int c.fanout;
-          (if c.hedged then "on" else "off");
-          Table.cell_f c.node_pause_pct;
-          Table.cell_f m.Coordinator.pause_intersection_pct;
-          Table.cell_f m.Coordinator.goodput_ops_s;
-          Table.cell_f m.Coordinator.p50_ms;
-          Table.cell_f m.Coordinator.p99_ms;
-          Table.cell_f m.Coordinator.p999_ms;
-          string_of_int m.Coordinator.hints;
-          string_of_int m.Coordinator.hedge_wins;
+          gc;
+          i "ring";
+          i "fanout";
+          (if A.bool a "hedge" row then "on" else "off");
+          f "node_pause_pct";
+          f "pause_intersection_pct";
+          f "goodput_ops_s";
+          f "p50_ms";
+          f "p99_ms";
+          f "p999_ms";
+          i "hints";
+          i "hedge_wins";
         ])
-    r.cells;
+    a.A.rows;
   let requests =
-    match r.cells with [] -> 0 | c :: _ -> c.summary.Coordinator.requests
+    match a.A.rows with [] -> 0 | row :: _ -> A.int a "requests" row
   in
+  let node_ooms = int_of_string (A.param a "node_ooms") in
   Printf.sprintf
     "Cluster ring: tail at scale.  Multi-get requests scatter across a\n\
-     replicated ring (replication %d, read-one/write-two, hinted handoff);\n\
+     replicated ring (replication %s, read-one/write-two, hinted handoff);\n\
      hit%% is the share of requests whose critical path crossed some\n\
      replica's stop-the-world pause (%d requests per cell%s)\n\n\
      %s"
-    r.replication requests
-    (if r.node_ooms > 0 then Printf.sprintf ", %d node OOMs" r.node_ooms
-     else "")
+    (A.param a "replication") requests
+    (if node_ooms > 0 then Printf.sprintf ", %d node OOMs" node_ooms else "")
     (Table.render t)

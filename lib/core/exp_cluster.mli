@@ -47,4 +47,10 @@ val run_grid :
 (** [run_scope] with an explicit grid — the determinism tests drive a
     reduced grid through the same two-phase pool fan-out. *)
 
-val render : result -> string
+val to_artifact : Artifact.make -> result -> Artifact.t
+(** One row per cell: [gc], [ring], [fanout], [hedge],
+    [node_pause_pct] and the cell's
+    {!Gcperf_cluster.Coordinator.summary} fields; the [replication] and
+    [node_ooms] params come from the result. *)
+
+val render : Artifact.t -> string

@@ -6,6 +6,7 @@ module Chart = Gcperf_report.Chart
 module Telemetry = Gcperf_telemetry.Telemetry
 module Gc_event = Gcperf_sim.Gc_event
 module Distill = Gcperf_distill.Distill
+module A = Artifact
 
 (* Distilled cost of every collector (LBO methodology, DESIGN.md §18).
 
@@ -18,17 +19,6 @@ module Distill = Gcperf_distill.Distill
    barrier/journal tax the pauseless family charges on every mutator
    quantum; this table prices it. *)
 
-type cell = {
-  gc : string;
-  heap_bytes : int;
-  young_bytes : int;
-  oom : bool;
-  cost : Distill.cost;
-}
-
-type result = { scope : Scope.t; bench : string; cells : cell list }
-
-let bench_name = "h2"
 let kinds () = Gc_config.extended_kinds
 
 (* The Table 3 ladder with the small-memory block first: ci scope cuts
@@ -41,6 +31,19 @@ let ladder () =
   in
   small @ big
 
+(* The stop-the-world phases the breakdown names, in column order. *)
+let phases =
+  Gc_event.
+    [
+      ("safepoint_s", Safepoint);
+      ("mark_s", Mark);
+      ("copy_s", Copy);
+      ("promote_s", Promote);
+      ("compact_s", Compact);
+      ("remap_s", Remap);
+      ("fold_s", Fold);
+    ]
+
 let one ~machine ~bench ~iterations ((heap, young), kind) =
   (* Per-cell registry: observation only, so enabling it cannot perturb
      the run (Telemetry's non-perturbation invariant) — the sweep stays
@@ -51,68 +54,104 @@ let one ~machine ~bench ~iterations ((heap, young), kind) =
     Harness.run_with_log ~telemetry ~seed:Exp_common.seed ~iterations machine
       bench ~gc ~system_gc:false ()
   in
-  {
-    gc = Gc_config.kind_to_string kind;
-    heap_bytes = heap;
-    young_bytes = young;
-    oom = r.Harness.oom;
-    cost = Distill.of_run telemetry log;
-  }
-
-let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
-  let machine = Exp_common.machine () in
-  let bench =
-    match Suite.find bench_name with
-    | Some b -> b
-    | None -> invalid_arg ("Exp_distill: unknown benchmark " ^ bench_name)
+  let k = Distill.of_run telemetry log in
+  let cm = k.Distill.components in
+  let phase p =
+    match List.assoc_opt p cm.Distill.phases with
+    | Some v -> v /. 1e6
+    | None -> 0.0
   in
+  let named = List.fold_left (fun acc (_, p) -> acc +. phase p) 0.0 phases in
+  A.
+    [
+      Text (Gc_config.kind_to_string kind);
+      Int heap;
+      Int young;
+      Float (k.Distill.t_ideal_us /. 1e6);
+      Float (k.Distill.t_real_us /. 1e6);
+      Float k.Distill.distilled;
+      Float k.Distill.stw_over;
+      Float k.Distill.steal_over;
+      Float k.Distill.tax_over;
+      Float (cm.Distill.stw_us /. 1e6);
+      Float (cm.Distill.steal_us /. 1e6);
+      Float (cm.Distill.tax_us /. 1e6);
+      Float (cm.Distill.alloc_us /. 1e6);
+      Bool r.Harness.oom;
+    ]
+  @ List.map (fun (_, p) -> A.Float (phase p)) phases
+  @ A.[ Float (Float.max 0.0 ((cm.Distill.stw_us /. 1e6) -. named)) ]
+
+let run_scope (make : A.make) ~scope ?(jobs = Exp_common.default_jobs ()) () =
+  let machine = Exp_common.machine () in
+  let bench_name = "h2" in
+  let bench = Option.get (Suite.find bench_name) in
   let iterations = Scope.scaled scope 10 in
   let grid = Scope.grid scope (ladder ()) in
-  let cells =
+  let rows =
     Exp_common.Pool.map_list ~jobs
       (fun c -> one ~machine ~bench ~iterations c)
       (List.concat_map
          (fun pt -> List.map (fun k -> (pt, k)) (kinds ()))
          grid)
   in
-  { scope; bench = bench_name; cells }
+  make
+    ~params:
+      [ ("bench", bench_name); ("seed", string_of_int Exp_common.seed) ]
+    ~columns:
+      ([
+         "gc";
+         "heap_bytes";
+         "young_bytes";
+         "t_ideal_s";
+         "t_real_s";
+         "distilled";
+         "stw_over";
+         "steal_over";
+         "tax_over";
+         "stw_s";
+         "steal_s";
+         "tax_s";
+         "alloc_s";
+         "oom";
+       ]
+      @ List.map fst phases @ [ "other_s" ])
+    ~rows
 
 let size_label bytes =
   let mb = bytes / (1024 * 1024) in
   if mb >= 1024 && mb mod 1024 = 0 then Printf.sprintf "%dGB" (mb / 1024)
   else Printf.sprintf "%dMB" mb
 
-let point_label c =
-  Printf.sprintf "%s-%s" (size_label c.heap_bytes) (size_label c.young_bytes)
+let point_label a row =
+  Printf.sprintf "%s-%s"
+    (size_label (A.int a "heap_bytes" row))
+    (size_label (A.int a "young_bytes" row))
 
-(* Mean distilled cost per collector over the non-OOM cells, in
+(* Mean distilled cost per collector over the non-OOM rows, in
    first-seen (= extended_kinds) order. *)
-let ranking cells =
+let ranking a =
   let order = ref [] in
   let sums = Hashtbl.create 8 in
   List.iter
-    (fun c ->
-      if not (Hashtbl.mem sums c.gc) then begin
-        order := c.gc :: !order;
-        Hashtbl.add sums c.gc (0.0, 0)
+    (fun row ->
+      let gc = A.text a "gc" row in
+      if not (Hashtbl.mem sums gc) then begin
+        order := gc :: !order;
+        Hashtbl.add sums gc (0.0, 0)
       end;
-      if not c.oom then begin
-        let s, n = Hashtbl.find sums c.gc in
-        Hashtbl.replace sums c.gc (s +. c.cost.Distill.distilled, n + 1)
+      if not (A.bool a "oom" row) then begin
+        let s, n = Hashtbl.find sums gc in
+        Hashtbl.replace sums gc (s +. A.float a "distilled" row, n + 1)
       end)
-    cells;
+    a.A.rows;
   List.rev !order
   |> List.map (fun gc ->
          let s, n = Hashtbl.find sums gc in
          (gc, if n = 0 then Float.infinity else s /. float_of_int n))
   |> List.stable_sort (fun (_, a) (_, b) -> Float.compare a b)
 
-let phase_total c p =
-  match List.assoc_opt p c.cost.Distill.components.Distill.phases with
-  | Some v -> v
-  | None -> 0.0
-
-let render r =
+let render a =
   let t =
     Table.create
       ~columns:
@@ -127,31 +166,34 @@ let render r =
           ("mutator tax", Table.Right);
         ]
   in
+  let f ?decimals column row = Table.cell_f ?decimals (A.float a column row) in
+  let gc_label row =
+    A.text a "gc" row ^ if A.bool a "oom" row then " [OOM]" else ""
+  in
   let last_point = ref "" in
   List.iter
-    (fun c ->
-      let pt = point_label c in
+    (fun row ->
+      let pt = point_label a row in
       if pt <> !last_point then begin
         last_point := pt;
         Table.add_separator t
       end;
-      let k = c.cost in
       Table.add_row t
         [
-          (c.gc ^ if c.oom then " [OOM]" else "");
+          gc_label row;
           pt;
-          Table.cell_f (k.Distill.t_ideal_us /. 1e6);
-          Table.cell_f (k.Distill.t_real_us /. 1e6);
-          Table.cell_f ~decimals:4 k.Distill.distilled;
-          Table.cell_f ~decimals:4 k.Distill.stw_over;
-          Table.cell_f ~decimals:4 k.Distill.steal_over;
-          Table.cell_f ~decimals:4 k.Distill.tax_over;
+          f "t_ideal_s" row;
+          f "t_real_s" row;
+          f ~decimals:4 "distilled" row;
+          f ~decimals:4 "stw_over" row;
+          f ~decimals:4 "steal_over" row;
+          f ~decimals:4 "tax_over" row;
         ])
-    r.cells;
+    a.A.rows;
   (* Per-phase STW breakdown at the first ladder point (the paper's
      64 GB deployment size): where the stop-the-world share is spent. *)
   let first_pt =
-    match r.cells with [] -> "" | c :: _ -> point_label c
+    match a.A.rows with [] -> "" | row :: _ -> point_label a row
   in
   let pt_table =
     let pt =
@@ -170,32 +212,17 @@ let render r =
           ]
     in
     List.iter
-      (fun c ->
-        if point_label c = first_pt then begin
-          let p ph = phase_total c ph /. 1e6 in
-          let named =
-            p Gc_event.Safepoint +. p Gc_event.Mark +. p Gc_event.Copy
-            +. p Gc_event.Promote +. p Gc_event.Compact +. p Gc_event.Remap
-            +. p Gc_event.Fold
-          in
-          let total = c.cost.Distill.components.Distill.stw_us /. 1e6 in
+      (fun row ->
+        if point_label a row = first_pt then
           Table.add_row pt
-            [
-              c.gc;
-              Table.cell_f ~decimals:3 (p Gc_event.Safepoint);
-              Table.cell_f ~decimals:3 (p Gc_event.Mark);
-              Table.cell_f ~decimals:3 (p Gc_event.Copy);
-              Table.cell_f ~decimals:3 (p Gc_event.Promote);
-              Table.cell_f ~decimals:3 (p Gc_event.Compact);
-              Table.cell_f ~decimals:3 (p Gc_event.Remap);
-              Table.cell_f ~decimals:3 (p Gc_event.Fold);
-              Table.cell_f ~decimals:3 (Float.max 0.0 (total -. named));
-            ]
-        end)
-      r.cells;
+            (A.text a "gc" row
+            :: List.map
+                 (fun column -> f ~decimals:3 column row)
+                 (List.map fst phases @ [ "other_s" ])))
+      a.A.rows;
     Table.render pt
   in
-  let rank = ranking r.cells in
+  let rank = ranking a in
   let bars =
     Chart.bars ~title:"Mean distilled cost (lower is better)"
       (List.map
@@ -207,10 +234,10 @@ let render r =
      x = ladder point index. *)
   let points = ref [] in
   List.iter
-    (fun c ->
-      let pt = point_label c in
+    (fun row ->
+      let pt = point_label a row in
       if not (List.mem pt !points) then points := pt :: !points)
-    r.cells;
+    a.A.rows;
   let points = List.rev !points in
   let glyph_of = function
     | "SerialGC" -> 'S'
@@ -239,14 +266,14 @@ let render r =
           (fun (gc, _) ->
             let pts =
               List.filter_map
-                (fun c ->
-                  if c.gc = gc && not c.oom then
-                    match index_of (point_label c) with
+                (fun row ->
+                  if A.text a "gc" row = gc && not (A.bool a "oom" row) then
+                    match index_of (point_label a row) with
                     | Some idx ->
-                        Some (float_of_int idx, c.cost.Distill.distilled)
+                        Some (float_of_int idx, A.float a "distilled" row)
                     | None -> None
                   else None)
-                r.cells
+                a.A.rows
               |> Array.of_list
             in
             { Chart.label = gc; glyph = glyph_of gc; points = pts })
@@ -262,9 +289,10 @@ let render r =
      benchmark with collector costs struck out (allocation tax kept);\n\
      distilled = (t_real - t_ideal)/t_ideal, split into stop-the-world,\n\
      concurrent core-steal and barrier/journal mutator-tax shares\n\
-     (seed %d)\n\n\
+     (seed %s)\n\n\
      %s\n\
      Stop-the-world phase breakdown at %s:\n\n\
      %s\n\
      %s%s"
-    r.bench Exp_common.seed (Table.render t) first_pt pt_table bars curve
+    (A.param a "bench") (A.param a "seed") (Table.render t) first_pt pt_table
+    bars curve

@@ -11,21 +11,19 @@
     a ranking by what a collector actually costs rather than how long
     it pauses.  See DESIGN.md §18. *)
 
-type cell = {
-  gc : string;
-  heap_bytes : int;
-  young_bytes : int;
-  oom : bool;
-  cost : Gcperf_distill.Distill.cost;
-}
+val run_scope :
+  Artifact.make -> scope:Scope.t -> ?jobs:int -> unit -> Artifact.t
+(** One row per (ladder point, collector): [gc], [heap_bytes],
+    [young_bytes], [oom], the distilled cost ([t_ideal_s], [t_real_s],
+    [distilled] and its [stw_over], [steal_over] and [tax_over] shares),
+    its components in seconds ([stw_s], [steal_s], [tax_s], [alloc_s])
+    and the stop-the-world time per phase ([safepoint_s] ... [fold_s],
+    and [other_s] for the rest).  The [bench] and [seed] params name the
+    run. *)
 
-type result = { scope : Scope.t; bench : string; cells : cell list }
-
-val run_scope : scope:Scope.t -> ?jobs:int -> unit -> result
-
-val ranking : cell list -> (string * float) list
-(** Mean distilled cost per collector over the non-OOM cells, sorted
-    ascending (best first); collectors with only OOM cells rank last
+val ranking : Artifact.t -> (string * float) list
+(** Mean distilled cost per collector over the non-OOM rows, sorted
+    ascending (best first); collectors with only OOM rows rank last
     with [infinity]. *)
 
-val render : result -> string
+val render : Artifact.t -> string

@@ -4,6 +4,7 @@ module Vm = Gcperf_runtime.Vm
 module Gc_event = Gcperf_sim.Gc_event
 module Gc_config = Gcperf_gc.Gc_config
 module Policy = Gcperf_policy.Policy
+module A = Artifact
 
 type run_stats = {
   minor_pauses : int;
@@ -89,22 +90,6 @@ let measure machine bench ~gc ~iterations ~seed =
     trajectory;
   }
 
-type cell = {
-  gc : string;
-  heap_bytes : int;
-  young_bytes : int;
-  adaptive : bool;
-  stats : run_stats;
-  within_goal : bool;
-}
-
-type result = {
-  bench : string;
-  pause_goal_ms : float;
-  iterations : int;
-  cells : cell list;
-}
-
 let kind_index kind =
   let rec find i = function
     | [] -> 0
@@ -112,18 +97,12 @@ let kind_index kind =
   in
   find 0 Exp_common.all_kinds
 
-let bench_name = "xalan"
-
-let run_scope ~scope ?(jobs = Exp_common.default_jobs ())
-    ?(pause_goal_ms = 200.0) () =
+let run_scope (make : A.make) ~scope ?(jobs = Exp_common.default_jobs ()) () =
   let machine = Exp_common.machine () in
+  let bench_name = "xalan" and pause_goal_ms = 200.0 in
   let iterations = Scope.scaled scope 10 in
   let grid = Scope.grid scope (Exp_common.size_grid ()) in
-  let bench =
-    match Suite.find bench_name with
-    | Some b -> b
-    | None -> invalid_arg "Exp_ergonomics: xalan missing from the suite"
-  in
+  let bench = Option.get (Suite.find bench_name) in
   let cells_in =
     List.concat_map
       (fun (heap, young) ->
@@ -133,7 +112,9 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ())
       grid
     |> Array.of_list
   in
-  let runs =
+  (* Each cell: its summary row, then one trajectory row per policy
+     decision (the cells the rows do not use are 0). *)
+  let rows =
     Exp_common.Pool.map_cells ~jobs
       (fun (heap, young, kind, adaptive) ->
         let gc =
@@ -145,55 +126,113 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ())
         (* Same per-collector seed split as the Figure 3 sweep; fixed and
            adaptive share the seed so the policy is the only difference. *)
         let seed = Exp_common.seed + (37 * kind_index kind) in
-        let stats = measure machine bench ~gc ~iterations ~seed in
-        {
-          gc = Exp_common.kind_name kind;
-          heap_bytes = heap;
-          young_bytes = young;
-          adaptive;
-          stats;
-          within_goal = stats.trailing_p99_ms <= pause_goal_ms;
-        })
+        let s = measure machine bench ~gc ~iterations ~seed in
+        let gc = Exp_common.kind_name kind in
+        let mode = if adaptive then "adaptive" else "fixed" in
+        A.
+          [
+            Text "summary";
+            Text gc;
+            Int heap;
+            Text mode;
+            Int s.minor_pauses;
+            Int s.final_young_bytes;
+            Float s.max_pause_ms;
+            Float s.avg_minor_ms;
+            Float s.p99_minor_ms;
+            Float s.trailing_p99_ms;
+            Float s.total_s;
+            Int s.resizes;
+            Bool (s.trailing_p99_ms <= pause_goal_ms);
+            Bool s.oom;
+          ]
+        :: List.map
+             (fun (p : Policy.trajectory_point) ->
+               A.
+                 [
+                   Text "trajectory";
+                   Text gc;
+                   Int heap;
+                   Text mode;
+                   Int p.Policy.at_collection;
+                   Int p.young_bytes_now;
+                   Float p.observed_pause_ms;
+                   Float p.avg_pause_ms;
+                   Float 0.0;
+                   Float 0.0;
+                   Float 0.0;
+                   Int 0;
+                   Bool false;
+                   Bool false;
+                 ])
+             s.trajectory)
       cells_in
   in
-  { bench = bench_name; pause_goal_ms; iterations; cells = Array.to_list runs }
+  make
+    ~params:
+      [
+        ("bench", bench_name);
+        ("pause_goal_ms", Printf.sprintf "%g" pause_goal_ms);
+        ("iterations", string_of_int iterations);
+      ]
+    ~columns:
+      [
+        "row_kind";
+        "gc";
+        "heap_bytes";
+        "mode";
+        "collection";
+        "young_bytes";
+        "pause_ms";
+        "avg_pause_ms";
+        "p99_ms";
+        "tail_p99_ms";
+        "total_s";
+        "resizes";
+        "within_goal";
+        "oom";
+      ]
+    ~rows:(List.concat (Array.to_list rows))
 
 let mbs bytes = float_of_int bytes /. (1024.0 *. 1024.0)
 
-let render r =
+let render a =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf
-       "Ergonomics: fixed vs adaptive sizing (%s, pause goal %.0f ms, %d \
+       "Ergonomics: fixed vs adaptive sizing (%s, pause goal %.0f ms, %s \
         iterations)\n\n"
-       r.bench r.pause_goal_ms r.iterations);
+       (A.param a "bench")
+       (float_of_string (A.param a "pause_goal_ms"))
+       (A.param a "iterations"));
   Buffer.add_string buf
     (Printf.sprintf "%-14s %8s %9s %6s %7s %8s %8s %8s %7s %5s\n" "collector"
        "heap" "mode" "minors" "avg_ms" "p99_ms" "tail_p99" "young_MB" "resize"
        "goal");
+  let adaptive r = A.text a "mode" r = "adaptive" in
+  let summaries = A.where a "row_kind" "summary" in
   List.iter
-    (fun c ->
+    (fun r ->
       Buffer.add_string buf
         (Printf.sprintf "%-14s %6.0fGB %9s %6d %7.1f %8.1f %8.1f %8.0f %7d %5s\n"
-           c.gc
-           (mbs c.heap_bytes /. 1024.0)
-           (if c.adaptive then "adaptive" else "fixed")
-           c.stats.minor_pauses c.stats.avg_minor_ms c.stats.p99_minor_ms
-           c.stats.trailing_p99_ms
-           (mbs c.stats.final_young_bytes)
-           c.stats.resizes
-           (if c.stats.oom then "OOM"
-            else if c.within_goal then "yes"
+           (A.text a "gc" r)
+           (mbs (A.int a "heap_bytes" r) /. 1024.0)
+           (A.text a "mode" r) (A.int a "collection" r)
+           (A.float a "avg_pause_ms" r)
+           (A.float a "p99_ms" r) (A.float a "tail_p99_ms" r)
+           (mbs (A.int a "young_bytes" r))
+           (A.int a "resizes" r)
+           (if A.bool a "oom" r then "OOM"
+            else if A.bool a "within_goal" r then "yes"
             else "no")))
-    r.cells;
-  let adaptives = List.filter (fun c -> c.adaptive) r.cells in
-  let converged = List.filter (fun c -> c.within_goal) adaptives in
+    summaries;
+  let adaptives = List.filter adaptive summaries in
+  let converged = List.filter (A.bool a "within_goal") adaptives in
   Buffer.add_string buf
     (Printf.sprintf
        "\n%d/%d adaptive runs converged within the pause goal; trajectories \
         carry %d points total.\n"
        (List.length converged) (List.length adaptives)
-       (List.fold_left
-          (fun acc c -> acc + List.length c.stats.trajectory)
-          0 adaptives));
+       (List.length
+          (List.filter adaptive (A.where a "row_kind" "trajectory"))));
   Buffer.contents buf

@@ -36,26 +36,16 @@ val measure :
     than the DaCapo harness) so the attached policy's trajectory and
     final sizes can be read back.  Also used by {!Tune}. *)
 
-type cell = {
-  gc : string;
-  heap_bytes : int;
-  young_bytes : int;  (** configured (initial) young size *)
-  adaptive : bool;
-  stats : run_stats;
-  within_goal : bool;  (** trailing p99 at or under the pause goal *)
-}
-
-type result = {
-  bench : string;
-  pause_goal_ms : float;
-  iterations : int;
-  cells : cell list;
-}
-
 val run_scope :
-  scope:Scope.t -> ?jobs:int -> ?pause_goal_ms:float -> unit -> result
+  Artifact.make -> scope:Scope.t -> ?jobs:int -> unit -> Artifact.t
 (** Grid and iteration counts follow [scope] exactly as Figure 3's
     sweep does; [jobs] fans the (sizes x collector x mode) cells out
-    with the deterministic pool. *)
+    with the deterministic pool.  Each cell ([gc], [heap_bytes], [mode]
+    "fixed" or "adaptive") gives a [row_kind] "summary" row of its
+    {!run_stats} ([collection] is the minor-pause count, [young_bytes]
+    the final young size), [within_goal] and [oom], then one
+    "trajectory" row per policy decision ([collection], [young_bytes],
+    [pause_ms], [avg_pause_ms]); the other cells of each row are 0.  The
+    [bench], [pause_goal_ms] and [iterations] params name the run. *)
 
-val render : result -> string
+val render : Artifact.t -> string

@@ -4,6 +4,7 @@ module Session = Gcperf_ycsb.Session
 module Profile = Gcperf_fault.Profile
 module Gc_config = Gcperf_gc.Gc_config
 module Table = Gcperf_report.Table
+module A = Artifact
 
 type session = {
   gc : string;
@@ -81,7 +82,62 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
 
 let sessions r = List.concat_map (fun c -> c.sessions) r.cells
 
-let render r =
+let to_artifact (make : A.make) r =
+  make
+    ~params:[ ("seed", string_of_int session_seed) ]
+    ~columns:
+      [
+        "gc";
+        "profile";
+        "resilience";
+        "requests";
+        "ok";
+        "failed";
+        "attempts";
+        "retries";
+        "retry_amplification";
+        "goodput_ops_s";
+        "p50_ms";
+        "p99_ms";
+        "p999_ms";
+        "max_ms";
+        "timeouts";
+        "sheds";
+        "fast_rejects";
+        "drops";
+        "errors";
+        "hedge_wins";
+      ]
+    ~rows:
+      (List.map
+         (fun s ->
+           let m = s.summary in
+           A.
+             [
+               Text s.gc;
+               Text s.profile;
+               Text (if s.resilient then "on" else "off");
+               Int m.Resilient.requests;
+               Int m.Resilient.ok;
+               Int m.Resilient.failed;
+               Int m.Resilient.attempts;
+               Int m.Resilient.retries;
+               Float m.Resilient.retry_amplification;
+               Float m.Resilient.goodput_ops_s;
+               Float m.Resilient.p50_ms;
+               Float m.Resilient.p99_ms;
+               Float m.Resilient.p999_ms;
+               Float m.Resilient.max_ms;
+               Int m.Resilient.timeouts;
+               Int m.Resilient.sheds;
+               Int m.Resilient.fast_rejects;
+               Int m.Resilient.drops;
+               Int m.Resilient.errors;
+               Int m.Resilient.hedge_wins;
+             ])
+         (sessions r))
+
+let render a =
   let t =
     Table.create
       ~columns:
@@ -99,34 +155,38 @@ let render r =
           ("hedge-win", Table.Right);
         ]
   in
+  (* A rule above each collector's sessions. *)
+  let last = ref None in
   List.iter
-    (fun c ->
-      Table.add_separator t;
-      List.iter
-        (fun s ->
-          let m = s.summary in
-          Table.add_row t
-            [
-              s.gc;
-              s.profile;
-              (if s.resilient then "on" else "off");
-              Table.cell_f m.Resilient.goodput_ops_s;
-              Table.cell_f m.Resilient.retry_amplification;
-              Table.cell_f m.Resilient.p50_ms;
-              Table.cell_f m.Resilient.p99_ms;
-              Table.cell_f m.Resilient.p999_ms;
-              string_of_int m.Resilient.timeouts;
-              string_of_int (m.Resilient.sheds + m.Resilient.fast_rejects);
-              string_of_int m.Resilient.hedge_wins;
-            ])
-        c.sessions)
-    r.cells;
+    (fun row ->
+      let gc = A.text a "gc" row in
+      if !last <> Some gc then begin
+        last := Some gc;
+        Table.add_separator t
+      end;
+      let i column = string_of_int (A.int a column row) in
+      let f column = Table.cell_f (A.float a column row) in
+      Table.add_row t
+        [
+          gc;
+          A.text a "profile" row;
+          A.text a "resilience" row;
+          f "goodput_ops_s";
+          f "retry_amplification";
+          f "p50_ms";
+          f "p99_ms";
+          f "p999_ms";
+          i "timeouts";
+          string_of_int (A.int a "sheds" row + A.int a "fast_rejects" row);
+          i "hedge_wins";
+        ])
+    a.A.rows;
   let requests =
-    match sessions r with [] -> 0 | s :: _ -> s.summary.Resilient.requests
+    match a.A.rows with [] -> 0 | row :: _ -> A.int a "requests" row
   in
   Printf.sprintf
     "Fault injection: goodput, retry amplification and client tail latency\n\
      under injected faults, with graceful degradation + client resilience\n\
-     off and on (%d requests per session, seed %d)\n\n\
+     off and on (%d requests per session, seed %s)\n\n\
      %s"
-    requests session_seed (Table.render t)
+    requests (A.param a "seed") (Table.render t)

@@ -40,4 +40,10 @@ val run_scope : scope:Scope.t -> ?jobs:int -> unit -> result
 val sessions : result -> session list
 (** Every session of every cell, in cell order. *)
 
-val render : result -> string
+val to_artifact : Artifact.make -> result -> Artifact.t
+(** One row per session, in {!sessions} order: [gc], [profile],
+    [resilience] ("off" or "on") and the session's
+    {!Gcperf_ycsb.Resilient.summary} fields; the [seed] param is the
+    client sessions' seed. *)
+
+val render : Artifact.t -> string

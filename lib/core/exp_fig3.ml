@@ -1,14 +1,7 @@
 module Harness = Gcperf_dacapo.Harness
 module Suite = Gcperf_dacapo.Suite
 module Chart = Gcperf_report.Chart
-
-type ranking = (string * float) list
-
-type result = {
-  with_system_gc : ranking;
-  without_system_gc : ranking;
-  experiments : int;
-}
+module A = Artifact
 
 let kind_index kind =
   let rec find i = function
@@ -17,7 +10,7 @@ let kind_index kind =
   in
   find 0 Exp_common.all_kinds
 
-let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
+let run_scope (make : A.make) ~scope ?(jobs = Exp_common.default_jobs ()) () =
   let machine = Exp_common.machine () in
   let iterations = Scope.scaled scope 10 in
   let grid = Scope.grid scope (Exp_common.size_grid ()) in
@@ -81,16 +74,26 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
   in
   let with_sys, n = mode true in
   let without_sys, _ = mode false in
-  { with_system_gc = with_sys; without_system_gc = without_sys; experiments = n }
+  let rows mode ranking =
+    List.map (fun (gc, pct) -> A.[ Text mode; Text gc; Float pct ]) ranking
+  in
+  make
+    ~params:[ ("experiments", string_of_int n) ]
+    ~columns:[ "mode"; "collector"; "percent_won" ]
+    ~rows:(rows "system-gc" with_sys @ rows "no-system-gc" without_sys)
 
-let render result =
-  let part title ranking =
-    Chart.bars ~title (List.filter (fun (_, v) -> v >= 0.0) ranking)
+let render a =
+  let part title mode =
+    Chart.bars ~title
+      (List.filter_map
+         (fun row ->
+           let v = A.float a "percent_won" row in
+           if v >= 0.0 then Some (A.text a "collector" row, v) else None)
+         (A.where a "mode" mode))
   in
   Printf.sprintf
     "Figure 3: GC ranking according to the number of experiments in which\n\
-     they performed the best (%d experiments per mode)\n\n%s\n%s"
-    result.experiments
-    (part "(a) System GC — percent of experiments won" result.with_system_gc)
-    (part "(b) No System GC — percent of experiments won"
-       result.without_system_gc)
+     they performed the best (%s experiments per mode)\n\n%s\n%s"
+    (A.param a "experiments")
+    (part "(a) System GC — percent of experiments won" "system-gc")
+    (part "(b) No System GC — percent of experiments won" "no-system-gc")

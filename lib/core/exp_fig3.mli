@@ -6,15 +6,11 @@
     collector, the percentage of experiments in which it produced the
     best run — with the system GC enabled (a) and disabled (b). *)
 
-type ranking = (string * float) list
-(** (collector, percent of experiments won), descending. *)
+val run_scope :
+  Artifact.make -> scope:Scope.t -> ?jobs:int -> unit -> Artifact.t
+(** One row per (mode, collector): [mode] ("system-gc" or
+    "no-system-gc"), [collector] and [percent_won], each mode's rows in
+    descending order; the [experiments] param counts a mode's
+    experiments. *)
 
-type result = {
-  with_system_gc : ranking;
-  without_system_gc : ranking;
-  experiments : int;  (** experiments per mode *)
-}
-
-val run_scope : scope:Scope.t -> ?jobs:int -> unit -> result
-
-val render : result -> string
+val render : Artifact.t -> string

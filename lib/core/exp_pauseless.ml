@@ -4,6 +4,7 @@ module Session = Gcperf_ycsb.Session
 module Profile = Gcperf_fault.Profile
 module Gc_config = Gcperf_gc.Gc_config
 module Table = Gcperf_report.Table
+module A = Artifact
 
 (* Pauseless collector family on the stressed key-value server.
 
@@ -24,8 +25,6 @@ type cell = {
   server : Exp_server.server_run;
   summary : Resilient.summary;  (** pause-spike profile, resilience off *)
 }
-
-type result = { scope : Scope.t; cells : cell list }
 
 let session_seed = Exp_common.seed + 173
 
@@ -78,20 +77,55 @@ let one ~scope (heap_gb, (kind, fold_jobs, label)) =
   in
   { gc = label; heap_gb; fold_jobs; server; summary }
 
-let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
+let row c =
+  let s = c.server and m = c.summary in
+  A.
+    [
+      Text c.gc;
+      Int c.heap_gb;
+      Int c.fold_jobs;
+      Float s.Exp_server.duration_s;
+      Int (Array.length s.Exp_server.pauses);
+      Float s.Exp_server.max_pause_s;
+      Int s.Exp_server.full_count;
+      Float m.Resilient.goodput_ops_s;
+      Float m.Resilient.p50_ms;
+      Float m.Resilient.p99_ms;
+      Float m.Resilient.p999_ms;
+      Bool s.Exp_server.oom;
+    ]
+
+let run_scope (make : A.make) ~scope ?(jobs = Exp_common.default_jobs ()) () =
   (* One self-contained cell per (heap, variant) pair: each owns its VM,
      server and client session, so the fan-out is byte-identical at any
      worker count. *)
-  let cells =
+  let rows =
     Exp_common.Pool.map_list ~jobs
-      (fun c -> one ~scope c)
+      (fun c -> row (one ~scope c))
       (List.concat_map
          (fun h -> List.map (fun v -> (h, v)) variants)
          (Scope.grid scope heap_grid_gb))
   in
-  { scope; cells }
+  make
+    ~params:[ ("seed", string_of_int session_seed) ]
+    ~columns:
+      [
+        "gc";
+        "heap_gb";
+        "fold_jobs";
+        "duration_s";
+        "pauses";
+        "max_pause_s";
+        "full_count";
+        "goodput_ops_s";
+        "p50_ms";
+        "p99_ms";
+        "p999_ms";
+        "oom";
+      ]
+    ~rows
 
-let render r =
+let render a =
   let t =
     Table.create
       ~columns:
@@ -108,35 +142,37 @@ let render r =
           ("p99.9(ms)", Table.Right);
         ]
   in
+  (* A rule above each heap size's variants. *)
   let last_heap = ref (-1) in
   List.iter
-    (fun c ->
-      if c.heap_gb <> !last_heap then begin
-        last_heap := c.heap_gb;
+    (fun row ->
+      let heap = A.int a "heap_gb" row in
+      if heap <> !last_heap then begin
+        last_heap := heap;
         Table.add_separator t
       end;
-      let s = c.server in
-      let m = c.summary in
+      let i column = string_of_int (A.int a column row) in
+      let f column = Table.cell_f (A.float a column row) in
       Table.add_row t
         [
-          c.gc ^ (if s.Exp_server.oom then " [OOM]" else "");
-          string_of_int c.heap_gb;
-          Table.cell_f ~decimals:0 s.Exp_server.duration_s;
-          string_of_int (Array.length s.Exp_server.pauses);
-          Table.cell_f s.Exp_server.max_pause_s;
-          string_of_int s.Exp_server.full_count;
-          Table.cell_f m.Resilient.goodput_ops_s;
-          Table.cell_f m.Resilient.p50_ms;
-          Table.cell_f m.Resilient.p99_ms;
-          Table.cell_f m.Resilient.p999_ms;
+          (A.text a "gc" row ^ if A.bool a "oom" row then " [OOM]" else "");
+          string_of_int heap;
+          Table.cell_f ~decimals:0 (A.float a "duration_s" row);
+          i "pauses";
+          f "max_pause_s";
+          i "full_count";
+          f "goodput_ops_s";
+          f "p50_ms";
+          f "p99_ms";
+          f "p999_ms";
         ])
-    r.cells;
+    a.A.rows;
   Printf.sprintf
     "Pauseless collector family on the stressed key-value server:\n\
      concurrent region collector (load barriers, sub-ms flips) and\n\
      journaled-RC collector (fold jobs 1/2/4) against a G1 baseline;\n\
      client tail from the pause-spike session, resilience off\n\
      (duration is wall time for the same work: lower = more throughput;\n\
-     seed %d)\n\n\
+     seed %s)\n\n\
      %s"
-    session_seed (Table.render t)
+    (A.param a "seed") (Table.render t)

@@ -21,7 +21,12 @@ type cell = {
       (** pause-spike profile, resilience off *)
 }
 
-type result = { scope : Scope.t; cells : cell list }
+val run_scope :
+  Artifact.make -> scope:Scope.t -> ?jobs:int -> unit -> Artifact.t
+(** One row per (heap, variant) {!cell}: [gc], [heap_gb], [fold_jobs],
+    the server run's [duration_s], [pauses], [max_pause_s],
+    [full_count] and [oom], and the client session's [goodput_ops_s],
+    [p50_ms], [p99_ms] and [p999_ms]; the [seed] param is the session's
+    seed. *)
 
-val run_scope : scope:Scope.t -> ?jobs:int -> unit -> result
-val render : result -> string
+val render : Artifact.t -> string

@@ -4,6 +4,7 @@ module Gc_event = Gcperf_sim.Gc_event
 module Gc_config = Gcperf_gc.Gc_config
 module Chart = Gcperf_report.Chart
 module Table = Gcperf_report.Table
+module A = Artifact
 
 type server_run = {
   gc : string;
@@ -102,57 +103,119 @@ let run_server_scope ~scope ~kind ~stress ~hours () =
     ~label:(Gc_config.kind_to_string kind)
     ~config:(server_gc kind) ~stress ~hours ()
 
-type figure4 = { cms : server_run; g1 : server_run }
+(* The summary columns of one server run; Figure 4 and the ParallelOld
+   analysis share them. *)
+let run_columns =
+  [
+    "experiment";
+    "gc";
+    "config";
+    "duration_s";
+    "pauses";
+    "max_pause_s";
+    "full_count";
+    "full_max_s";
+    "young_max_s";
+    "oom";
+  ]
 
-let figure4_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
+let run_row ~experiment r =
+  A.
+    [
+      Text experiment;
+      Text r.gc;
+      Text r.config_name;
+      Float r.duration_s;
+      Int (Array.length r.pauses);
+      Float r.max_pause_s;
+      Int r.full_count;
+      Float r.full_max_s;
+      Float r.young_max_s;
+      Bool r.oom;
+    ]
+
+let figure4 (make : A.make) ~scope ?(jobs = Exp_common.default_jobs ()) () =
   (* Two independent server runs (CMS, G1); each cell builds its own VM
      and server from fixed seeds. *)
-  match
+  let runs =
     Exp_common.Pool.map_list ~jobs
       (fun kind -> run_server_scope ~scope ~kind ~stress:true ~hours:2.0 ())
       [ Gc_config.Cms; Gc_config.G1 ]
-  with
-  | [ cms; g1 ] -> { cms; g1 }
-  | _ -> assert false
+  in
+  let rows r =
+    ((A.Text "run" :: run_row ~experiment:"stress" r)
+    @ A.[ Float 0.0; Float 0.0 ])
+    :: List.map
+         (fun (start, d) ->
+           A.
+             [
+               Text "pause";
+               Text "stress";
+               Text r.gc;
+               Text r.config_name;
+               Float 0.0;
+               Int 0;
+               Float 0.0;
+               Int 0;
+               Float 0.0;
+               Float 0.0;
+               Bool false;
+               Float start;
+               Float d;
+             ])
+         (Array.to_list r.pauses)
+  in
+  make ~params:[]
+    ~columns:(("row_kind" :: run_columns) @ [ "start_s"; "pause_s" ])
+    ~rows:(List.concat_map rows runs)
 
-let render_figure4 f =
+let render_figure4 a =
+  let runs = A.where a "row_kind" "run" in
+  let pauses gc =
+    Array.of_list
+      (List.filter_map
+         (fun row ->
+           if A.text a "gc" row <> gc then None
+           else Some (A.float a "start_s" row, A.float a "pause_s" row))
+         (A.where a "row_kind" "pause"))
+  in
+  let labels = [ ("CMS", 'C'); ("G1", 'G') ] in
   let series =
-    [
-      { Chart.label = "CMS"; glyph = 'C'; points = f.cms.pauses };
-      { Chart.label = "G1"; glyph = 'G'; points = f.g1.pauses };
-    ]
+    List.map2
+      (fun (label, glyph) row ->
+        { Chart.label; glyph; points = pauses (A.text a "gc" row) })
+      labels runs
+  in
+  let summary (label, _) row =
+    Printf.sprintf "%-4s %d pauses, max %.2fs (full: %d, max %.2fs)%s\n"
+      (label ^ ":") (A.int a "pauses" row)
+      (A.float a "max_pause_s" row)
+      (A.int a "full_count" row)
+      (A.float a "full_max_s" row)
+      (if A.bool a "oom" row then " [OOM]" else "")
   in
   Printf.sprintf
     "Figure 4: application pauses for ConcurrentMarkSweep (CMS) and G1\n\
      garbage collectors with the key-value store server (stress test)\n\n\
      %s\n\
-     CMS: %d pauses, max %.2fs (full: %d, max %.2fs)%s\n\
-     G1:  %d pauses, max %.2fs (full: %d, max %.2fs)%s\n"
+     %s"
     (Chart.scatter ~x_label:"Elapsed time (s)" ~y_label:"GC pause duration (s)"
        series)
-    (Array.length f.cms.pauses)
-    f.cms.max_pause_s f.cms.full_count f.cms.full_max_s
-    (if f.cms.oom then " [OOM]" else "")
-    (Array.length f.g1.pauses)
-    f.g1.max_pause_s f.g1.full_count f.g1.full_max_s
-    (if f.g1.oom then " [OOM]" else "")
+    (String.concat "" (List.map2 summary labels runs))
 
-type parallel_old_analysis = {
-  one_hour : server_run;
-  two_hours : server_run;
-  stress : server_run;
-}
-
-let parallel_old_analysis_scope ~scope ?(jobs = Exp_common.default_jobs ())
-    () =
-  match
+let parallel_old (make : A.make) ~scope ?(jobs = Exp_common.default_jobs ()) ()
+    =
+  let runs =
     Exp_common.Pool.map_list ~jobs
-      (fun (stress, hours) ->
-        run_server_scope ~scope ~kind:Gc_config.ParallelOld ~stress ~hours ())
-      [ (false, 1.0); (false, 2.0); (true, 2.0) ]
-  with
-  | [ one_hour; two_hours; stress ] -> { one_hour; two_hours; stress }
-  | _ -> assert false
+      (fun (experiment, stress, hours) ->
+        run_row ~experiment
+          (run_server_scope ~scope ~kind:Gc_config.ParallelOld ~stress ~hours
+             ()))
+      [
+        ("1h-load", false, 1.0); ("2h-load", false, 2.0); ("stress", true, 2.0);
+      ]
+  in
+  make ~params:[] ~columns:run_columns ~rows:runs
 
 let render_parallel_old a =
   let t =
@@ -167,20 +230,25 @@ let render_parallel_old a =
           ("Max full pause (s)", Table.Right);
         ]
   in
-  let row label r =
-    Table.add_row t
-      [
-        label ^ (if r.oom then " [OOM]" else "");
-        Table.cell_f ~decimals:0 r.duration_s;
-        string_of_int (Array.length r.pauses);
-        Table.cell_f r.young_max_s;
-        string_of_int r.full_count;
-        Table.cell_f r.full_max_s;
-      ]
-  in
-  row "default, 1h load" a.one_hour;
-  row "default, 2h load" a.two_hours;
-  row "stress, 2h" a.stress;
+  List.iter
+    (fun row ->
+      let label =
+        match A.text a "experiment" row with
+        | "1h-load" -> "default, 1h load"
+        | "2h-load" -> "default, 2h load"
+        | "stress" -> "stress, 2h"
+        | e -> e
+      in
+      Table.add_row t
+        [
+          (label ^ if A.bool a "oom" row then " [OOM]" else "");
+          Table.cell_f ~decimals:0 (A.float a "duration_s" row);
+          string_of_int (A.int a "pauses" row);
+          Table.cell_f (A.float a "young_max_s" row);
+          string_of_int (A.int a "full_count" row);
+          Table.cell_f (A.float a "full_max_s" row);
+        ])
+    a.A.rows;
   "ParallelOld on the key-value server (4.1): young pauses grow to tens\n\
    of seconds; the second hour triggers a full collection of minutes\n\n"
   ^ Table.render t

@@ -47,19 +47,20 @@ val run_server_scope :
   unit ->
   server_run
 
-type figure4 = { cms : server_run; g1 : server_run }
+val figure4 :
+  Artifact.make -> scope:Scope.t -> ?jobs:int -> unit -> Artifact.t
+(** The CMS and G1 stress runs.  Each gives a [row_kind] "run" row of
+    summary columns ([experiment], [gc], [config], [duration_s],
+    [pauses], [max_pause_s], [full_count], [full_max_s], [young_max_s],
+    [oom]), then one "pause" row per pause ([gc], [start_s],
+    [pause_s]); the other cells of each row are 0. *)
 
-val figure4_scope : scope:Scope.t -> ?jobs:int -> unit -> figure4
+val render_figure4 : Artifact.t -> string
 
-val render_figure4 : figure4 -> string
+val parallel_old :
+  Artifact.make -> scope:Scope.t -> ?jobs:int -> unit -> Artifact.t
+(** ParallelOld's 1 h and 2 h loading runs and its stress run, one row
+    each ([experiment] "1h-load", "2h-load", "stress"), with Figure 4's
+    summary columns. *)
 
-type parallel_old_analysis = {
-  one_hour : server_run;
-  two_hours : server_run;
-  stress : server_run;
-}
-
-val parallel_old_analysis_scope :
-  scope:Scope.t -> ?jobs:int -> unit -> parallel_old_analysis
-
-val render_parallel_old : parallel_old_analysis -> string
+val render_parallel_old : Artifact.t -> string

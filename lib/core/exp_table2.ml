@@ -3,26 +3,13 @@ module Suite = Gcperf_dacapo.Suite
 module Stats = Gcperf_stats.Stats
 module Table = Gcperf_report.Table
 module P = Gcperf_workload.Profile
+module A = Artifact
 
-type row = {
-  bench : string;
-  final_rsd_pct : float;
-  total_rsd_pct : float;
-  runs : int;
-}
-
-type result = { rows : row list }
-
-let run_scope ~scope ?(jobs = Exp_common.default_jobs ())
-    ?(all_benchmarks = false) () =
+let run_scope (make : A.make) ~scope ?(jobs = Exp_common.default_jobs ()) () =
   let machine = Exp_common.machine () in
   let runs = Scope.scaled scope 10 in
   let iterations = Scope.scaled scope 10 in
-  let benches =
-    if all_benchmarks then
-      List.filter (fun b -> not b.Suite.crashes) Suite.all
-    else Suite.stable_subset
-  in
+  let benches = Suite.stable_subset in
   let gc = Exp_common.baseline Gcperf_gc.Gc_config.ParallelOld in
   (* One cell per replicated run; each builds its own VM from its own
      derived seed, so cells are pure and the pool may run them in any
@@ -48,17 +35,20 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ())
         let chunk = Array.sub results (bi * runs) runs in
         let finals = Array.map (fun r -> r.Harness.final_s) chunk in
         let totals = Array.map (fun r -> r.Harness.total_s) chunk in
-        {
-          bench = bench.Suite.profile.P.name;
-          final_rsd_pct = Stats.rsd finals;
-          total_rsd_pct = Stats.rsd totals;
-          runs;
-        })
+        A.
+          [
+            Text bench.Suite.profile.P.name;
+            Float (Stats.rsd finals);
+            Float (Stats.rsd totals);
+            Int runs;
+          ])
       benches
   in
-  { rows }
+  make ~params:[]
+    ~columns:[ "bench"; "final_rsd_pct"; "total_rsd_pct"; "runs" ]
+    ~rows
 
-let render result =
+let render a =
   let t =
     Table.create
       ~columns:
@@ -69,14 +59,14 @@ let render result =
         ]
   in
   List.iter
-    (fun r ->
+    (fun row ->
       Table.add_row t
         [
-          r.bench;
-          Table.cell_f ~decimals:1 r.final_rsd_pct;
-          Table.cell_f ~decimals:1 r.total_rsd_pct;
+          A.text a "bench" row;
+          Table.cell_f ~decimals:1 (A.float a "final_rsd_pct" row);
+          Table.cell_f ~decimals:1 (A.float a "total_rsd_pct" row);
         ])
-    result.rows;
+    a.A.rows;
   "Table 2: relative standard deviation of the total execution time and\n\
    final iteration (baseline configuration, system GC between iterations)\n\n"
   ^ Table.render t

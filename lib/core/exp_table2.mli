@@ -6,20 +6,11 @@
     the total execution time are reported — the criteria the paper used
     to select its benchmark subset. *)
 
-type row = {
-  bench : string;
-  final_rsd_pct : float;
-  total_rsd_pct : float;
-  runs : int;
-}
-
-type result = { rows : row list }
-
 val run_scope :
-  scope:Scope.t -> ?jobs:int -> ?all_benchmarks:bool -> unit -> result
-(** [all_benchmarks] also measures the unstable benchmarks (the paper ran
-    everything and then selected); default false = the Table 2 subset.
-    [jobs] caps the worker-domain count for the cell fan-out (default
-    {!Exp_common.default_jobs}); the result is identical for any value. *)
+  Artifact.make -> scope:Scope.t -> ?jobs:int -> unit -> Artifact.t
+(** One row per benchmark: [bench], [final_rsd_pct], [total_rsd_pct]
+    and [runs].  [jobs] caps the worker-domain count for the cell
+    fan-out (default {!Exp_common.default_jobs}); the artifact is
+    identical for any value. *)
 
-val render : result -> string
+val render : Artifact.t -> string

@@ -3,19 +3,7 @@ module Suite = Gcperf_dacapo.Suite
 module Gc_event = Gcperf_sim.Gc_event
 module Table = Gcperf_report.Table
 module Gc_config = Gcperf_gc.Gc_config
-
-type row = {
-  heap_bytes : int;
-  young_bytes : int;
-  pauses : int;
-  full_pauses : int;
-  avg_pause_s : float;
-  total_pause_s : float;
-  total_exec_s : float;
-  oom : bool;
-}
-
-type result = { rows : row list; collector : string; bench : string }
+module A = Artifact
 
 let big_grid () =
   let gb = Exp_common.gb in
@@ -23,14 +11,11 @@ let big_grid () =
 
 let ladder () = big_grid () @ Exp_common.small_size_grid ()
 
-let run_scope ~scope ?(jobs = Exp_common.default_jobs ())
-    ?(kind = Gc_config.Cms) ?(bench = "h2") () =
+(* The paper's table: CMS on h2. *)
+let run_scope (make : A.make) ~scope ?(jobs = Exp_common.default_jobs ()) () =
   let machine = Exp_common.machine () in
-  let b =
-    match Suite.find bench with
-    | Some b -> b
-    | None -> invalid_arg ("Exp_table3: unknown benchmark " ^ bench)
-  in
+  let kind = Gc_config.Cms and bench = "h2" in
+  let b = Option.get (Suite.find bench) in
   let iterations = Scope.scaled scope 10 in
   let grid = ladder () in
   (* Each grid point is an independent cell: own VM, own heap, shared
@@ -56,27 +41,41 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ())
             (fun acc e -> acc +. (e.Gc_event.duration_us /. 1e6))
             0.0 r.Harness.events
         in
-        {
-          heap_bytes = heap;
-          young_bytes = young;
-          pauses;
-          full_pauses = fulls;
-          avg_pause_s =
-            (if pauses = 0 then 0.0 else total_pause /. float_of_int pauses);
-          total_pause_s = total_pause;
-          total_exec_s = r.Harness.total_s;
-          oom = r.Harness.oom;
-        })
+        A.
+          [
+            Int heap;
+            Int young;
+            Int pauses;
+            Int fulls;
+            Float
+              (if pauses = 0 then 0.0 else total_pause /. float_of_int pauses);
+            Float total_pause;
+            Float r.Harness.total_s;
+            Bool r.Harness.oom;
+          ])
       grid
   in
-  { rows; collector = Gc_config.kind_to_string kind; bench }
+  make
+    ~params:[ ("collector", Gc_config.kind_to_string kind); ("bench", bench) ]
+    ~columns:
+      [
+        "heap_bytes";
+        "young_bytes";
+        "pauses";
+        "full_pauses";
+        "avg_pause_s";
+        "total_pause_s";
+        "total_exec_s";
+        "oom";
+      ]
+    ~rows
 
 let size_label bytes =
   let mb = bytes / (1024 * 1024) in
   if mb >= 1024 && mb mod 1024 = 0 then Printf.sprintf "%dGB" (mb / 1024)
   else Printf.sprintf "%dMB" mb
 
-let render result =
+let render a =
   let t =
     Table.create
       ~columns:
@@ -89,21 +88,22 @@ let render result =
         ]
   in
   List.iteri
-    (fun i r ->
+    (fun i row ->
       if i = 4 then Table.add_separator t;
       Table.add_row t
         [
           Printf.sprintf "%s-%s%s"
-            (size_label r.heap_bytes)
-            (size_label r.young_bytes)
-            (if r.oom then " (OOM)" else "");
-          Printf.sprintf "%d(%d)" r.pauses r.full_pauses;
-          Table.cell_f r.avg_pause_s;
-          Table.cell_f r.total_pause_s;
-          Table.cell_f r.total_exec_s;
+            (size_label (A.int a "heap_bytes" row))
+            (size_label (A.int a "young_bytes" row))
+            (if A.bool a "oom" row then " (OOM)" else "");
+          Printf.sprintf "%d(%d)" (A.int a "pauses" row)
+            (A.int a "full_pauses" row);
+          Table.cell_f (A.float a "avg_pause_s" row);
+          Table.cell_f (A.float a "total_pause_s" row);
+          Table.cell_f (A.float a "total_exec_s" row);
         ])
-    result.rows;
+    a.A.rows;
   Printf.sprintf
     "Table 3: statistics for the %s benchmark with different heap and\n\
      Young Generation sizes (%s)\n\n%s"
-    result.bench result.collector (Table.render t)
+    (A.param a "bench") (A.param a "collector") (Table.render t)

@@ -9,33 +9,16 @@
     which the paper finds the "smaller young generation, longer average
     pause" anomaly for CMS. *)
 
-type row = {
-  heap_bytes : int;
-  young_bytes : int;
-  pauses : int;
-  full_pauses : int;
-  avg_pause_s : float;
-  total_pause_s : float;
-  total_exec_s : float;
-  oom : bool;
-}
-
-type result = { rows : row list; collector : string; bench : string }
-
 val ladder : unit -> (int * int) list
 (** The table's (heap, young) grid: the 64 GB block (young 6–48 GB)
     followed by the small-memory block.  Shared with [Exp_distill] so
     the distilled-cost sweep covers exactly the same points. *)
 
 val run_scope :
-  scope:Scope.t ->
-  ?jobs:int ->
-  ?kind:Gcperf_gc.Gc_config.kind ->
-  ?bench:string ->
-  unit ->
-  result
-(** Defaults: CMS on h2 (the paper's table).  Other collectors/benchmarks
-    are exposed because the paper cross-checks that ParallelOld "behaved
-    as expected in both situations". *)
+  Artifact.make -> scope:Scope.t -> ?jobs:int -> unit -> Artifact.t
+(** CMS on h2 (the paper's table), one row per grid point:
+    [heap_bytes], [young_bytes], [pauses], [full_pauses],
+    [avg_pause_s], [total_pause_s], [total_exec_s] and [oom]; the
+    [collector] and [bench] params name the run. *)
 
-val render : result -> string
+val render : Artifact.t -> string

@@ -2,6 +2,7 @@ module Harness = Gcperf_dacapo.Harness
 module Suite = Gcperf_dacapo.Suite
 module Table = Gcperf_report.Table
 module P = Gcperf_workload.Profile
+module A = Artifact
 
 type influence = Helps | Hurts | Indifferent
 
@@ -9,16 +10,6 @@ let influence_to_string = function
   | Helps -> "+"
   | Hurts -> "-"
   | Indifferent -> "="
-
-type cell = {
-  bench : string;
-  gc : string;
-  with_tlab_s : float;
-  without_tlab_s : float;
-  influence : influence;
-}
-
-type result = { cells : cell list }
 
 (* "We computed a 5% deviation from the average execution time.  If the
    difference between the total times with and without TLAB is included
@@ -37,13 +28,13 @@ let kind_index kind =
   in
   find 0 Exp_common.all_kinds
 
-let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
+let run_scope (make : A.make) ~scope ?(jobs = Exp_common.default_jobs ()) () =
   let machine = Exp_common.machine () in
   let iterations = Scope.scaled scope 10 in
   (* One cell per (benchmark, collector): the with/without-TLAB pair
      stays inside the cell because the classification couples the two
      runs. *)
-  let cells =
+  let rows =
     Exp_common.Pool.map_list ~jobs
       (fun (bench, kind) ->
             let base = Exp_common.baseline kind in
@@ -61,33 +52,36 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
                 ~gc:{ base with Gcperf_gc.Gc_config.tlab = false }
                 ~system_gc:true ()
             in
-            {
-              bench = bench.Suite.profile.P.name;
-              gc = Exp_common.kind_name kind;
-              with_tlab_s = with_t.Harness.total_s;
-              without_tlab_s = without_t.Harness.total_s;
-              influence =
-                classify ~deviation:0.05 ~with_tlab:with_t.Harness.total_s
-                  ~without_tlab:without_t.Harness.total_s;
-            })
+            A.
+              [
+                Text bench.Suite.profile.P.name;
+                Text (Exp_common.kind_name kind);
+                Float with_t.Harness.total_s;
+                Float without_t.Harness.total_s;
+                Text
+                  (influence_to_string
+                     (classify ~deviation:0.05
+                        ~with_tlab:with_t.Harness.total_s
+                        ~without_tlab:without_t.Harness.total_s));
+              ])
       (List.concat_map
          (fun bench ->
            List.map (fun kind -> (bench, kind)) Exp_common.all_kinds)
          Suite.stable_subset)
   in
-  { cells }
+  make ~params:[]
+    ~columns:[ "bench"; "gc"; "with_tlab_s"; "without_tlab_s"; "influence" ]
+    ~rows
 
-let render result =
-  let gcs = List.map Exp_common.kind_name Exp_common.all_kinds in
+let render a =
+  let gcs = A.distinct a "gc" a.A.rows in
   let t =
     Table.create
       ~columns:
         (("Benchmark", Table.Left)
         :: List.map (fun g -> (g, Table.Right)) gcs)
   in
-  let benches =
-    List.sort_uniq compare (List.map (fun c -> c.bench) result.cells)
-  in
+  let benches = List.sort_uniq String.compare (A.distinct a "bench" a.A.rows) in
   List.iter
     (fun bench ->
       let row =
@@ -95,10 +89,11 @@ let render result =
           (fun gc ->
             match
               List.find_opt
-                (fun c -> c.bench = bench && c.gc = gc)
-                result.cells
+                (fun row ->
+                  A.text a "bench" row = bench && A.text a "gc" row = gc)
+                a.A.rows
             with
-            | Some c -> influence_to_string c.influence
+            | Some row -> A.text a "influence" row
             | None -> "?")
           gcs
       in

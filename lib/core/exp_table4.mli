@@ -12,19 +12,13 @@ type influence = Helps | Hurts | Indifferent
 val influence_to_string : influence -> string
 (** "+", "-" or "=". *)
 
-type cell = {
-  bench : string;
-  gc : string;
-  with_tlab_s : float;
-  without_tlab_s : float;
-  influence : influence;
-}
-
-type result = { cells : cell list }
-
 val classify : deviation:float -> with_tlab:float -> without_tlab:float -> influence
 (** The paper's 5 % rule, exposed for tests. *)
 
-val run_scope : scope:Scope.t -> ?jobs:int -> unit -> result
+val run_scope :
+  Artifact.make -> scope:Scope.t -> ?jobs:int -> unit -> Artifact.t
+(** One row per (benchmark, collector): [bench], [gc], [with_tlab_s],
+    [without_tlab_s] and [influence] ("+", "-" or "="). *)
 
-val render : result -> string
+val render : Artifact.t -> string
+(** Benchmarks sorted by name, collectors in row order. *)

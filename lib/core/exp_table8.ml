@@ -3,21 +3,11 @@ module Suite = Gcperf_dacapo.Suite
 module Gc_event = Gcperf_sim.Gc_event
 module Gc_config = Gcperf_gc.Gc_config
 module Table = Gcperf_report.Table
+module A = Artifact
 
 type verdict = Good | Fairly_good | Bad
 
 type pause_verdict = Short | Acceptable | Significant | Unacceptable
-
-type entry = {
-  gc : string;
-  experiment : string;
-  throughput : verdict;
-  pause : pause_verdict;
-  total_rel : float;
-  max_pause_s : float;
-}
-
-type result = { entries : entry list }
 
 let verdict_to_string = function
   | Good -> "good"
@@ -50,7 +40,19 @@ let classify_pause ~max_pause_s ~server =
 
 let main_kinds = [ Gc_config.ParallelOld; Gc_config.Cms; Gc_config.G1 ]
 
-let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
+(* One row: the verdicts and the figures they were read from. *)
+let entry ~gc ~experiment ~throughput ~pause ~total_rel ~max_pause_s =
+  A.
+    [
+      Text gc;
+      Text experiment;
+      Text (verdict_to_string throughput);
+      Text (pause_verdict_to_string pause);
+      Float total_rel;
+      Float max_pause_s;
+    ]
+
+let run_scope (make : A.make) ~scope ?(jobs = Exp_common.default_jobs ()) () =
   let machine = Exp_common.machine () in
   let iterations = Scope.scaled scope 10 in
   (* DaCapo side: stable subset, baseline configuration, system GC on (the
@@ -101,14 +103,9 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
     List.map
       (fun (gc, total, max_pause) ->
         let rel = total /. best_total in
-        {
-          gc;
-          experiment = "DaCapo";
-          throughput = classify_throughput rel;
-          pause = classify_pause ~max_pause_s:max_pause ~server:false;
-          total_rel = rel;
-          max_pause_s = max_pause;
-        })
+        entry ~gc ~experiment:"DaCapo" ~throughput:(classify_throughput rel)
+          ~pause:(classify_pause ~max_pause_s:max_pause ~server:false)
+          ~total_rel:rel ~max_pause_s:max_pause)
       dacapo
   in
   (* Server side: stressed key-value store, one cell per collector. *)
@@ -121,31 +118,25 @@ let run_scope ~scope ?(jobs = Exp_common.default_jobs ()) () =
   let server_entries =
     List.map
       (fun (r : Exp_server.server_run) ->
-        {
-          gc = r.Exp_server.gc;
-          experiment = "Cassandra";
-          (* Relative throughput on the server is dominated by time lost
-             to pauses. *)
-          total_rel =
-            (let paused =
-               Array.fold_left (fun a (_, d) -> a +. d) 0.0 r.Exp_server.pauses
-             in
-             1.0 +. (paused /. Float.max 1.0 r.Exp_server.duration_s));
-          throughput =
-            (let paused =
-               Array.fold_left (fun a (_, d) -> a +. d) 0.0 r.Exp_server.pauses
-             in
-             classify_throughput
-               (1.0 +. (paused /. Float.max 1.0 r.Exp_server.duration_s)));
-          pause =
-            classify_pause ~max_pause_s:r.Exp_server.max_pause_s ~server:true;
-          max_pause_s = r.Exp_server.max_pause_s;
-        })
+        (* Relative throughput on the server is dominated by time lost
+           to pauses. *)
+        let paused =
+          Array.fold_left (fun a (_, d) -> a +. d) 0.0 r.Exp_server.pauses
+        in
+        let rel = 1.0 +. (paused /. Float.max 1.0 r.Exp_server.duration_s) in
+        entry ~gc:r.Exp_server.gc ~experiment:"Cassandra"
+          ~throughput:(classify_throughput rel)
+          ~pause:
+            (classify_pause ~max_pause_s:r.Exp_server.max_pause_s ~server:true)
+          ~total_rel:rel ~max_pause_s:r.Exp_server.max_pause_s)
       server_runs
   in
-  { entries = dacapo_entries @ server_entries }
+  make ~params:[]
+    ~columns:
+      [ "gc"; "experiment"; "throughput"; "pause"; "total_rel"; "max_pause_s" ]
+    ~rows:(dacapo_entries @ server_entries)
 
-let render result =
+let render a =
   let t =
     Table.create
       ~columns:
@@ -165,19 +156,20 @@ let render result =
         (fun exp_name ->
           match
             List.find_opt
-              (fun e -> e.gc = gc && e.experiment = exp_name)
-              result.entries
+              (fun row ->
+                A.text a "gc" row = gc && A.text a "experiment" row = exp_name)
+              a.A.rows
           with
           | None -> ()
-          | Some e ->
+          | Some row ->
               Table.add_row t
                 [
-                  e.gc;
-                  e.experiment;
-                  verdict_to_string e.throughput;
-                  pause_verdict_to_string e.pause;
-                  Table.cell_f e.total_rel;
-                  Table.cell_f e.max_pause_s;
+                  gc;
+                  exp_name;
+                  A.text a "throughput" row;
+                  A.text a "pause" row;
+                  Table.cell_f (A.float a "total_rel" row);
+                  Table.cell_f (A.float a "max_pause_s" row);
                 ])
         [ "DaCapo"; "Cassandra" ];
       Table.add_separator t)

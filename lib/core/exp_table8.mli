@@ -11,17 +11,6 @@ type verdict = Good | Fairly_good | Bad
 
 type pause_verdict = Short | Acceptable | Significant | Unacceptable
 
-type entry = {
-  gc : string;
-  experiment : string;  (** "DaCapo" or "Cassandra" *)
-  throughput : verdict;
-  pause : pause_verdict;
-  total_rel : float;  (** total time relative to the best collector *)
-  max_pause_s : float;
-}
-
-type result = { entries : entry list }
-
 val verdict_to_string : verdict -> string
 val pause_verdict_to_string : pause_verdict -> string
 
@@ -30,6 +19,11 @@ val classify_throughput : float -> verdict
 
 val classify_pause : max_pause_s:float -> server:bool -> pause_verdict
 
-val run_scope : scope:Scope.t -> ?jobs:int -> unit -> result
+val run_scope :
+  Artifact.make -> scope:Scope.t -> ?jobs:int -> unit -> Artifact.t
+(** One row per (collector, experiment): [gc], [experiment] ("DaCapo"
+    or "Cassandra"), the [throughput] and [pause] verdicts, and the
+    [total_rel] (total time relative to the best collector) and
+    [max_pause_s] they were read from. *)
 
-val render : result -> string
+val render : Artifact.t -> string

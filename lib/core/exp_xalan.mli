@@ -6,17 +6,21 @@
     Figure 2 plots the duration of iterations 4-10 ("the first 4 warm-up
     rounds are enough for the benchmark execution to stabilize"). *)
 
-type gc_series = {
-  gc : string;
-  pause_points : (float * float) array;  (** (time_s, pause_s) *)
-  iteration_durations : float array;  (** all iterations, seconds *)
-  total_s : float;
-}
+val run_scope :
+  fig1:Artifact.make ->
+  fig2:Artifact.make ->
+  scope:Scope.t ->
+  ?jobs:int ->
+  unit ->
+  Artifact.t list
+(** Both figures' artifacts from one campaign.  Each run (a [mode],
+    "system-gc" or "no-system-gc", and a [gc]) gives one [row_kind]
+    "series" row, then Figure 1 one "pause" row per pause ([time_s],
+    [pause_s]) and Figure 2 one "iteration" row per iteration
+    ([iteration], [duration_s]).  A series row carries the run's
+    [total_s], and Figure 1's also its [pauses] and [max_pause_s]; the
+    other cells of each row are 0. *)
 
-type result = { with_system_gc : gc_series list; without_system_gc : gc_series list }
+val render_figure1 : Artifact.t -> string
 
-val run_scope : scope:Scope.t -> ?jobs:int -> ?bench:string -> unit -> result
-
-val render_figure1 : result -> string
-
-val render_figure2 : result -> string
+val render_figure2 : Artifact.t -> string

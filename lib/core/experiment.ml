@@ -5,9 +5,11 @@ type t = {
   title : string;
   memo_key : string option;
   runner : runner;
+  text : Artifact.t -> string;
 }
 
-let make ~id ~title ?memo_key runner = { id; title; memo_key; runner }
+let make ~id ~title ?memo_key ~text runner =
+  { id; title; memo_key; runner; text }
 
 (* One cache slot per (campaign, scope).  Keyed on the memo key rather
    than the experiment id so that sibling entries of a campaign (fig1 &
@@ -32,7 +34,19 @@ let run e ~scope ?jobs () =
               arts)
 
 let artifact ~scope ?jobs e =
-  List.find_opt (fun (a : Artifact.t) -> a.name = e.id) (run e ~scope ?jobs ())
+  match
+    List.find_opt
+      (fun (a : Artifact.t) -> a.name = e.id)
+      (run e ~scope ?jobs ())
+  with
+  | Some a -> a
+  | None -> invalid_arg (e.id ^ " yields no artifact of its own id")
+
+type format = [ `Text | `Csv | `Json ]
+
+let render e a = function
+  | `Text -> e.text a
+  | (`Csv | `Json) as f -> Artifact.render a f
 
 (* --- golden identity ----------------------------------------------- *)
 
@@ -51,18 +65,17 @@ let first_difference expected actual =
   in
   go 1 (String.split_on_char '\n' expected, String.split_on_char '\n' actual)
 
-let check_golden ?jobs e =
+let check_golden e a =
   let path = Filename.concat golden_dir (e.id ^ ".txt") in
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error ("cannot read golden: " ^ msg)
   | expected -> (
-      match artifact ~scope:Scope.ci ?jobs e with
-      | None -> Error (e.id ^ " yields no artifact of its own id")
-      | Some a -> (
-          match first_difference expected (Artifact.render a `Text) with
-          | None -> Ok ()
-          | Some (n, g, r) ->
-              Error
-                (Printf.sprintf
-                   "%s differs at line %d\n  golden:   %s\n  rendered: %s" path
-                   n g r)))
+      match first_difference expected (e.text a) with
+      | exception Invalid_argument msg ->
+          Error (e.id ^ " does not render: " ^ msg)
+      | None -> Ok ()
+      | Some (n, g, r) ->
+          Error
+            (Printf.sprintf
+               "%s differs at line %d\n  golden:   %s\n  rendered: %s" path n
+               g r))

@@ -1,7 +1,8 @@
 (** Umbrella: every table and figure of the study.
 
-    {!all} is the catalogue: the only place an experiment id, title or
-    artifact builder is written down, and each title is written once.
+    {!all} is the catalogue: the only place an experiment id, title,
+    runner or text renderer is written down, and each title is written
+    once.
 
     Adding experiment #18 is one entry in {!all} plus its committed
     ci-scope render, [results/ci/<id>.txt]; [gcperf list], [gcperf run],
@@ -15,8 +16,11 @@ val all : Experiment.t list
     file per id, so a repeated id fails it. *)
 
 val all_names : string list
-(** Ids of {!all}: what {!artifact} accepts and [gcperf run] suggests
+(** Ids of {!all}: what {!find} accepts and [gcperf run] suggests
     from. *)
+
+val find : string -> Experiment.t option
+(** The entry with this id. *)
 
 val artifact : scope:Scope.t -> ?jobs:int -> string -> Artifact.t option
 (** Run one experiment and return its typed artifact.  Campaigns that

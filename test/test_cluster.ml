@@ -240,8 +240,10 @@ let test_hedging_rescues_paused_reads () =
 let test_grid_jobs_identity () =
   let render jobs =
     Gcperf.Exp_cluster.render
-      (Gcperf.Exp_cluster.run_grid ~scope:Gcperf.Scope.ci ~jobs
-         ~ring_sizes:[ 4 ] ~fanouts:[ 2 ] ())
+      (Gcperf.Exp_cluster.to_artifact
+         (Gcperf.Artifact.make ~name:"cluster" ~title:"cluster")
+         (Gcperf.Exp_cluster.run_grid ~scope:Gcperf.Scope.ci ~jobs
+            ~ring_sizes:[ 4 ] ~fanouts:[ 2 ] ()))
   in
   let j1 = render 1 in
   Alcotest.(check string) "jobs 2 matches jobs 1" j1 (render 2);

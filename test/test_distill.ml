@@ -106,23 +106,23 @@ let test_attribution () =
 (* --- experiment: cost lands on the right component ------------------ *)
 
 let test_experiment_attribution () =
-  let r = Gcperf.Exp_distill.run_scope ~scope:Gcperf.Scope.ci ~jobs:1 () in
-  Alcotest.(check int) "eight collectors at one ci point" 8
-    (List.length r.Gcperf.Exp_distill.cells);
-  let find gc =
-    List.find (fun c -> c.Gcperf.Exp_distill.gc = gc)
-      r.Gcperf.Exp_distill.cells
+  let module A = Gcperf.Artifact in
+  let a =
+    Option.get
+      (Gcperf.Experiments.artifact ~scope:Gcperf.Scope.ci ~jobs:1 "distill")
   in
+  Alcotest.(check int) "eight collectors at one ci point" 8
+    (List.length a.A.rows);
+  let find gc = List.find (fun row -> A.text a "gc" row = gc) a.A.rows in
   let serial = find "SerialGC" in
   Alcotest.(check bool) "SerialGC pays in pauses" true
-    (serial.Gcperf.Exp_distill.cost.Distill.stw_over > 0.0);
+    (A.float a "stw_over" serial > 0.0);
   Alcotest.(check (float 0.0)) "SerialGC steals no cores" 0.0
-    serial.Gcperf.Exp_distill.cost.Distill.steal_over;
+    (A.float a "steal_over" serial);
   let jrc = find "JournalRCGC" in
   Alcotest.(check bool) "JournalRCGC pays in mutator tax" true
-    (jrc.Gcperf.Exp_distill.cost.Distill.tax_over
-    > jrc.Gcperf.Exp_distill.cost.Distill.stw_over);
-  let ranking = Gcperf.Exp_distill.ranking r.Gcperf.Exp_distill.cells in
+    (A.float a "tax_over" jrc > A.float a "stw_over" jrc);
+  let ranking = Gcperf.Exp_distill.ranking a in
   Alcotest.(check int) "ranking covers all collectors" 8
     (List.length ranking);
   let sorted =
@@ -140,7 +140,7 @@ let test_experiment_attribution () =
    the matrix is its jobs column. *)
 let test_golden_across_jobs () =
   let distill = Golden.find "distill" in
-  List.iter (fun jobs -> Golden.check ~jobs distill) [ 1; 2 ]
+  List.iter (fun jobs -> ignore (Golden.check ~jobs distill)) [ 1; 2 ]
 
 let () =
   Alcotest.run "distill"

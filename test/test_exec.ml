@@ -51,12 +51,34 @@ let test_exception_lowest_index () =
 
 (* --- the identity gate ------------------------------------------------ *)
 
+(* The JSON text between [open_] and the next [close] after it. *)
+let between s open_ close =
+  let rec find sub i =
+    if String.sub s i (String.length sub) = sub then i else find sub (i + 1)
+  in
+  let start = find open_ 0 + String.length open_ in
+  String.sub s start (find close start - start)
+
 (* The determinism contract end to end: every experiment, its cells
    fanned out over four pool workers, renders byte-identically to the
    committed golden (rendered at --jobs 1).  The other legs run in the
-   @check-identity gate and CI. *)
+   @check-identity gate and CI.  The same artifacts also export: the CSV
+   has the header and one line per row, the JSON the artifact's
+   columns. *)
 let test_every_experiment_at_jobs_4 () =
-  List.iter (Golden.check ~jobs:4) E.all
+  List.iter
+    (fun (e : Gcperf.Experiment.t) ->
+      let a = Golden.check ~jobs:4 e in
+      let csv = Gcperf.Artifact.render a `Csv in
+      Alcotest.(check int)
+        (e.id ^ " csv: header + one line per row")
+        (1 + List.length a.rows)
+        (List.length (String.split_on_char '\n' csv) - 1);
+      Alcotest.(check string)
+        (e.id ^ " json columns")
+        (String.concat "," (List.map (Printf.sprintf "%S") a.columns))
+        (between (Gcperf.Artifact.render a `Json) "\"columns\":[" "],"))
+    E.all
 
 (* The campaign memo is domain-safe: fig5 and table567 share one run.
    Two pool workers ask for both siblings at once; the one that loses
@@ -76,7 +98,10 @@ let test_campaign_siblings_from_pool () =
             let arts =
               Gcperf.Experiment.run e ~scope:Gcperf.Scope.ci ~jobs:4 ()
             in
-            (arts, Gcperf.Experiment.check_golden ~jobs:4 e))
+            ( arts,
+              Gcperf.Experiment.check_golden e
+                (Gcperf.Experiment.artifact ~scope:Gcperf.Scope.ci ~jobs:4 e)
+            ))
           siblings)
   in
   (match results with
@@ -111,8 +136,10 @@ let test_check_golden_detects_tampering () =
   Sys.mkdir dir 0o755;
   Out_channel.with_open_bin (Filename.concat root file) (fun oc ->
       Out_channel.output_bytes oc tampered);
+  let artifact = Gcperf.Experiment.artifact ~scope:Gcperf.Scope.ci table2 in
   let result =
-    Golden.in_dir root (fun () -> Gcperf.Experiment.check_golden table2)
+    Golden.in_dir root (fun () ->
+        Gcperf.Experiment.check_golden table2 artifact)
   in
   Sys.remove (Filename.concat root file);
   Sys.rmdir dir;

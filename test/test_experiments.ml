@@ -15,43 +15,46 @@ let test_registry () =
   Alcotest.(check bool) "unknown rejected" true
     (E.artifact ~scope:Gcperf.Scope.ci "nope" = None)
 
+(* A ci-scope artifact, read by column name, and its text render. *)
+let artifact id = Option.get (E.artifact ~scope:Gcperf.Scope.ci id)
+let text id a = (Option.get (E.find id)).Gcperf.Experiment.text a
+
+module A = Gcperf.Artifact
+
 let test_table2 () =
-  let r = Gcperf.Exp_table2.run_scope ~scope:Gcperf.Scope.ci () in
-  Alcotest.(check int) "7 stable benchmarks" 7
-    (List.length r.Gcperf.Exp_table2.rows);
+  let a = artifact "table2" in
+  Alcotest.(check int) "7 stable benchmarks" 7 (List.length a.A.rows);
   List.iter
     (fun row ->
+      let final = A.float a "final_rsd_pct" row in
       Alcotest.(check bool) "rsd finite and non-negative" true
-        (row.Gcperf.Exp_table2.final_rsd_pct >= 0.0
-        && row.Gcperf.Exp_table2.total_rsd_pct >= 0.0
-        && Float.is_finite row.Gcperf.Exp_table2.final_rsd_pct))
-    r.Gcperf.Exp_table2.rows;
-  let rendered = Gcperf.Exp_table2.render r in
+        (final >= 0.0
+        && A.float a "total_rsd_pct" row >= 0.0
+        && Float.is_finite final))
+    a.A.rows;
+  let rendered = text "table2" a in
   Alcotest.(check bool) "mentions benchmarks" true (contains rendered "xalan")
 
 let test_table3 () =
-  let r = Gcperf.Exp_table3.run_scope ~scope:Gcperf.Scope.ci () in
-  Alcotest.(check int) "10 configurations" 10
-    (List.length r.Gcperf.Exp_table3.rows);
+  let a = artifact "table3" in
+  Alcotest.(check int) "10 configurations" 10 (List.length a.A.rows);
   List.iter
     (fun row ->
-      let open Gcperf.Exp_table3 in
       Alcotest.(check bool) "fulls <= pauses" true
-        (row.full_pauses <= row.pauses);
+        (A.int a "full_pauses" row <= A.int a "pauses" row);
       Alcotest.(check bool) "total >= avg" true
-        (row.total_pause_s >= row.avg_pause_s -. 1e-9))
-    r.Gcperf.Exp_table3.rows;
+        (A.float a "total_pause_s" row >= A.float a "avg_pause_s" row -. 1e-9))
+    a.A.rows;
   (* Smaller heaps collect more: the 1 GB row must out-pause the 64 GB
      row (the 250 MB rows may even OOM at ci scope). *)
-  let pauses_of i = (List.nth r.Gcperf.Exp_table3.rows i).Gcperf.Exp_table3.pauses in
+  let pauses_of i = A.int a "pauses" (List.nth a.A.rows i) in
   Alcotest.(check bool) "small heap pauses more" true
     (pauses_of 4 >= pauses_of 0)
 
 let test_table4 () =
-  let r = Gcperf.Exp_table4.run_scope ~scope:Gcperf.Scope.ci () in
-  Alcotest.(check int) "7 benchmarks x 6 GCs" 42
-    (List.length r.Gcperf.Exp_table4.cells);
-  let rendered = Gcperf.Exp_table4.render r in
+  let a = artifact "table4" in
+  Alcotest.(check int) "7 benchmarks x 6 GCs" 42 (List.length a.A.rows);
+  let rendered = text "table4" a in
   Alcotest.(check bool) "symbols present" true (contains rendered "=")
 
 let test_table4_classify () =
@@ -67,36 +70,47 @@ let test_table4_classify () =
        (classify ~deviation:0.05 ~with_tlab:100.0 ~without_tlab:102.0))
 
 let test_figures_1_2 () =
-  let r = Gcperf.Exp_xalan.run_scope ~scope:Gcperf.Scope.ci () in
+  let f1 = artifact "fig1" in
+  let series mode =
+    List.filter
+      (fun row -> A.text f1 "mode" row = mode)
+      (A.where f1 "row_kind" "series")
+  in
   Alcotest.(check int) "6 collectors, sysgc on" 6
-    (List.length r.Gcperf.Exp_xalan.with_system_gc);
+    (List.length (series "system-gc"));
   Alcotest.(check int) "6 collectors, sysgc off" 6
-    (List.length r.Gcperf.Exp_xalan.without_system_gc);
+    (List.length (series "no-system-gc"));
   (* The paper's headline: with forced full GCs, G1 is the slowest and
      ParallelOld among the fastest. *)
   let total name l =
-    (List.find (fun s -> s.Gcperf.Exp_xalan.gc = name) l)
-      .Gcperf.Exp_xalan.total_s
+    A.float f1 "total_s" (List.find (fun row -> A.text f1 "gc" row = name) l)
   in
-  let w = r.Gcperf.Exp_xalan.with_system_gc in
+  let w = series "system-gc" in
   Alcotest.(check bool) "G1 slowest with system GC" true
     (total "G1GC" w > total "ParallelOldGC" w);
-  let f1 = Gcperf.Exp_xalan.render_figure1 r in
-  let f2 = Gcperf.Exp_xalan.render_figure2 r in
-  Alcotest.(check bool) "figure 1 renders" true (contains f1 "Figure 1");
-  Alcotest.(check bool) "figure 2 renders" true (contains f2 "Figure 2")
+  Alcotest.(check bool) "figure 1 renders" true
+    (contains (text "fig1" f1) "Figure 1");
+  Alcotest.(check bool) "figure 2 renders" true
+    (contains (text "fig2" (artifact "fig2")) "Figure 2")
 
 let test_fig3 () =
-  let r = Gcperf.Exp_fig3.run_scope ~scope:Gcperf.Scope.ci () in
-  let pct l = List.fold_left (fun a (_, v) -> a +. v) 0.0 l in
+  let a = artifact "fig3" in
+  let pct mode =
+    List.fold_left
+      (fun acc row -> acc +. A.float a "percent_won" row)
+      0.0 (A.where a "mode" mode)
+  in
   Alcotest.(check bool) "percentages sum to ~100 (sysgc)" true
-    (Float.abs (pct r.Gcperf.Exp_fig3.with_system_gc -. 100.0) < 1.0);
+    (Float.abs (pct "system-gc" -. 100.0) < 1.0);
   Alcotest.(check bool) "percentages sum to ~100 (no sysgc)" true
-    (Float.abs (pct r.Gcperf.Exp_fig3.without_system_gc -. 100.0) < 1.0);
+    (Float.abs (pct "no-system-gc" -. 100.0) < 1.0);
   (* G1 must not win with forced full collections (the paper's Figure 3a
      shows no bar for it at all). *)
   let g1 =
-    List.assoc "G1GC" r.Gcperf.Exp_fig3.with_system_gc
+    A.float a "percent_won"
+      (List.find
+         (fun row -> A.text a "collector" row = "G1GC")
+         (A.where a "mode" "system-gc"))
   in
   Alcotest.(check bool) "G1 wins nothing with system GC" true (g1 <= 1.0)
 

@@ -6,7 +6,6 @@ module Artifact = Gcperf.Artifact
 
 let artifact ~columns rows =
   Artifact.make ~name:"t" ~title:"t" ~params:[] ~columns ~rows
-    ~render_text:(fun () -> "")
 
 let csv ~columns rows = Artifact.render (artifact ~columns rows) `Csv
 
@@ -57,6 +56,47 @@ let test_artifact_row_width () =
       ignore
         (artifact ~columns:[ "a"; "b" ]
            Artifact.[ [ Int 1; Int 2 ]; [ Int 3 ] ]))
+
+(* A JSON export's floats read back bit-equal: finite values as the
+   shortest of %.15g/%.16g/%.17g that does, others as a quoted %h. *)
+let prop_json_float_round_trip =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          float;
+          (* subnormals: a zero exponent under any mantissa *)
+          map
+            (fun m ->
+              Int64.float_of_bits (Int64.logand m 0xF_FFFF_FFFF_FFFFL))
+            ui64;
+          map float_of_int int;
+          (* decimals such as 758.123456, which %.6g rounds *)
+          map (fun n -> float_of_int n /. 1e6) int;
+        ])
+  in
+  QCheck.Test.make ~name:"json floats round-trip" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f ->
+      let json =
+        Artifact.render
+          (artifact ~columns:[ "f" ] [ [ Artifact.Float f ] ])
+          `Json
+      in
+      (* ... "rows":[[<cell>]]} *)
+      let cell =
+        let n = String.length json in
+        let rec start i =
+          if String.sub json i 9 = "\"rows\":[[" then i + 9 else start (i + 1)
+        in
+        let i = start 0 in
+        String.sub json i (n - i - 3)
+      in
+      if Float.is_finite f then
+        Int64.equal
+          (Int64.bits_of_float (float_of_string cell))
+          (Int64.bits_of_float f)
+      else cell = "\"" ^ Printf.sprintf "%h" f ^ "\"")
 
 let test_cells () =
   Alcotest.(check string) "float" "3.14" (Table.cell_f 3.14159);
@@ -134,7 +174,10 @@ let () =
           Alcotest.test_case "cell formatting" `Quick test_cells;
         ] );
       ( "artifact",
-        [ Alcotest.test_case "row width" `Quick test_artifact_row_width ] );
+        [
+          Alcotest.test_case "row width" `Quick test_artifact_row_width;
+          QCheck_alcotest.to_alcotest prop_json_float_round_trip;
+        ] );
       ( "chart",
         [
           Alcotest.test_case "scatter" `Quick test_scatter;

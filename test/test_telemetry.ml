@@ -397,7 +397,7 @@ let with_default_enabled value f =
 let test_goldens_with_telemetry_on () =
   with_default_enabled true (fun () ->
       List.iter
-        (fun id -> Golden.check (Golden.find id))
+        (fun id -> ignore (Golden.check (Golden.find id)))
         [ "table2"; "table3"; "fig3" ])
 
 let test_traced_run_unperturbed () =
