@@ -1,5 +1,4 @@
 module Prng = Gcperf_util.Prng
-module Vec = Gcperf_util.Vec
 module Heapq = Gcperf_util.Heapq
 module Injector = Gcperf_fault.Injector
 module Gateway = Gcperf_kvstore.Gateway
@@ -58,27 +57,40 @@ type summary = {
   hedge_wins : int;
 }
 
-(* Per-request state.  [primary] holds a hedged read's first-attempt
-   result while the hedge is in flight. *)
-type req = {
-  arrival_s : float;
-  kind : Client.op_kind;
-  mutable attempts : int;
-  mutable done_ : bool;
-  mutable ok : bool;
-  mutable primary : primary_result;
-}
+(* Per-request state lives in columns indexed by request number (arrival
+   order): the arrival time in a [Float.Array], everything else as bits
+   of one [state] byte, and a hedged read's pending primary result in
+   [state] plus a [Float.Array] of times.  A session therefore allocates
+   no block per request. *)
+let st_read = 1
+let st_done = 2
 
-and primary_result =
-  | No_primary
-  | Primary_ok of float  (* response completion time, seconds *)
-  | Primary_failed of float * string  (* detection time, cause *)
+(* Set while a hedge is in flight: the primary attempt was served and its
+   response completes at [primary_s], or (clear) it failed and the client
+   detects that at [primary_s]. *)
+let st_primary_served = 4
 
-type ev = Attempt of req * int | Hedge of req
+(* The primary failure's cause was a lost response that no timeout
+   watches for, the one cause [maybe_retry] does not react to. *)
+let st_primary_dropped = 8
 
-(* One attempt either completes at an absolute time or is detected as
-   failed at an absolute time with a cause. *)
-type attempt_result = Success of float | Failed of float * string
+(* An event is one immediate, [(request lsl attempt_bits) lor n]: [n >= 1]
+   is that request's attempt number and [n = 0] its hedge.  The event heap
+   is an [int Heapq.t], so scheduling allocates nothing and a sift moves
+   no pointer.  The request field gets 22 bits, which keeps the payload
+   non-negative: 2^22 requests is about four times a full-scale two-hour
+   session.  The attempt field gets the other 40.  [run] rejects a
+   session that exceeds either field. *)
+let attempt_bits = 40
+let attempt_mask = (1 lsl attempt_bits) - 1
+let max_requests = 1 lsl (62 - attempt_bits)
+
+(* What one attempt came to.  The time it resolves at is left in
+   [sess.result_s]: when a [served] response completes, or when the
+   client learns of a failure. *)
+let served = 0
+let failed = 1
+let dropped = 2 (* failed, and the client never notices (no timeout) *)
 
 type session = {
   w : Client.workload;
@@ -86,11 +98,15 @@ type session = {
   inj : Injector.t;
   gw : Gateway.t;
   prng : Prng.t;
-  heap : ev Heapq.t;
+  heap : int Heapq.t;
   latencies : Histogram.t;  (* successful requests, ms *)
+  arrival_s : Float.Array.t;
+  state : Bytes.t;
+  primary_s : Float.Array.t;
+  result_s : Float.Array.t;  (* one slot: the last attempt's time *)
   mutable attempts : int;
   mutable retries : int;
-  mutable retry_budget : int;
+  retry_budget : int;
   mutable ok : int;
   mutable failed : int;
   mutable timeouts : int;
@@ -101,18 +117,22 @@ type session = {
 
 let us s = int_of_float (s *. 1e6)
 
+let has sess i bit = Bytes.get_uint8 sess.state i land bit <> 0
+
+let set sess i bit =
+  Bytes.set_uint8 sess.state i (Bytes.get_uint8 sess.state i lor bit)
+
 (* Base service time: the same model as Client.run — reads step up with
    the database size, updates are flat log appends — with the same
    log-normal jitter. *)
-let service_ms sess ~db_timeline (req : req) at_s =
+let service_ms sess ~db_timeline i at_s =
   let base =
-    match req.kind with
-    | Client.Read ->
-        let db = Client.db_bytes_at db_timeline at_s in
-        sess.w.Client.read_base_ms
-        +. (sess.w.Client.read_step_ms
-            *. float_of_int (db / sess.w.Client.read_step_bytes))
-    | Client.Update -> sess.w.Client.update_base_ms
+    if has sess i st_read then
+      let db = Client.db_bytes_at db_timeline at_s in
+      sess.w.Client.read_base_ms
+      +. (sess.w.Client.read_step_ms
+          *. float_of_int (db / sess.w.Client.read_step_bytes))
+    else sess.w.Client.update_base_ms
   in
   if sess.w.Client.jitter_sigma <= 0.0 then base
   else
@@ -122,27 +142,29 @@ let service_ms sess ~db_timeline (req : req) at_s =
              /. 2.0)
          ~sigma:sess.w.Client.jitter_sigma
 
-(* Issue one attempt at [t]: consult the injector, then the gateway,
-   then apply the client-side timeout.  Failure times are when the
-   CLIENT learns of the failure (immediately for errors and rejections,
-   at the timeout for lost or too-slow responses). *)
-let attempt sess ~db_timeline (req : req) t =
+(* Inlined, like [finalize_success], so the time is stored unboxed. *)
+let[@inline] resolve sess outcome at_s =
+  Float.Array.set sess.result_s 0 at_s;
+  outcome
+
+(* Make one attempt of request [i] at [t]: consult the injector, then
+   the gateway, then apply the client-side timeout.  Failure times are
+   when the CLIENT learns of the failure (immediately for errors and
+   rejections, at the timeout for lost or too-slow responses). *)
+let attempt sess ~db_timeline i t =
   sess.attempts <- sess.attempts + 1;
-  req.attempts <- req.attempts + 1;
   Injector.advance_to sess.inj t;
   let fault = Injector.outcome sess.inj in
   let reject_cost_ms = 0.2 in
   match fault with
   | Injector.Error ->
       sess.errors <- sess.errors + 1;
-      Failed (t +. (reject_cost_ms /. 1e3), "error")
+      resolve sess failed (t +. (reject_cost_ms /. 1e3))
   | Injector.Pass | Injector.Delay _ | Injector.Drop -> (
-      let service = service_ms sess ~db_timeline req t in
+      let service = service_ms sess ~db_timeline i t in
       match Gateway.offer sess.gw ~now_s:t ~service_ms:service with
-      | Gateway.Shed ->
-          Failed (t +. (reject_cost_ms /. 1e3), "shed")
-      | Gateway.Fast_rejected ->
-          Failed (t +. (reject_cost_ms /. 1e3), "fast-reject")
+      | Gateway.Shed | Gateway.Fast_rejected ->
+          resolve sess failed (t +. (reject_cost_ms /. 1e3))
       | Gateway.Served { wait_ms = _; finish_s } -> (
           let extra_ms =
             match fault with Injector.Delay d -> d | _ -> 0.0
@@ -156,9 +178,9 @@ let attempt sess ~db_timeline (req : req) t =
               sess.drops <- sess.drops + 1;
               if Float.is_finite sess.r.timeout_ms then begin
                 sess.timeouts <- sess.timeouts + 1;
-                Failed (t +. (sess.r.timeout_ms /. 1e3), "timeout")
+                resolve sess failed (t +. (sess.r.timeout_ms /. 1e3))
               end
-              else Failed (t, "drop")
+              else resolve sess dropped t
           | _ ->
               let lat_ms = (resp_s -. t) *. 1e3 in
               if
@@ -166,38 +188,31 @@ let attempt sess ~db_timeline (req : req) t =
                 && lat_ms > sess.r.timeout_ms
               then begin
                 sess.timeouts <- sess.timeouts + 1;
-                Failed (t +. (sess.r.timeout_ms /. 1e3), "timeout")
+                resolve sess failed (t +. (sess.r.timeout_ms /. 1e3))
               end
-              else Success resp_s))
+              else resolve sess served resp_s))
 
-let finalize_success sess (req : req) ~complete_s ~hedge_won =
-  req.done_ <- true;
-  req.ok <- true;
+let[@inline] finalize_success sess i ~complete_s ~hedge_won =
+  set sess i st_done;
   sess.ok <- sess.ok + 1;
-  let lat_ms = (complete_s -. req.arrival_s) *. 1e3 in
+  let lat_ms = (complete_s -. Float.Array.get sess.arrival_s i) *. 1e3 in
   Histogram.record sess.latencies lat_ms;
   if hedge_won then sess.hedge_wins <- sess.hedge_wins + 1
 
-let finalize_failure sess (req : req) = begin
-  req.done_ <- true;
-  req.ok <- false;
-  sess.failed <- sess.failed + 1
-end
-
 (* Failure detected at [fail_s] after [used] attempts: retry if the
    policy, the per-request attempt cap and the global budget all allow
-   it.  A ["drop"] cause means the client never detected the failure
-   (no timeout), so there is nothing to react to. *)
-let maybe_retry sess (req : req) ~used ~fail_s ~cause =
+   it.  A [dropped] failure is one the client never detected (no
+   timeout), so there is nothing to react to. *)
+let maybe_retry sess i ~used ~fail_s ~was_dropped =
   if
-    cause <> "drop"
+    (not was_dropped)
     && used < sess.r.max_attempts
     && sess.retries < sess.retry_budget
   then begin
     sess.retries <- sess.retries + 1;
     let backoff_ms =
       Float.min sess.r.backoff_cap_ms
-        (sess.r.backoff_base_ms *. float_of_int (1 lsl (used - 1)))
+        (sess.r.backoff_base_ms *. Float.ldexp 1.0 (used - 1))
     in
     let backoff_ms =
       backoff_ms
@@ -205,79 +220,116 @@ let maybe_retry sess (req : req) ~used ~fail_s ~cause =
     in
     Heapq.push sess.heap
       (us (fail_s +. (backoff_ms /. 1e3)))
-      (Attempt (req, used + 1))
+      ((i lsl attempt_bits) lor (used + 1))
   end
-  else finalize_failure sess req
+  else begin
+    set sess i st_done;
+    sess.failed <- sess.failed + 1
+  end
 
-let hedge_applies sess req =
-  sess.r.hedge_ms > 0.0 && req.kind = Client.Read
+(* Attempt [n] of request [i], due at [t]. *)
+let process_attempt sess ~db_timeline i n t =
+  let outcome = attempt sess ~db_timeline i t in
+  let res_s = Float.Array.get sess.result_s 0 in
+  if
+    n = 1 && sess.r.hedge_ms > 0.0 && has sess i st_read
+    && (res_s -. t) *. 1e3 > sess.r.hedge_ms
+  then begin
+    (* The primary's response, or the detection of its failure (a
+       timeout), comes only after the hedge fires: race a hedge. *)
+    Float.Array.set sess.primary_s i res_s;
+    if outcome = served then set sess i st_primary_served
+    else if outcome = dropped then set sess i st_primary_dropped;
+    Heapq.push sess.heap
+      (us (t +. (sess.r.hedge_ms /. 1e3)))
+      (i lsl attempt_bits)
+  end
+  else if outcome = served then
+    finalize_success sess i ~complete_s:res_s ~hedge_won:false
+  else
+    maybe_retry sess i ~used:n ~fail_s:res_s ~was_dropped:(outcome = dropped)
 
-let process sess ~db_timeline ev t =
-  match ev with
-  | Attempt (req, n) ->
-      if not req.done_ then begin
-        match attempt sess ~db_timeline req t with
-        | Success c ->
-            if n = 1 && hedge_applies sess req && (c -. t) *. 1e3 > sess.r.hedge_ms
-            then begin
-              (* Response is on its way but slow: race a hedge. *)
-              req.primary <- Primary_ok c;
-              Heapq.push sess.heap
-                (us (t +. (sess.r.hedge_ms /. 1e3)))
-                (Hedge req)
-            end
-            else finalize_success sess req ~complete_s:c ~hedge_won:false
-        | Failed (f, cause) ->
-            if
-              n = 1 && hedge_applies sess req
-              && (f -. t) *. 1e3 > sess.r.hedge_ms
-            then begin
-              (* The failure will only be detected after the hedge
-                 fires (a timeout): let the hedge race the detection. *)
-              req.primary <- Primary_failed (f, cause);
-              Heapq.push sess.heap
-                (us (t +. (sess.r.hedge_ms /. 1e3)))
-                (Hedge req)
-            end
-            else maybe_retry sess req ~used:n ~fail_s:f ~cause
-      end
-  | Hedge req ->
-      if not req.done_ then begin
-        let hres = attempt sess ~db_timeline req t in
-        match (req.primary, hres) with
-        | Primary_ok c_p, Success c_h ->
-            if c_h < c_p then
-              finalize_success sess req ~complete_s:c_h ~hedge_won:true
-            else finalize_success sess req ~complete_s:c_p ~hedge_won:false
-        | Primary_ok c_p, Failed _ ->
-            finalize_success sess req ~complete_s:c_p ~hedge_won:false
-        | Primary_failed _, Success c_h ->
-            finalize_success sess req ~complete_s:c_h ~hedge_won:true
-        | Primary_failed (f_p, cause_p), Failed (f_h, cause_h) ->
-            let f, cause =
-              if f_h > f_p then (f_h, cause_h) else (f_p, cause_p)
-            in
-            (* Both the primary and the hedge burned an attempt. *)
-            maybe_retry sess req ~used:2 ~fail_s:f ~cause
-        | No_primary, _ ->
-            (* A hedge is only ever scheduled after its primary result
-               was stored. *)
-            assert false
-      end
+(* The hedge of request [i], due at [t], against the stored primary. *)
+let process_hedge sess ~db_timeline i t =
+  let outcome = attempt sess ~db_timeline i t in
+  let h_s = Float.Array.get sess.result_s 0 in
+  let p_s = Float.Array.get sess.primary_s i in
+  if has sess i st_primary_served then
+    if outcome = served && h_s < p_s then
+      finalize_success sess i ~complete_s:h_s ~hedge_won:true
+    else finalize_success sess i ~complete_s:p_s ~hedge_won:false
+  else if outcome = served then
+    finalize_success sess i ~complete_s:h_s ~hedge_won:true
+  else if
+    (* Both the primary and the hedge burned an attempt; the later
+       detection is the one the client acts on. *)
+    h_s > p_s
+  then maybe_retry sess i ~used:2 ~fail_s:h_s ~was_dropped:(outcome = dropped)
+  else
+    maybe_retry sess i ~used:2 ~fail_s:p_s
+      ~was_dropped:(has sess i st_primary_dropped)
 
 let run w ~profile ~resilience ~gateway ~pauses ~db_timeline ~seed =
+  if resilience.max_attempts > attempt_mask then
+    invalid_arg
+      (Printf.sprintf
+         "Resilient.run: max_attempts %d does not fit the %d-bit attempt \
+          field (at most %d)"
+         resilience.max_attempts attempt_bits attempt_mask);
+  let inj = Injector.create ~profile ~seed:(seed + 1) ~pauses in
+  let gw = Gateway.create gateway ~pauses in
+  let prng = Prng.create seed in
+  (* Arrivals: a Poisson process whose rate follows the injector's load
+     multiplier — the fault schedule warps the arrival stream itself
+     (retry storms from the rest of the client population). *)
+  let arrival_s = ref (Float.Array.create 1024) in
+  let state = ref (Bytes.create 1024) in
+  let requests = ref 0 in
+  let t = ref 0.0 in
+  let continue = ref true in
+  while !continue do
+    let m = Injector.load_multiplier inj !t in
+    t := !t +. Prng.exponential prng (1.0 /. (w.Client.ops_per_s *. m));
+    if !t < w.Client.duration_s then begin
+      let i = !requests in
+      if i = max_requests then
+        invalid_arg
+          (Printf.sprintf
+             "Resilient.run: more than %d requests do not fit the %d-bit \
+              request field of an event"
+             max_requests (62 - attempt_bits));
+      if i = Float.Array.length !arrival_s then begin
+        let a = Float.Array.create (2 * i) in
+        Float.Array.blit !arrival_s 0 a 0 i;
+        arrival_s := a;
+        state := Bytes.extend !state 0 i
+      end;
+      Float.Array.set !arrival_s i !t;
+      Bytes.set_uint8 !state i
+        (if Prng.chance prng w.Client.read_frac then st_read else 0);
+      requests := i + 1
+    end
+    else continue := false
+  done;
+  let requests = !requests in
   let sess =
     {
       w;
       r = resilience;
-      inj = Injector.create ~profile ~seed:(seed + 1) ~pauses;
-      gw = Gateway.create gateway ~pauses;
-      prng = Prng.create seed;
+      inj;
+      gw;
+      prng;
       heap = Heapq.create ();
       latencies = Histogram.create ();
+      arrival_s = !arrival_s;
+      state = !state;
+      primary_s = Float.Array.create requests;
+      result_s = Float.Array.create 1;
       attempts = 0;
       retries = 0;
-      retry_budget = 0;
+      retry_budget =
+        int_of_float
+          (resilience.retry_budget_pct /. 100.0 *. float_of_int requests);
       ok = 0;
       failed = 0;
       timeouts = 0;
@@ -286,41 +338,21 @@ let run w ~profile ~resilience ~gateway ~pauses ~db_timeline ~seed =
       hedge_wins = 0;
     }
   in
-  (* Arrivals: a Poisson process whose rate follows the injector's load
-     multiplier — the fault schedule warps the arrival stream itself
-     (retry storms from the rest of the client population). *)
-  let reqs = Vec.create () in
-  let t = ref 0.0 in
-  let continue = ref true in
-  while !continue do
-    let m = Injector.load_multiplier sess.inj !t in
-    t := !t +. Prng.exponential sess.prng (1.0 /. (w.Client.ops_per_s *. m));
-    if !t < w.Client.duration_s then
-      Vec.push reqs
-        {
-          arrival_s = !t;
-          kind =
-            (if Prng.chance sess.prng w.Client.read_frac then Client.Read
-             else Client.Update);
-          attempts = 0;
-          done_ = false;
-          ok = false;
-          primary = No_primary;
-        }
-    else continue := false
+  for i = 0 to requests - 1 do
+    Heapq.push sess.heap
+      (us (Float.Array.get sess.arrival_s i))
+      ((i lsl attempt_bits) lor 1)
   done;
-  let requests = Vec.length reqs in
-  sess.retry_budget <-
-    int_of_float
-      (resilience.retry_budget_pct /. 100.0 *. float_of_int requests);
-  Vec.iter
-    (fun req -> Heapq.push sess.heap (us req.arrival_s) (Attempt (req, 1)))
-    reqs;
   let rec drain () =
     match Heapq.pop sess.heap with
     | None -> ()
     | Some (t_us, ev) ->
-        process sess ~db_timeline ev (float_of_int t_us /. 1e6);
+        let i = ev lsr attempt_bits and n = ev land attempt_mask in
+        if not (has sess i st_done) then begin
+          let t = float_of_int t_us /. 1e6 in
+          if n = 0 then process_hedge sess ~db_timeline i t
+          else process_attempt sess ~db_timeline i n t
+        end;
         drain ()
   in
   drain ();

@@ -70,4 +70,7 @@ val run :
   summary
 (** Run one fault session.  [pauses] and [db_timeline] come from a
     server run ({!Gcperf_sim.Gc_event.intervals} /
-    [Server.db_size_timeline]). *)
+    [Server.db_size_timeline]).  An event packs a request number and an
+    attempt number into one [int], so [run] raises [Invalid_argument]
+    when [max_attempts] exceeds 2^40 - 1 or the session draws more than
+    2^22 requests. *)

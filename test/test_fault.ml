@@ -206,6 +206,144 @@ let test_session_retries_recover_drops () =
     (float_of_int s.Resilient.ok
     >= 0.98 *. float_of_int s.Resilient.requests)
 
+(* Every field of a summary, floats as exact hex, so a pin fails on any
+   change to the PRNG draw order or the event tie order that moves a
+   single request.  The ci golden rounds these values and cannot. *)
+let pin (s : Resilient.summary) =
+  Printf.sprintf
+    "%s req=%d ok=%d failed=%d att=%d retries=%d amp=%h goodput=%h p50=%h \
+     p99=%h p999=%h max=%h timeouts=%d sheds=%d fast=%d drops=%d errors=%d \
+     hedge_wins=%d"
+    s.Resilient.profile s.requests s.ok s.failed s.attempts s.retries
+    s.retry_amplification s.goodput_ops_s s.p50_ms s.p99_ms s.p999_ms
+    s.max_ms s.timeouts s.sheds s.fast_rejects s.drops s.errors s.hedge_wins
+
+(* The database crosses the 8 GiB and 16 GiB read steps mid-session, so
+   reads take the step lookup's three service levels. *)
+let stepped_timeline =
+  let gib = 1024 * 1024 * 1024 in
+  [| (0.0, 6 * gib); (40.0, 9 * gib); (80.0, 17 * gib) |]
+
+let test_session_summaries_pinned () =
+  let run ?(w = workload) ?(pauses = [| (30.0, 32.0); (70.0, 71.0) |]) profile
+      resilient =
+    let resilience =
+      if resilient then Resilient.paper_defaults else Resilient.none
+    in
+    let gateway = if resilient then Gateway.degraded else Gateway.unbounded in
+    pin
+      (Resilient.run w ~profile ~resilience ~gateway ~pauses
+         ~db_timeline:stepped_timeline ~seed:3)
+  in
+  (* At 5000 ops/s (and 4x that during the pause-spike windows), many
+     events share a microsecond, so this summary also depends on the
+     heap's pop order among equal keys: pushing the arrivals in reverse
+     order changes it. *)
+  Alcotest.(check string) "storm, resilient, dense"
+    "storm req=65279 ok=51671 failed=13608 att=79724 \
+     retries=13055 amp=0x1.38a5de8462e75p+0 \
+     goodput=0x1.93aep+13 p50=0x1.cbc6a7ef9db23p-1 \
+     p99=0x1.cfdf3b645a1cbp+8 p999=0x1.fef9db22d0e56p+8 \
+     max=0x1.7ebc7526113d3p+9 timeouts=595 sheds=214 fast=25799 \
+     drops=543 errors=411 hedge_wins=1245"
+    (run
+       ~w:{ workload with Client.duration_s = 4.0; ops_per_s = 5000.0 }
+       ~pauses:[| (1.0, 1.5); (3.0, 3.2) |]
+       Profile.storm true);
+  List.iter
+    (fun (profile, resilient, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s, resilient %b" profile.Profile.name resilient)
+        expected (run profile resilient))
+    [
+      (Profile.pause_spike, false,
+        "pause-spike req=7160 ok=7160 failed=0 att=7160 \
+         retries=0 amp=0x1p+0 goodput=0x1.dd55555555555p+5 \
+         p50=0x1.0083126e978d5p+0 p99=0x1.8a3d70a3d70a4p+10 \
+         p999=0x1.e666666666666p+10 max=0x1.ef42f1bbe132cp+10 \
+         timeouts=0 sheds=0 fast=0 drops=0 errors=0 \
+         hedge_wins=0");
+      (Profile.pause_spike, true,
+        "pause-spike req=7160 ok=6664 failed=496 att=8627 \
+         retries=1432 amp=0x1.34738ebb10e04p+0 \
+         goodput=0x1.bc44444444444p+5 \
+         p50=0x1.f0a3d70a3d70ap-1 p99=0x1.9a9fbe76c8b44p+7 \
+         p999=0x1.e24dd2f1a9fbep+8 max=0x1.f77bc107057a2p+8 \
+         timeouts=96 sheds=0 fast=1867 drops=0 errors=0 \
+         hedge_wins=0");
+      (Profile.storm, false,
+        "storm req=7160 ok=7041 failed=119 att=7160 retries=0 \
+         amp=0x1p+0 goodput=0x1.d566666666666p+5 \
+         p50=0x1.09374bc6a7efap+0 p99=0x1.8a3d70a3d70a4p+10 \
+         p999=0x1.e666666666666p+10 max=0x1.ef3da5a02bd9cp+10 \
+         timeouts=0 sheds=0 fast=0 drops=90 errors=29 \
+         hedge_wins=0");
+      (Profile.storm, true,
+        "storm req=7160 ok=6631 failed=529 att=8802 \
+         retries=1432 amp=0x1.3ab5586265418p+0 \
+         goodput=0x1.ba11111111111p+5 \
+         p50=0x1.0083126e978d5p+0 p99=0x1.428f5c28f5c29p+8 \
+         p999=0x1.de353f7ced917p+8 max=0x1.53b245208c6ddp+9 \
+         timeouts=184 sheds=0 fast=1811 drops=90 errors=39 \
+         hedge_wins=165");
+    ]
+
+(* An event packs its request number and attempt number into one int;
+   [run] rejects a session whose values would not fit. *)
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let raises_naming what f =
+  match f () with
+  | _ -> Alcotest.failf "expected Invalid_argument naming %s" what
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) (msg ^ " names " ^ what) true (contains msg what)
+
+let largest_max_attempts = (1 lsl 40) - 1
+
+let test_session_packing_bounds () =
+  let run w r =
+    Resilient.run w ~profile:Profile.none ~resilience:r
+      ~gateway:Gateway.unbounded ~pauses:[||] ~db_timeline:[||] ~seed:3
+  in
+  raises_naming "max_attempts" (fun () ->
+      run workload
+        { Resilient.paper_defaults with
+          Resilient.max_attempts = largest_max_attempts + 1 });
+  (* About five million arrivals; the request field holds 2^22. *)
+  raises_naming "requests" (fun () ->
+      run
+        { workload with Client.duration_s = 5.0; ops_per_s = 1e6 }
+        Resilient.none)
+
+let test_session_largest_max_attempts () =
+  (* Retries are bounded by the budget alone. *)
+  let r =
+    {
+      Resilient.paper_defaults with
+      Resilient.max_attempts = largest_max_attempts;
+      retry_budget_pct = 100.0;
+    }
+  in
+  let s =
+    Gcperf_ycsb.Session.run
+      ~resilience:(Gcperf_ycsb.Session.Resilience.Custom (r, Gateway.degraded))
+      ~profile:Profile.storm workload
+      {
+        Gcperf_ycsb.Session.pauses = [| (30.0, 32.0); (70.0, 71.0) |];
+        db_timeline = stepped_timeline;
+      }
+      ~seed:3
+  in
+  Alcotest.(check int) "every request resolves" s.Resilient.requests
+    (s.Resilient.ok + s.Resilient.failed);
+  Alcotest.(check bool) "attempts cover requests and retries" true
+    (s.Resilient.attempts >= s.Resilient.requests + s.Resilient.retries);
+  Alcotest.(check bool) "retries within the budget" true
+    (s.Resilient.retries > 0 && s.Resilient.retries <= s.Resilient.requests)
+
 (* --- the faults experiment ------------------------------------------ *)
 
 let ci_grid = lazy (Exp_faults.run_scope ~scope:Gcperf.Scope.ci ~jobs:2 ())
@@ -309,6 +447,12 @@ let () =
           Alcotest.test_case "accounting" `Quick test_session_accounting;
           Alcotest.test_case "no resilience, no retries" `Quick
             test_session_without_resilience_never_retries;
+          Alcotest.test_case "session summaries pinned" `Quick
+            test_session_summaries_pinned;
+          Alcotest.test_case "packing bounds" `Quick
+            test_session_packing_bounds;
+          Alcotest.test_case "largest max_attempts" `Quick
+            test_session_largest_max_attempts;
           Alcotest.test_case "retries recover drops" `Quick
             test_session_retries_recover_drops;
         ] );
